@@ -1,9 +1,10 @@
 """Exact disk-count generating functions for semi-Fano toric manifolds.
 
 The pipeline: validate a fan, pick a nef basis of the curve-class lattice,
-enumerate the hypergeometric correction series per ray, assemble and invert
-the coordinate change they generate, and read off the one-pointed disk
-invariants and corrected superpotentials.  All arithmetic is exact.
+scan the truncation box once for correction classes and sum them into each
+ray's hypergeometric correction series, assemble and invert the coordinate
+change they generate, and read off the one-pointed disk invariants and
+corrected superpotentials.  All arithmetic is exact.
 """
 
 from .fans import (
@@ -55,6 +56,7 @@ from .superpotential import (
     assemble_W_PF,
     check_multiplicative_consistency,
     check_PF_equals_LF,
+    compare_superpotentials,
     cross_validate_surface,
     delta_series,
     invariant_table,

@@ -26,14 +26,10 @@ from .fans import (
 from .series import TruncationBox, render
 from .superpotential import (
     analyze,
-    assemble_W_HV,
-    assemble_W_LF,
-    assemble_W_PF,
     check_multiplicative_consistency,
-    check_PF_equals_LF,
+    compare_superpotentials,
     cross_validate_surface,
     invariant_table,
-    normalize_W_LF,
     render_table,
     structural_report,
     surface_admissible_delta,
@@ -160,6 +156,10 @@ def _setup(args):
     violations = validate_fan(fan)
     if violations:
         raise FanError("; ".join(violations))
+    for kind, index, count in (("cone", args.cone, len(fan.max_cones)),
+                               ("ray", args.ray, fan.num_rays)):
+        if index is not None and not 1 <= index <= count:
+            raise InputError(f"{kind} index {index} out of range")
     lattice = curve_lattice(fan, basis)
     box = _parse_box(args.box, lattice.rank)
     return document, fan, lattice, box, meta
@@ -265,16 +265,10 @@ def cmd_invariants(args):
 
 def cmd_superpotential(args):
     document, fan, lattice, box, meta = _setup(args)
-    sigma = (args.cone or 1) - 1
-    if not 0 <= sigma < len(fan.max_cones):
-        raise InputError(f"cone index {sigma + 1} out of range")
     analysis = analyze(fan, lattice, box)
-    whv = assemble_W_HV(fan, lattice, sigma, box)
-    wpf = assemble_W_PF(whv, analysis.mirror, box)
-    wlf = normalize_W_LF(
-        assemble_W_LF(whv, analysis.deltas), fan, analysis.deltas
+    whv, wpf, wlf, report = compare_superpotentials(
+        analysis, (args.cone or 1) - 1
     )
-    report = check_PF_equals_LF(wpf, wlf)
     names = _var_names(lattice, meta)
     zn = [f"z{j + 1}" for j in range(fan.dimension)]
     lines = []
@@ -322,14 +316,8 @@ def cmd_check(args):
             analysis.deltas, analysis.mirror, lattice
         ),
         structural_report(analysis),
+        compare_superpotentials(analysis, (args.cone or 1) - 1)[3],
     ]
-    sigma = (args.cone or 1) - 1
-    whv = assemble_W_HV(fan, lattice, sigma, box)
-    wpf = assemble_W_PF(whv, analysis.mirror, box)
-    wlf = normalize_W_LF(
-        assemble_W_LF(whv, analysis.deltas), fan, analysis.deltas
-    )
-    reports.append(check_PF_equals_LF(wpf, wlf))
     if fan.dimension == 2:
         reports.append(cross_validate_surface(fan, lattice, box))
     for rep in reports:

@@ -155,12 +155,6 @@ def validate_fan(fan: Fan):
     return violations
 
 
-def require_valid(fan: Fan):
-    violations = validate_fan(fan)
-    if violations:
-        raise FanError("; ".join(violations))
-
-
 def cone_coordinates(fan: Fan, sigma, k):
     """Integer coordinates of ray k in the unimodular basis given by cone sigma."""
     cone = fan.max_cones[sigma]
@@ -282,10 +276,10 @@ def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
     """Build a verified curve lattice, choosing a nef basis when possible.
 
     A supplied basis is checked for kernel membership and for spanning the
-    full kernel lattice (index one, via the Smith-normal-form route of
-    `lattice_membership`).  Without one, the kernel basis is replaced by a
-    combination of wall classes whenever some l of them form a Z-basis in
-    which all wall classes have nonnegative coordinates.
+    full kernel lattice: `same_lattice` writes each basis over the other
+    with integer coefficients, by exact rational solves.  Without one, the
+    kernel basis is replaced by l wall classes whenever some l of them form
+    a Z-basis in which all wall classes have nonnegative coordinates.
     """
     kernel = _kernel_basis(fan)
     l = len(kernel)

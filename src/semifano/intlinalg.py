@@ -10,15 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 
-def mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0]) if B else 0
-    return [[sum(A[i][t] * B[t][j] for t in range(k)) for j in range(m)] for i in range(n)]
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def left_kernel_basis(V):
     """Z-basis of the left kernel {d : d @ V = 0} of an integer matrix V.
 
@@ -122,44 +113,6 @@ def det_rational(A):
                 f = M[i][c] / M[c][c]
                 M[i] = [v - f * w for v, w in zip(M[i], M[c])]
     return det
-
-
-def smith_diagonal(A):
-    """Diagonal of the Smith normal form of an integer matrix."""
-    M = [list(r) for r in A]
-    n = len(M)
-    m = len(M[0]) if n else 0
-    diag = []
-    top = 0
-    while top < n and top < m:
-        # find smallest nonzero entry, move to (top, top)
-        best = None
-        for i in range(top, n):
-            for j in range(top, m):
-                if M[i][j] != 0 and (best is None or abs(M[i][j]) < abs(M[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        M[top], M[bi] = M[bi], M[top]
-        for row in M:
-            row[top], row[bj] = row[bj], row[top]
-        clean = True
-        for i in range(top + 1, n):
-            if M[i][top] != 0:
-                q = M[i][top] // M[top][top]
-                M[i] = [a - q * b for a, b in zip(M[i], M[top])]
-                clean = clean and M[i][top] == 0
-        for j in range(top + 1, m):
-            if M[top][j] != 0:
-                q = M[top][j] // M[top][top]
-                for i in range(n):
-                    M[i][j] -= q * M[i][top]
-                clean = clean and M[top][j] == 0
-        if clean:
-            diag.append(abs(M[top][top]))
-            top += 1
-    return diag
 
 
 def lattice_membership(basis, vec):

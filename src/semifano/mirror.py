@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from itertools import product
+from math import factorial, prod
 
-from .fans import CurveClass, CurveLattice, FanError, fan_polytope_vertices
+from .fans import CurveLattice, FanError, fan_polytope_vertices
 from .series import (
     DiagonalUnitMap,
     MultiSeries,
@@ -24,75 +25,35 @@ from .series import (
 )
 
 
-def enumerate_g0_classes(lattice: CurveLattice, i: int, box: TruncationBox):
-    """All correction classes for ray i with basis exponents inside the box.
+def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
+    """All correction classes with basis exponents inside the box.
 
-    Walks b = -d_i from 1 up to the largest value attainable in the box, and
-    for each b walks weak compositions of b into the other ray coordinates,
-    keeping compositions that close up to a kernel class with in-box
-    nonnegative basis exponents.  Returns (CurveClass, exponent) pairs.
+    Scans every exponent vector of the box once, maps it to its curve class
+    and keeps the classes with anticanonical pairing zero that are negative
+    at exactly one ray i.  Returns (i, CurveClass, exponents) triples in
+    graded order.
+
+    The scan sees only nonnegative exponents.  It relies on the nef basis to
+    give every correction class nonnegative coordinates, so a basis that is
+    not nef-verified is refused.
     """
     if not lattice.nef_verified:
         raise FanError("correction enumeration needs a nef-verified basis")
     if box.arity != lattice.rank:
         raise FanError("box arity must equal the lattice rank")
-    fan = lattice.fan
-    m = fan.num_rays
-    n = fan.dimension
-    row_i = lattice.pairing_row(i)
-    bound = sum(
-        max(0, -row_i[a]) * box.caps[a] for a in range(lattice.rank)
-    )
     out = []
-    others = [j for j in range(m) if j != i]
-    for b in range(1, bound + 1):
-        # compositions of b over `others`, pruned by the ray-sum constraint
-        # being completable (checked only at the leaves; sizes here are small)
-        stack = [([], b)]
-        while stack:
-            prefix, rem = stack.pop()
-            pos = len(prefix)
-            if pos == len(others) - 1:
-                candidates = [prefix + [rem]]
-                for comp in candidates:
-                    d = [0] * m
-                    d[i] = -b
-                    for j, v in zip(others, comp):
-                        d[j] = v
-                    if any(
-                        sum(d[j] * fan.rays[j][t] for j in range(m)) != 0
-                        for t in range(n)
-                    ):
-                        continue
-                    cls = CurveClass(tuple(d))
-                    exps = lattice.coordinates(cls)
-                    if exps is None:
-                        continue
-                    if any(e < 0 for e in exps):
-                        raise FanError(
-                            "negative basis exponent for a correction class; "
-                            "the basis is not nef"
-                        )
-                    if box.contains(tuple(exps)):
-                        out.append((cls, tuple(exps)))
-            else:
-                for v in range(rem + 1):
-                    stack.append((prefix + [v], rem - v))
-    out.sort(key=lambda t: (sum(t[1]), t[1]))
+    for exps in product(*[range(c + 1) for c in box.caps]):
+        cls = lattice.class_from_coordinates(exps)
+        negative = [j for j, dj in enumerate(cls) if dj < 0]
+        if len(negative) == 1 and cls.chern_number() == 0:
+            out.append((negative[0], cls, exps))
+    out.sort(key=lambda t: (sum(t[2]), t[2]))
     return out
 
 
 def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:
-    coeffs: dict[tuple[int, ...], Fraction] = {}
-    for cls, exps in enumerate_g0_classes(lattice, i, box):
-        b = -cls[i]
-        num = Fraction((-1) ** b * factorial(b - 1))
-        den = 1
-        for j, dj in enumerate(cls):
-            if j != i:
-                den *= factorial(dj)
-        coeffs[exps] = coeffs.get(exps, Fraction(0)) + num / den
-    return MultiSeries.from_dict(box, coeffs)
+    """The correction series of ray i."""
+    return compute_g0_family(lattice, box).series[i]
 
 
 @dataclass(frozen=True)
@@ -106,21 +67,23 @@ class GZeroFamily:
     def box(self):
         return self.series[0].box
 
-    def nonzero_rays(self):
-        return [i for i, s in enumerate(self.series) if not s.is_zero()]
-
 
 def compute_g0_family(lattice: CurveLattice, box: TruncationBox) -> GZeroFamily:
+    """Every ray's correction series, from one scan of the box.
+
+    A correction class negative at ray i writes v_i as a convex combination
+    of the other rays, so a fan whose rays are all hull vertices has none;
+    it is not scanned and needs no nef basis.
+    """
     fan = lattice.fan
-    vertices = fan_polytope_vertices(fan)
-    series = []
-    for i in range(fan.num_rays):
-        if i in vertices:
-            # vertex rays admit no correction class at all
-            series.append(MultiSeries.zero(box))
-        else:
-            series.append(g0_series(lattice, i, box))
-    return GZeroFamily(lattice, tuple(series))
+    coeffs = [{} for _ in range(fan.num_rays)]
+    if len(fan_polytope_vertices(fan)) < fan.num_rays:
+        for i, cls, exps in enumerate_g0_classes(lattice, box):
+            b = -cls[i]
+            den = prod(factorial(dj) for j, dj in enumerate(cls) if j != i)
+            coeffs[i][exps] = Fraction((-1) ** b * factorial(b - 1), den)
+    series = tuple(MultiSeries.from_dict(box, c) for c in coeffs)
+    return GZeroFamily(lattice, series)
 
 
 @dataclass(frozen=True)

@@ -36,10 +36,6 @@ class TruncationBox:
     def arity(self):
         return len(self.caps)
 
-    @property
-    def total(self):
-        return sum(self.caps)
-
     def contains(self, exp):
         return len(exp) == len(self.caps) and all(
             0 <= e <= c for e, c in zip(exp, self.caps)
@@ -318,21 +314,6 @@ def log_series(s: MultiSeries) -> MultiSeries:
     u = s.to_dict()
     del u[s.box.zero_exp()]
     return MultiSeries.from_dict(s.box, _log1p_dict(u, s.box.caps))
-
-
-def int_power(s: MultiSeries, k: int) -> MultiSeries:
-    """s**k for k >= 0 by repeated multiplication."""
-    r = MultiSeries.one(s.box)
-    for _ in range(k):
-        r = mul(r, s)
-    return r
-
-
-def unit_power(s: MultiSeries, k: int) -> MultiSeries:
-    """s**k for any integer k, for unit series (constant term 1), via exp/log."""
-    if 0 <= k <= s.box.total:
-        return int_power(s, k)
-    return exp_series(log_series(s).scale(k))
 
 
 @dataclass(frozen=True)

@@ -420,6 +420,17 @@ def analyze(fan: Fan, lattice: CurveLattice, box: TruncationBox) -> ToricAnalysi
     return ToricAnalysis(fan, lattice, box, g0, mm, pulled, deltas)
 
 
+def compare_superpotentials(analysis: ToricAnalysis, sigma: int):
+    """(W_HV, W_PF, normalized W_LF, PF=LF report) relative to cone sigma."""
+    fan, lattice, box = analysis.fan, analysis.lattice, analysis.box
+    whv = assemble_W_HV(fan, lattice, sigma, box)
+    wpf = assemble_W_PF(whv, analysis.mirror, box)
+    wlf = normalize_W_LF(
+        assemble_W_LF(whv, analysis.deltas), fan, analysis.deltas
+    )
+    return whv, wpf, wlf, check_PF_equals_LF(wpf, wlf)
+
+
 def structural_report(analysis: ToricAnalysis) -> CheckReport:
     """Vanishing pattern checks on the disk generating functions.
 

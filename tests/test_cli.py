@@ -90,6 +90,11 @@ def test_superpotential_equal(capsys):
     assert code == 0
     assert out.strip().endswith("EQUAL")
     assert "q2*(1 + q1)*z2^-1" in out
+    code, out, _ = run_cli(
+        capsys, "superpotential", fx("f2"), "--box", "3,3", "--cone", "4"
+    )
+    assert code == 0
+    assert out.strip().endswith("EQUAL")
 
 
 def test_surface_oracle_command(capsys):
@@ -133,3 +138,23 @@ def test_mirror_map_box_default(capsys):
     code, out, _ = run_cli(capsys, "mirror-map", fx("f2"), "--box", "3")
     assert code == 0
     assert "inverse exponent 1: -2*q1 + q1^2 - 2/3*q1^3" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--cone", "99"),
+    ("superpotential", "--cone", "5"),
+    ("check", "--cone", "0"),
+    ("superpotential", "--cone", "-1"),
+    ("invariants", "--ray", "99"),
+    ("invariants", "--ray", "0"),
+    ("invariants", "--ray", "-2"),
+    ("g0", "--ray", "5"),
+], ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
+def test_bad_indices_exit_2(capsys, argv):
+    command, flag, value = argv
+    code, out, err = run_cli(capsys, command, fx("f2"), "--box", "2,2", flag, value)
+    assert code == 2
+    assert out == ""
+    message = json.loads(err)["error"]
+    assert message == f"{flag[2:]} index {value} out of range"
+

@@ -6,7 +6,6 @@ from semifano.intlinalg import (
     left_kernel_basis,
     rational_rank,
     same_lattice,
-    smith_diagonal,
     solve_rational,
 )
 
@@ -47,13 +46,6 @@ def test_rank_and_det():
     assert rational_rank([[1, 2], [3, 4]]) == 2
     assert det_rational([[1, 2], [3, 4]]) == -2
     assert det_rational([[1, 2], [2, 4]]) == 0
-
-
-def test_smith_diagonal():
-    assert smith_diagonal([[2, 0], [0, 3]]) == [1, 6] or smith_diagonal(
-        [[2, 0], [0, 3]]
-    ) == [2, 3]
-    assert smith_diagonal([[1, 0], [0, 1]]) == [1, 1]
 
 
 def test_lattice_membership():

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from math import factorial
 
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifano import (
+    CurveClass,
     Fan,
     FanError,
     MultiSeries,
@@ -18,35 +20,59 @@ from semifano import (
     log_series,
     pullback_g0,
 )
+from semifano.cli import main, parse_input
 from semifano.series import compose
 from conftest import fixture_fan, fixture_lattice
 
 
 def test_enumerate_f2_section_multiples():
     _, lattice = fixture_lattice("f2")
-    found = enumerate_g0_classes(lattice, 3, TruncationBox((3, 3)))
-    assert [(c.coefficients, e) for c, e in found] == [
-        ((k, 0, k, -2 * k), (k, 0)) for k in (1, 2, 3)
+    found = enumerate_g0_classes(lattice, TruncationBox((3, 3)))
+    assert [(i, c.coefficients, e) for i, c, e in found] == [
+        (3, (k, 0, k, -2 * k), (k, 0)) for k in (1, 2, 3)
     ]
 
 
 def test_enumerate_vertex_ray_empty():
     _, lattice = fixture_lattice("f2")
-    for i in (0, 1, 2):
-        assert enumerate_g0_classes(lattice, i, TruncationBox((3, 3))) == []
+    found = enumerate_g0_classes(lattice, TruncationBox((3, 3)))
+    assert {i for i, _, _ in found} == {3}
 
 
 def test_enumerate_fano_empty():
     _, lattice = fixture_lattice("p2")
-    for i in range(3):
-        assert enumerate_g0_classes(lattice, i, TruncationBox((4,))) == []
+    assert enumerate_g0_classes(lattice, TruncationBox((4,))) == []
 
 
 def test_enumerate_requires_nef_basis():
     fan, _ = fixture_fan("f2")
     lattice = curve_lattice(fan, [[1, 0, 1, -2], [1, 1, 1, -1]])
-    with pytest.raises(FanError):
-        enumerate_g0_classes(lattice, 3, TruncationBox((3, 3)))
+    with pytest.raises(FanError, match="nef-verified"):
+        enumerate_g0_classes(lattice, TruncationBox((3, 3)))
+    with pytest.raises(FanError, match="nef-verified"):
+        compute_g0_family(lattice, TruncationBox((3, 3)))
+
+
+def test_all_vertex_fan_needs_no_nef_basis(tmp_path, capsys):
+    # the plane blown up at three points: every ray is a hull vertex, so
+    # there are no correction classes, and no wall-class basis is nef
+    rays = [[1, 0], [1, 1], [0, 1], [-1, 0], [-1, -1], [0, -1]]
+    doc = {"dimension": 2, "rays": rays,
+           "max_cones": [[k, k % 6 + 1] for k in range(1, 7)]}
+    fan, _, _ = parse_input(doc)
+    lattice = curve_lattice(fan)
+    assert not lattice.nef_verified
+    fam = compute_g0_family(lattice, TruncationBox((2,) * lattice.rank))
+    assert all(s.is_zero() for s in fam.series)
+    path = tmp_path / "dp6.json"
+    path.write_text(json.dumps(doc))
+    assert main(["invariants", str(path), "--box", "2", "--format", "json"]) == 0
+    tables = json.loads(capsys.readouterr().out)["results"]
+    assert sorted(tables) == [str(k) for k in range(1, 7)]
+    for tsv in tables.values():
+        rows = [line.split("\t") for line in tsv.splitlines()[1:]]
+        assert rows[0] == ["0"] * lattice.rank + ["1"]
+        assert all(row[-1] == "0" for row in rows[1:])
 
 
 def test_g0_f2_closed_form():
@@ -65,8 +91,7 @@ def test_g0_kp2_bundle_closed_form():
     _, lattice = fixture_lattice("kp2-bundle")
     box = TruncationBox((4, 4))
     fam = compute_g0_family(lattice, box)
-    nonzero = fam.nonzero_rays()
-    assert nonzero == [0]
+    assert [i for i, s in enumerate(fam.series) if not s.is_zero()] == [0]
     s = fam.series[0].to_dict()
     fiber_axis = {e for e in s}
     assert all(sum(1 for x in e if x) == 1 for e in fiber_axis)
@@ -169,21 +194,42 @@ def test_pullback_f2_is_log():
         assert pulled[i].is_zero()
 
 
-def brute_force_classes(lattice, i, box):
-    """Scan every exponent vector in the box and keep the qualifying classes."""
-    from itertools import product
+def walker_classes(lattice, i, box):
+    """Correction classes of ray i by the composition walk, an independent
+    route to what the box scan finds.
 
+    Walks b = -d_i up to the largest value the box allows and every weak
+    composition of b over the other rays, keeping the compositions that close
+    up to a lattice class; its basis coordinates come from an exact solve and
+    must be nonnegative (the nef precondition the scan relies on).
+    """
+    fan = lattice.fan
+    m, n = fan.num_rays, fan.dimension
+    others = [j for j in range(m) if j != i]
+    bound = sum(
+        max(0, -r) * c for r, c in zip(lattice.pairing_row(i), box.caps)
+    )
     out = []
-    for exps in product(*[range(c + 1) for c in box.caps]):
-        if not any(exps):
-            continue
-        cls = lattice.class_from_coordinates(exps)
-        d = cls.coefficients
-        if sum(d) != 0 or d[i] >= 0:
-            continue
-        if any(d[j] < 0 for j in range(len(d)) if j != i):
-            continue
-        out.append((d, exps))
+    for b in range(1, bound + 1):
+        stack = [([], b)]
+        while stack:
+            prefix, rem = stack.pop()
+            if len(prefix) < len(others) - 1:
+                stack.extend((prefix + [v], rem - v) for v in range(rem + 1))
+                continue
+            d = [0] * m
+            d[i] = -b
+            for j, v in zip(others, prefix + [rem]):
+                d[j] = v
+            if any(sum(d[j] * fan.rays[j][t] for j in range(m))
+                   for t in range(n)):
+                continue
+            exps = lattice.coordinates(CurveClass(tuple(d)))
+            if exps is None:
+                continue
+            assert all(e >= 0 for e in exps), (d, exps)
+            if box.contains(tuple(exps)):
+                out.append((tuple(d), tuple(exps)))
     out.sort(key=lambda t: (sum(t[1]), t[1]))
     return out
 
@@ -206,11 +252,11 @@ def test_enumeration_matches_cube_scan(data):
         data.draw(st.integers(0, 4)) for _ in range(FIXTURE_CAPS[name])
     )
     box = TruncationBox(caps)
-    i = data.draw(st.integers(0, lattice.fan.num_rays - 1))
-    fast = [
-        (c.coefficients, e) for c, e in enumerate_g0_classes(lattice, i, box)
-    ]
-    assert fast == brute_force_classes(lattice, i, box)
+    scan = enumerate_g0_classes(lattice, box)
+    for i in range(lattice.fan.num_rays):
+        assert [(c.coefficients, e) for j, c, e in scan if j == i] == (
+            walker_classes(lattice, i, box)
+        )
 
 
 def test_determinism_under_cone_shuffling():

@@ -17,7 +17,7 @@ from semifano import (
     render,
     substitute,
 )
-from semifano.series import compose, int_power, unit_power
+from semifano.series import compose
 
 
 def S(caps, coeffs):
@@ -88,13 +88,6 @@ def test_invert_trivial():
     box = TruncationBox((3, 2))
     ident = DiagonalUnitMap.identity(box)
     assert invert_diagonal_unit(ident) == ident
-
-
-def test_unit_power_negative():
-    s = S((4,), {(0,): 1, (1,): 1})
-    inv = unit_power(s, -1)
-    assert mul(s, inv) == MultiSeries.one(s.box)
-    assert unit_power(s, 2) == int_power(s, 2)
 
 
 def test_render_canonical():
