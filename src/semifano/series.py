@@ -7,8 +7,10 @@ rest of the package relies on.  Every operation here only ever adds
 nonnegative vectors to exponents, so coefficients at in-box exponents agree
 with the untruncated computation.
 
-Hot paths run on plain exponent->Fraction dicts (the _*_dict helpers); the
-public classes are immutable wrappers with canonical term order.
+Hot paths run on plain exponent->Fraction dicts (the underscore helpers); the
+public classes are immutable wrappers with canonical term order.  Every
+substitution x_a := x_a * exp(u_a) goes through one kernel, _subst_dict, fed
+by the powers (x_a * exp(u_a))^k that _power_tables builds once per map.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ def _graded_lex_key(exp):
 
 
 # ---------------------------------------------------------------------------
-# dict-level kernels.  `tcap` is an optional extra total-degree cutoff used by
-# the inversion to keep early fixed-point rounds cheap.
+# dict-level kernels
 
 
 def _add_into(r, t, scale=None):
@@ -67,15 +68,12 @@ def _add_into(r, t, scale=None):
     return r
 
 
-def _mul_dict(s, t, caps, tcap=None):
+def _mul_dict(s, t, caps):
     if len(s) > len(t):
         s, t = t, s
     r = {}
     for e1, c1 in s.items():
-        d1 = sum(e1)
         for e2, c2 in t.items():
-            if tcap is not None and d1 + sum(e2) > tcap:
-                continue
             e = tuple(a + b for a, b in zip(e1, e2))
             ok = True
             for x, cap in zip(e, caps):
@@ -93,118 +91,55 @@ def _mul_dict(s, t, caps, tcap=None):
     return r
 
 
-def _exp_dict(s, caps, tcap=None):
-    zero = (0,) * len(caps)
-    one = {zero: Fraction(1)}
-    if not s:
-        return one
-    r = dict(one)
-    p = dict(one)
-    limit = sum(caps) if tcap is None else min(sum(caps), tcap)
-    for k in range(1, limit + 1):
-        p = _mul_dict(p, s, caps, tcap)
+def _power_sum(s, coeff, caps):
+    """sum over k >= 1 of coeff(k) * s^k, for s with zero constant term."""
+    r = {}
+    p = {(0,) * len(caps): Fraction(1)}
+    for k in range(1, sum(caps) + 1):
+        p = _mul_dict(p, s, caps)
         if not p:
             break
-        _add_into(r, p, Fraction(1, factorial(k)))
+        _add_into(r, p, coeff(k))
     return r
 
 
-def _log1p_dict(u, caps, tcap=None):
-    zero = (0,) * len(caps)
-    r = {}
-    p = {zero: Fraction(1)}
-    limit = sum(caps) if tcap is None else min(sum(caps), tcap)
-    for k in range(1, limit + 1):
-        p = _mul_dict(p, u, caps, tcap)
-        if not p:
-            break
-        _add_into(r, p, Fraction((-1) ** (k + 1), k))
-    return r
+def _exp_dict(s, caps):
+    r = _power_sum(s, lambda k: Fraction(1, factorial(k)), caps)
+    return _add_into(r, {(0,) * len(caps): Fraction(1)})
 
 
-def _vars_of(s):
-    out = set()
-    for e in s:
-        for a, x in enumerate(e):
-            if x:
-                out.add(a)
-    return out
+def _power_tables(umaps, series, caps):
+    """tables[a][k] = (x_a * exp(u_a))^k, for k up to the largest exponent of
+    x_a in any of the given series.
 
-
-def _subst_dict(s, umaps, caps, tcap=None):
-    """Evaluate s at x_a := x_a * exp(umaps[a]); umaps keys must cover vars(s).
-
-    Power tables of exp(u_a) are built only for variables present in s.
-    """
-    if not s:
-        return {}
-    zero = (0,) * len(caps)
-    one = {zero: Fraction(1)}
-    needed = _vars_of(s)
-    pows = {}
-    for a in needed:
-        ua = umaps.get(a)
-        if not ua:
-            continue
-        expu = _exp_dict(ua, caps, tcap)
-        amax = max(e[a] for e in s)
-        pa = [one]
-        for _ in range(min(amax, caps[a])):
-            pa.append(_mul_dict(pa[-1], expu, caps, tcap))
-        pows[a] = pa
-    r = {}
-    for e, c in s.items():
-        term = {e: c}
-        for a in needed:
-            if e[a] and a in pows:
-                term = _mul_dict(term, pows[a][e[a]], caps, tcap)
-        _add_into(r, term)
-    return r
-
-
-def _invert_diag_dicts(umaps, caps):
-    """Fixed-point inverse of x_a -> x_a*exp(u_a) at the dict level.
-
-    Each round gains one total degree of agreement, so round k is truncated
-    to total degree k+1; components whose variables never feed back into the
-    iteration are finished in a single pass at the end.
+    The factor x_a^k keeps the part of exp(u_a)^k that a monomial with x_a^k
+    can use, so entries shrink as k grows and products of them stay small.
     """
     l = len(caps)
-    total = sum(caps)
-    # variables that any component depends on, transitively
-    active = set()
-    for u in umaps:
-        active |= _vars_of(u)
-    while True:
-        grown = set(active)
-        for a in active:
-            grown |= _vars_of(umaps[a])
-        if grown == active:
-            break
-        active = grown
-    w = {a: {} for a in active}
-    k = 0
-    while True:
-        k += 1
-        tcap = min(k + 1, total)
-        w2 = {
-            a: {e: -c for e, c in _subst_dict(umaps[a], w, caps, tcap).items()}
-            for a in active
-        }
-        if w2 == w and tcap == total:
-            break
-        w = w2
-        if k > total + 2:
-            break
-    out = []
-    for a in range(l):
-        if a in active:
-            out.append(w[a])
-        else:
-            out.append(
-                {e: -c for e, c in _subst_dict(umaps[a], w, caps).items()}
-            )
-    return out
+    tables = []
+    for a, u in enumerate(umaps):
+        depth = max((e[a] for s in series for e in s), default=0)
+        pa = [{(0,) * l: Fraction(1)}]
+        if depth:
+            xa = {tuple(int(b == a) for b in range(l)): Fraction(1)}
+            ya = _mul_dict(xa, _exp_dict(u, caps), caps)
+            for _ in range(depth):
+                pa.append(_mul_dict(pa[-1], ya, caps))
+        tables.append(pa)
+    return tables
+
+
+def _subst_dict(s, tables, caps):
+    """Evaluate s at x_a := x_a * exp(u_a), given the power tables of u."""
+    zero = (0,) * len(caps)
+    r = {}
+    for e, c in s.items():
+        term = {zero: c}
+        for k, pa in zip(e, tables):
+            if k:
+                term = _mul_dict(term, pa[k], caps)
+        _add_into(r, term)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +175,6 @@ class MultiSeries:
     def one(box):
         return MultiSeries(box, ((box.zero_exp(), Fraction(1)),))
 
-    @staticmethod
-    def monomial(box, exp, coeff=1):
-        return MultiSeries.from_dict(box, {tuple(exp): Fraction(coeff)})
-
     def to_dict(self):
         return dict(self.terms)
 
@@ -260,16 +191,6 @@ class MultiSeries:
 
     def is_zero(self):
         return not self.terms
-
-    def truncate(self, box: TruncationBox):
-        """Restrict to a componentwise smaller (or equal) box."""
-        if box.arity != self.box.arity or any(
-            b > c for b, c in zip(box.caps, self.box.caps)
-        ):
-            raise SeriesError("target box must be contained in the current box")
-        return MultiSeries.from_dict(
-            box, {e: c for e, c in self.terms if box.contains(e)}
-        )
 
     def __neg__(self):
         return MultiSeries(self.box, tuple((e, -c) for e, c in self.terms))
@@ -313,7 +234,8 @@ def log_series(s: MultiSeries) -> MultiSeries:
         raise SeriesError("log_series needs constant term one")
     u = s.to_dict()
     del u[s.box.zero_exp()]
-    return MultiSeries.from_dict(s.box, _log1p_dict(u, s.box.caps))
+    log1p = _power_sum(u, lambda k: Fraction((-1) ** (k + 1), k), s.box.caps)
+    return MultiSeries.from_dict(s.box, log1p)
 
 
 @dataclass(frozen=True)
@@ -343,29 +265,34 @@ class DiagonalUnitMap:
     def arity(self):
         return len(self.components)
 
-    @staticmethod
-    def identity(box):
-        return DiagonalUnitMap(tuple(MultiSeries.zero(box) for _ in range(box.arity)))
-
     def is_identity(self):
         return all(u.is_zero() for u in self.components)
 
 
+def _tables_of(m: DiagonalUnitMap, box: TruncationBox, series):
+    """Power tables of m for substituting into the given dicts of this box."""
+    if m.arity != box.arity or (m.components and m.box != box):
+        raise SeriesError("map arity/box does not match the series")
+    return _power_tables([u.to_dict() for u in m.components], series, box.caps)
+
+
 def substitute(s: MultiSeries, m: DiagonalUnitMap) -> MultiSeries:
     """Evaluate s at x_a := x_a * exp(u_a(x))."""
-    if m.arity != s.box.arity or (m.components and m.box != s.box):
-        raise SeriesError("map arity/box does not match the series")
-    umaps = {a: u.to_dict() for a, u in enumerate(m.components)}
-    return MultiSeries.from_dict(
-        s.box, _subst_dict(s.to_dict(), umaps, s.box.caps)
-    )
+    sd = s.to_dict()
+    tables = _tables_of(m, s.box, [sd])
+    return MultiSeries.from_dict(s.box, _subst_dict(sd, tables, s.box.caps))
 
 
 def compose(outer: DiagonalUnitMap, inner: DiagonalUnitMap) -> DiagonalUnitMap:
     """Map sending x_a to x_a*exp(u_a) followed by x_a to x_a*exp(w_a)."""
+    box = outer.box
+    us = [u.to_dict() for u in outer.components]
+    tables = _tables_of(inner, box, us)
     comps = tuple(
-        add(substitute(u, inner), w)
-        for u, w in zip(outer.components, inner.components)
+        MultiSeries.from_dict(
+            box, _add_into(_subst_dict(u, tables, box.caps), w.to_dict())
+        )
+        for u, w in zip(us, inner.components)
     )
     return DiagonalUnitMap(comps)
 
@@ -373,12 +300,22 @@ def compose(outer: DiagonalUnitMap, inner: DiagonalUnitMap) -> DiagonalUnitMap:
 def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
     """Formal inverse of x_a -> x_a*exp(u_a), by fixed-point iteration.
 
-    w_a <- -u_a(x*exp(w)) gains one degree of agreement per round, so at most
-    the total box degree of rounds is needed; see _invert_diag_dicts.
+    Iterates w_a <- -u_a(x*exp(w)) from w = 0 over the full box.  Every u_a
+    has zero constant term, so if two w agree up to total degree k their
+    images agree up to degree k+1: round k fixes w up to degree k, and the
+    first round that leaves w unchanged has found the unique inverse.  That
+    takes at most sum(caps) + 1 rounds.
     """
-    box = m.box
-    w = _invert_diag_dicts([u.to_dict() for u in m.components], box.caps)
-    return DiagonalUnitMap(tuple(MultiSeries.from_dict(box, c) for c in w))
+    caps = m.box.caps
+    minus_u = [{e: -c for e, c in u.terms} for u in m.components]
+    w = [{} for _ in minus_u]
+    for _ in range(sum(caps) + 1):
+        tables = _power_tables(w, minus_u, caps)
+        w2 = [_subst_dict(u, tables, caps) for u in minus_u]
+        if w2 == w:
+            break
+        w = w2
+    return DiagonalUnitMap(tuple(MultiSeries.from_dict(m.box, c) for c in w))
 
 
 def render(s: MultiSeries, names=None) -> str:

@@ -3,8 +3,10 @@ from fractions import Fraction
 import pytest
 
 from semifano import (
+    DiagonalUnitMap,
     MultiSeries,
     TruncationBox,
+    add,
     assemble_W_HV,
     assemble_W_LF,
     assemble_W_PF,
@@ -15,6 +17,7 @@ from semifano import (
     render_table,
     structural_report,
 )
+from semifano.mirror import MirrorMapPair
 from semifano.superpotential import InvariantSeries
 from conftest import fixture_analysis
 
@@ -138,6 +141,16 @@ def test_multiplicative_consistency_fixtures():
             an.deltas, an.mirror, an.lattice
         )
         assert report.passed, (name, report.details)
+
+
+def test_multiplicative_consistency_detects_wrong_inverse(f2_analysis):
+    an = f2_analysis
+    w = list(an.mirror.inverse.components)
+    w[1] = add(w[1], MultiSeries.from_dict(an.box, {(2, 1): 1}))
+    wrong = MirrorMapPair(an.mirror.forward, DiagonalUnitMap(tuple(w)))
+    report = check_multiplicative_consistency(an.deltas, wrong, an.lattice)
+    assert not report.passed
+    assert report.details == ("basis class 2: product identity fails",)
 
 
 def test_structural_report_fixtures():

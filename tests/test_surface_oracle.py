@@ -6,6 +6,7 @@ from semifano import (
     cross_validate_surface,
     surface_admissible_delta,
 )
+from semifano import superpotential
 from semifano.superpotential import (
     cyclic_ray_order,
     surface_self_intersections,
@@ -64,6 +65,16 @@ def test_oracle_rejects_threefold():
     fan, lattice = fixture_lattice("threefold-example")
     with pytest.raises(FanError):
         surface_admissible_delta(fan, lattice, 0, TruncationBox((2, 2, 2, 2)))
+
+
+def test_cross_validation_refuses_before_engine_runs(monkeypatch):
+    def engine_must_not_run(*args):
+        raise AssertionError("engine ran on a fan the oracle refuses")
+
+    monkeypatch.setattr(superpotential, "compute_g0_family", engine_must_not_run)
+    fan, lattice = fixture_lattice("threefold-example")
+    with pytest.raises(FanError):
+        cross_validate_surface(fan, lattice, TruncationBox((2, 2, 2, 2)))
 
 
 def test_oracle_rejects_non_semi_fano():
