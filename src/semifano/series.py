@@ -8,16 +8,18 @@ nonnegative vectors to exponents, so coefficients at in-box exponents agree
 with the untruncated computation.
 
 Hot paths run on plain exponent->Fraction dicts (the underscore helpers); the
-public classes are immutable wrappers with canonical term order.  Every
-substitution x_a := x_a * exp(u_a) goes through one kernel, _subst_dict, fed
-by the powers (x_a * exp(u_a))^k that _power_tables builds once per map.
+public classes are immutable wrappers holding reduced Fractions in canonical
+term order.  Products go through _mul_dict, which packs exponents into ints
+and sums integer numerators over a common denominator.  Every substitution
+x_a := x_a * exp(u_a) goes through one kernel, _subst_dict, fed by the powers
+(x_a * exp(u_a))^k that _power_tables builds once per map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 
 
 class SeriesError(ValueError):
@@ -68,27 +70,47 @@ def _add_into(r, t, scale=None):
     return r
 
 
+def _packed(d, w):
+    """(D, [(packed exponent, integer numerator over D)]) for one dict."""
+    den = lcm(*(c.denominator for c in d.values()))
+    out = []
+    for e, c in d.items():
+        p = 0
+        for x in reversed(e):
+            p = p << w | x
+        out.append((p, c.numerator * (den // c.denominator)))
+    return den, out
+
+
 def _mul_dict(s, t, caps):
+    """Truncated product of two in-box dicts, as reduced Fractions.
+
+    Exponents are packed w bits per variable, coefficients scaled to integer
+    numerators over each factor's lcm denominator.  One factor carries the
+    bias 2^(w-1) - 1 - cap_a in field a, so a pair's sum sets field a's top
+    (guard) bit exactly when it leaves the box: one add and one mask a pair.
+    """
     if len(s) > len(t):
         s, t = t, s
+    w = (2 * max(caps, default=0) + 1).bit_length() + 1
+    shifts = range(0, w * len(caps), w)
+    bias = sum(((1 << (w - 1)) - 1 - c) << k for c, k in zip(caps, shifts))
+    guard = sum(1 << (k + w - 1) for k in shifts)
+    ds, sp = _packed(s, w)
+    dt, tp = _packed(t, w)
     r = {}
-    for e1, c1 in s.items():
-        for e2, c2 in t.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            ok = True
-            for x, cap in zip(e, caps):
-                if x > cap:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            c = r.get(e)
-            c = c1 * c2 if c is None else c + c1 * c2
-            if c:
-                r[e] = c
-            else:
-                del r[e]
-    return r
+    for p1, n1 in sp:
+        p1 += bias
+        for p2, n2 in tp:
+            p = p1 + p2
+            if not p & guard:
+                r[p] = r.get(p, 0) + n1 * n2
+    mask, den = (1 << w) - 1, ds * dt
+    return {
+        tuple((p - bias) >> k & mask for k in shifts): Fraction(n, den)
+        for p, n in r.items()
+        if n
+    }
 
 
 def _power_sum(s, coeff, caps):

@@ -12,11 +12,13 @@ from semifano import (
     FanError,
     MultiSeries,
     TruncationBox,
+    analyze,
     assemble_mirror_map,
     compute_g0_family,
     curve_lattice,
     enumerate_g0_classes,
     g0_series,
+    invariant_table,
     log_series,
     pullback_g0,
 )
@@ -145,6 +147,79 @@ def test_g0_threefold_closed_forms_small():
     s4 = g0_series(lattice, 3, box4).to_dict()
     for k in range(1, 6):
         assert s4.get((0, 0, 0, k), Fraction(0)) == -h_coef(k)
+
+
+LG_CAP = 7
+
+
+def lg_mul(a, b):
+    """Product of two-variable dicts truncated to the square of side LG_CAP."""
+    r = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            if i1 + i2 <= LG_CAP and j1 + j2 <= LG_CAP:
+                e = (i1 + i2, j1 + j2)
+                r[e] = r.get(e, 0) + c1 * c2
+    return r
+
+
+def lg_exp(a):
+    """exp(a) for a two-variable dict with zero constant term."""
+    r = term = {(0, 0): Fraction(1)}
+    for n in range(1, 2 * LG_CAP + 1):
+        term = {e: c / n for e, c in lg_mul(term, a).items()}
+        r = {e: r.get(e, 0) + term.get(e, 0) for e in r.keys() | term.keys()}
+    return r
+
+
+def test_lagrange_good_oracle_threefold():
+    # With q_a = x_a*exp(u_a(x)), Good's multivariate Lagrange inversion gives
+    # [q^k](1 + delta_i) = [x^k] exp(g0_i - sum_a k_a u_a) det(d_ab + x_b du_a/dx_b)
+    # with no inversion and no substitution.  At k3 = k4 = 0 only x1 and x2
+    # enter, only rays 1 and 2 have corrections there, and the determinant
+    # is its 2x2 block; everything below is plain Fraction arithmetic.
+    fan, lattice = fixture_lattice("threefold-example")
+    f_coef, g_coef, _ = threefold_closed_forms((LG_CAP, LG_CAP))
+    cells = [(k1, k2) for k1 in range(LG_CAP + 1) for k2 in range(LG_CAP + 1)]
+    g0 = [{k: -f_coef(*k) for k in cells if f_coef(*k)},
+          {k: -g_coef(*k) for k in cells if g_coef(*k)}]
+    box = TruncationBox((LG_CAP, LG_CAP, 0, 0))
+    analysis = analyze(fan, lattice, box)
+    for i, s in enumerate(analysis.g0.series):
+        want = g0[i] if i < 2 else {}
+        assert s.to_dict() == {k + (0, 0): c for k, c in want.items()}
+    u = [{k: sum(-lattice.pairing(i, a) * g0[i].get(k, 0) for i in (0, 1))
+          for k in cells} for a in (0, 1)]
+    # jac[a][b] = d_ab + x_b du_a/dx_b
+    jac = [[{k: k[b] * c for k, c in u[a].items()} for b in (0, 1)]
+           for a in (0, 1)]
+    for a in (0, 1):
+        jac[a][a][0, 0] = Fraction(1)
+    det = lg_mul(jac[0][0], jac[1][1])
+    for k, c in lg_mul(jac[0][1], jac[1][0]).items():
+        det[k] = det.get(k, 0) - c
+    powers = []
+    for a in (0, 1):
+        unit = lg_exp({k: -c for k, c in u[a].items()})
+        powers.append([{(0, 0): Fraction(1)}])
+        for _ in range(LG_CAP):
+            powers[a].append(lg_mul(powers[a][-1], unit))
+    oracle = {}
+    for i in (0, 1):
+        head = lg_mul(lg_exp(g0[i]), det)
+        table = invariant_table(analysis.deltas[i]).entries
+        for k1 in range(LG_CAP + 1):
+            part = lg_mul(head, powers[0][k1])
+            for k2 in range(LG_CAP + 1):
+                oracle[i, k1, k2] = sum(
+                    c * powers[1][k2].get((k1 - e1, k2 - e2), 0)
+                    for (e1, e2), c in part.items()
+                )
+                assert table[k1, k2, 0, 0] == oracle[i, k1, k2], (i, k1, k2)
+    # three of the entries that differ from the bundled reference tables
+    assert oracle[0, 3, 7] == -1056
+    assert oracle[0, 6, 6] == 2078439
+    assert oracle[1, 7, 7] == -63089236
 
 
 def test_mirror_map_f2():

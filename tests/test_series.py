@@ -18,7 +18,7 @@ from semifano import (
     render,
     substitute,
 )
-from semifano.series import compose
+from semifano.series import _mul_dict, compose
 
 
 def S(caps, coeffs):
@@ -137,9 +137,9 @@ def boxed_series(draw, caps=None, constant=None):
 
 
 @st.composite
-def series_pair(draw):
-    arity = draw(st.integers(1, 3))
-    caps = tuple(draw(st.integers(0, 3)) for _ in range(arity))
+def series_pair(draw, arities=(1, 3), max_cap=3):
+    arity = draw(st.integers(*arities))
+    caps = tuple(draw(st.integers(0, max_cap)) for _ in range(arity))
     return draw(boxed_series(caps=caps)), draw(boxed_series(caps=caps))
 
 
@@ -167,9 +167,11 @@ def test_ring_associativity_distributivity(triple):
     assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
 
 
-@settings(max_examples=100)
-@given(series_pair())
+@settings(max_examples=200)
+@given(series_pair(arities=(0, 4), max_cap=9))
 def test_mul_matches_dense_convolution(pair):
+    # caps up to 9 cross the packed field width change between 7 and 8, and
+    # zero caps sit next to large ones
     s, t = pair
     caps = s.box.caps
     sd, td = s.to_dict(), t.to_dict()
@@ -180,6 +182,26 @@ def test_mul_matches_dense_convolution(pair):
             if all(x <= c for x, c in zip(e, caps)):
                 dense[e] = dense.get(e, Fraction(0)) + c1 * c2
     assert mul(s, t) == MultiSeries.from_dict(s.box, dense)
+
+
+def test_mul_packing_edges():
+    F = Fraction
+    # the arity-0 box
+    assert mul(S((), {(): F(2, 3)}), S((), {(): F(3, 4)})) == S((), {(): F(1, 2)})
+    # a wide field next to a zero cap, mixed denominators
+    a = S((9, 0), {(4, 0): F(1, 2), (5, 0): F(-2, 3)})
+    b = S((9, 0), {(0, 0): 7, (5, 0): F(3, 5)})
+    assert mul(a, b) == S(
+        (9, 0), {(4, 0): F(7, 2), (5, 0): F(-14, 3), (9, 0): F(3, 10)}
+    )
+    # sums exactly at the caps stay, one past them leave
+    a = S((8, 7), {(4, 3): 1, (4, 4): F(1, 6)})
+    b = S((8, 7), {(4, 4): 2, (5, 4): 3})
+    assert mul(a, b) == S((8, 7), {(8, 7): 2})
+    # the x*y terms cancel exactly and must not be stored as a zero
+    s = {(1, 0): F(1, 2), (0, 1): F(-1, 3)}
+    t = {(1, 0): F(1, 2), (0, 1): F(1, 3)}
+    assert _mul_dict(s, t, (2, 2)) == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
 
 
 @st.composite
@@ -239,6 +261,16 @@ def test_substitute_composition(data):
     s = data.draw(boxed_series(caps=caps))
     m = data.draw(unit_maps(caps=caps))
     w = invert_diagonal_unit(m)
+    assert substitute(substitute(s, m), w) == s
+
+
+@settings(max_examples=5, deadline=None)
+@given(unit_maps(caps=(6, 5)), boxed_series(caps=(6, 5)))
+def test_deep_round_trips(m, s):
+    # boxes past degree 3 reach the late rounds of the inversion
+    w = invert_diagonal_unit(m)
+    assert compose(m, w).is_identity()
+    assert compose(w, m).is_identity()
     assert substitute(substitute(s, m), w) == s
 
 
