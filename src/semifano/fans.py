@@ -14,11 +14,9 @@ from itertools import combinations
 from math import gcd
 
 from .intlinalg import (
-    det_rational,
+    fraction_free_solve,
     lattice_membership,
     left_kernel_basis,
-    rational_rank,
-    same_lattice,
     solve_rational,
 )
 
@@ -140,10 +138,10 @@ def validate_fan(fan: Fan):
         if len(cone) != n or any(k < 0 or k >= fan.num_rays for k in cone):
             violations.append(f"cone {tuple(k + 1 for k in cone)} is not a valid index set")
             continue
-        d = det_rational([list(fan.rays[k]) for k in cone])
+        d, _ = fraction_free_solve([fan.rays[k] for k in cone], [])
         if abs(d) != 1:
             violations.append(
-                f"cone {tuple(k + 1 for k in cone)} determinant {int(d)}, non-smooth"
+                f"cone {tuple(k + 1 for k in cone)} determinant {d}, non-smooth"
             )
     if violations:
         return violations
@@ -223,94 +221,94 @@ def is_semi_fano(fan: Fan):
 def fan_polytope_vertices(fan: Fan):
     """Indices of rays that are vertices of the convex hull of all rays.
 
-    Exact test by Caratheodory: v is a non-vertex iff it is a convex
-    combination of at most n+1 of the other rays, checked by solving the
-    barycentric system over Q.
+    Exact test by Caratheodory: ray i is a non-vertex iff some n+1 affinely
+    independent other rays have it in their simplex, i.e. the integer Cramer
+    numerators of its barycentric coordinates all have the determinant's
+    sign.  The rays of a complete fan are affinely full-dimensional, so when
+    the other rays are affinely degenerate, ray i lies off their affine hull
+    and is a vertex.
     """
-    m = fan.num_rays
     n = fan.dimension
+    lifted = [v + (1,) for v in fan.rays]
     out = set()
-    for i in range(m):
-        others = [j for j in range(m) if j != i]
-        if not _in_convex_hull(fan.rays[i], [fan.rays[j] for j in others], n):
+    for i, p in enumerate(lifted):
+        others = lifted[:i] + lifted[i + 1:]
+        for sub in combinations(others, n + 1):
+            det, adj = fraction_free_solve(sub, [p])
+            if det != 0 and all(det * x >= 0 for x in adj[0]):
+                break
+        else:
             out.add(i)
     return out
 
 
-def _in_convex_hull(p, points, n):
-    for size in range(1, min(len(points), n + 1) + 1):
-        for sub in combinations(points, size):
-            # solve sum l_k q_k = p, sum l_k = 1, l_k >= 0
-            A = [[sub[k][j] for k in range(size)] for j in range(n)]
-            A.append([1] * size)
-            b = list(p) + [1]
-            lam = solve_rational(A, b)
-            if lam is None:
-                continue
-            ok = all(v >= 0 for v in lam)
-            # solve_rational zero-fills free vars; re-verify the combination
-            if ok and all(
-                sum(lam[k] * sub[k][j] for k in range(size)) == p[j] for j in range(n)
-            ) and sum(lam) == 1:
-                return True
-    return False
+def _free_coordinates(fan: Fan, classes):
+    """Entries of curve classes at the rays outside the first maximal cone.
+
+    In a smooth fan that cone is a Z-basis of Z^n, so a class is fixed by
+    these l entries and any l integers are the entries of exactly one
+    class: they are the integer coordinates of the class over the dual
+    kernel basis.
+    """
+    free = [i for i in range(fan.num_rays) if i not in fan.max_cones[0]]
+    return [[c[i] for i in free] for c in classes]
+
+
+def _nef_verdict(rows, walls):
+    """(basis, k) for basis rows and wall classes in `_free_coordinates`.
+
+    basis says whether the rows are a Z-basis of the curve lattice, that is
+    whether their determinant is +-1.  k is the index of the first wall
+    with a negative coordinate over them, or None when there is none; rows
+    that are no Z-basis fail at the first wall.
+    """
+    det, adj = fraction_free_solve(rows, walls)
+    if abs(det) != 1:
+        return False, 0
+    bad = (k for k, x in enumerate(adj) if any(det * v < 0 for v in x))
+    return True, next(bad, None)
 
 
 def nef_check(lattice: CurveLattice):
-    """(flag, witness): every wall class has nonnegative basis coordinates."""
-    if lattice.rank == 0:
-        return True, None
-    for c in wall_curve_classes(lattice.fan):
-        exps = lattice.coordinates(c)
-        if exps is None or any(e < 0 for e in exps):
-            return False, c
-    return True, None
-
-
-def _kernel_basis(fan: Fan):
-    V = [list(v) for v in fan.rays]
-    return left_kernel_basis(V)
+    """(flag, witness): the basis is a Z-basis, as `curve_lattice` builds,
+    and every wall class has nonnegative coordinates in it."""
+    fan = lattice.fan
+    walls = wall_curve_classes(fan)
+    _, bad = _nef_verdict(_free_coordinates(fan, lattice.basis),
+                          _free_coordinates(fan, walls))
+    return (True, None) if bad is None else (False, walls[bad])
 
 
 def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
     """Build a verified curve lattice, choosing a nef basis when possible.
 
-    A supplied basis is checked for kernel membership and for spanning the
-    full kernel lattice: `same_lattice` writes each basis over the other
-    with integer coefficients, by exact rational solves.  Without one, the
-    kernel basis is replaced by l wall classes whenever some l of them form
-    a Z-basis in which all wall classes have nonnegative coordinates.
+    Every class is written once in the integer coordinates of
+    `_free_coordinates`.  l classes form a Z-basis exactly when their l x l
+    coordinate determinant is +-1, and that basis is nef when every wall
+    class has nonnegative coordinates in it; one fraction-free solve
+    (`fraction_free_solve`) decides both.  A supplied basis must be such a
+    Z-basis.  Without one, the first l wall classes in `combinations` order
+    that form a nef Z-basis are chosen, else the kernel basis is kept.
     """
-    kernel = _kernel_basis(fan)
-    l = len(kernel)
+    l = fan.num_rays - fan.dimension
+    walls = wall_curve_classes(fan)
+    coords = _free_coordinates(fan, walls)
     if basis is not None:
         rows = [tuple(int(x) for x in b) for b in basis]
         for b in rows:
             if any(sum(b[i] * fan.rays[i][j] for i in range(fan.num_rays)) != 0
                    for j in range(fan.dimension)):
                 raise FanError(f"supplied basis class {b} is not a curve class")
-        if len(rows) != l or not same_lattice(kernel, [list(b) for b in rows]):
+        is_basis, bad = (_nef_verdict(_free_coordinates(fan, rows), coords)
+                         if len(rows) == l else (False, 0))
+        if not is_basis:
             raise FanError("supplied basis does not span the full curve lattice")
-        lat = CurveLattice(fan, tuple(CurveClass(b) for b in rows))
-    else:
-        lat = _choose_nef_basis(fan, kernel)
-    if rational_rank([list(b.coefficients) for b in lat.basis]) != l:
-        raise FanError("basis matrix is rank-deficient")
-    ok, _ = nef_check(lat)
-    return CurveLattice(fan, lat.basis, nef_verified=ok)
-
-
-def _choose_nef_basis(fan: Fan, kernel):
-    l = len(kernel)
-    if l == 0:
-        return CurveLattice(fan, ())
-    walls = wall_curve_classes(fan)
-    for sub in combinations(walls, l):
-        rows = [list(c.coefficients) for c in sub]
-        if not same_lattice(kernel, rows):
-            continue
-        cand = CurveLattice(fan, tuple(sub))
-        ok, _ = nef_check(cand)
-        if ok:
-            return cand
-    return CurveLattice(fan, tuple(CurveClass(tuple(b)) for b in kernel))
+        return CurveLattice(fan, tuple(CurveClass(b) for b in rows),
+                            nef_verified=bad is None)
+    for sub in combinations(range(len(walls)), l):
+        _, bad = _nef_verdict([coords[k] for k in sub], coords)
+        if bad is None:
+            return CurveLattice(fan, tuple(walls[k] for k in sub), nef_verified=True)
+    kernel = tuple(CurveClass(b) for b in left_kernel_basis(fan.rays))
+    _, bad = _nef_verdict(_free_coordinates(fan, kernel), coords)
+    return CurveLattice(fan, kernel, nef_verified=bad is None)

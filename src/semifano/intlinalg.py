@@ -96,23 +96,35 @@ def rational_rank(A):
     return r
 
 
-def det_rational(A):
-    n = len(A)
-    M = [[Fraction(v) for v in row] for row in A]
-    det = Fraction(1)
+def fraction_free_solve(B, Y):
+    """(det B, det B · X) for the solution X of X·B = Y over Z.
+
+    B is a square integer matrix and each row of Y an integer vector of the
+    same length, so row k of X holds the coordinates of Y[k] over the rows
+    of B.  Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
+    1968) on [B^T | Y^T] keeps every entry an integer, and by Sylvester's
+    identity each division is exact; each row swap flips the sign of the
+    determinant.
+    Returns (0, None) when B is singular.
+    """
+    n = len(B)
+    M = [[B[a][j] for a in range(n)] + [y[j] for y in Y] for j in range(n)]
+    sign, prev = 1, 1
     for c in range(n):
         piv = next((i for i in range(c, n) if M[i][c] != 0), None)
         if piv is None:
-            return Fraction(0)
+            return 0, None
         if piv != c:
             M[c], M[piv] = M[piv], M[c]
-            det = -det
-        det *= M[c][c]
-        for i in range(c + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] / M[c][c]
-                M[i] = [v - f * w for v, w in zip(M[i], M[c])]
-    return det
+            sign = -sign
+        pivot_row = M[c]
+        p = pivot_row[c]
+        for i in range(n):
+            if i != c:
+                f = M[i][c]
+                M[i] = [(p * v - f * w) // prev for v, w in zip(M[i], pivot_row)]
+        prev = p
+    return sign * prev, [[sign * M[j][n + k] for j in range(n)] for k in range(len(Y))]
 
 
 def lattice_membership(basis, vec):
@@ -131,16 +143,3 @@ def lattice_membership(basis, vec):
         if sum(int(x[a]) * basis[a][j] for a in range(len(basis))) != vec[j]:
             return None
     return [int(c) for c in x]
-
-
-def same_lattice(basis_a, basis_b):
-    """Do two row families span the same Z-lattice?"""
-    if len(basis_a) != len(basis_b):
-        return False
-    for v in basis_b:
-        if lattice_membership(basis_a, v) is None:
-            return False
-    for v in basis_a:
-        if lattice_membership(basis_b, v) is None:
-            return False
-    return True

@@ -1,7 +1,12 @@
+import sys
+from itertools import combinations
+from pathlib import Path
+
 import pytest
 
 from semifano import (
     CurveClass,
+    CurveLattice,
     Fan,
     FanError,
     alpha_class,
@@ -13,12 +18,19 @@ from semifano import (
     validate_fan,
     wall_curve_classes,
 )
-from conftest import fixture_fan, fixture_lattice
+from semifano.cli import parse_input
+from semifano.intlinalg import lattice_membership, left_kernel_basis, solve_rational
+from conftest import fixture_fan, fixture_lattice, load_fixture
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import surfaces  # noqa: E402
+
+FIXTURES = ("p2", "p1xp1", "p1cubed", "f2", "f3", "f2-blowup",
+            "threefold-example", "kp2-bundle")
 
 
 def test_validate_good_fixtures():
-    for name in ("p2", "p1xp1", "p1cubed", "f2", "f3", "f2-blowup",
-                 "threefold-example", "kp2-bundle"):
+    for name in FIXTURES:
         fan, _ = fixture_fan(name)
         assert validate_fan(fan) == [], name
 
@@ -103,11 +115,20 @@ def test_curve_lattice_supplied_basis():
 
 def test_curve_lattice_rejects_bad_basis():
     fan, _ = fixture_fan("f2")
-    with pytest.raises(FanError):
+    with pytest.raises(FanError, match="is not a curve class"):
         curve_lattice(fan, [[1, 0, 0, 0], [0, 1, 0, 1]])
-    # index-two sublattice is rejected even though it spans over Q
-    with pytest.raises(FanError):
-        curve_lattice(fan, [[2, 0, 2, -4], [0, 1, 0, 1]])
+    for basis in (
+        # index-two sublattice: spans over Q, determinant 2
+        [[2, 0, 2, -4], [0, 1, 0, 1]],
+        # rank-deficient: determinant 0
+        [[1, 0, 1, -2], [2, 0, 2, -4]],
+        # wrong number of rows
+        [[1, 0, 1, -2]],
+        [[1, 0, 1, -2], [0, 1, 0, 1], [1, 2, 1, 0]],
+    ):
+        with pytest.raises(FanError) as err:
+            curve_lattice(fan, basis)
+        assert str(err.value) == "supplied basis does not span the full curve lattice"
 
 
 def test_curve_lattice_auto_basis_is_nef():
@@ -123,9 +144,110 @@ def test_nef_check_flags_bad_basis():
     # valid Z-basis, but the fiber wall class gets coordinates (-1, 1) in it
     lattice = curve_lattice(fan, [[1, 0, 1, -2], [1, 1, 1, -1]])
     assert not lattice.nef_verified
+    ok, witness = nef_check(lattice)
+    assert not ok and witness.coefficients == (0, 1, 0, 1)
+    # an index-two sublattice basis is no nef basis, whatever the signs
+    index_two = CurveLattice(fan, (CurveClass((2, 0, 2, -4)), CurveClass((0, 1, 0, 1))))
+    assert nef_check(index_two)[0] is False
 
 
 def test_pairing_rows():
     _, lattice = fixture_lattice("f2")
     assert lattice.pairing_row(3) == (-2, 1)
     assert lattice.pairing(3, 0) == -2
+
+
+# Test-local oracles: the rational subset scan and Caratheodory scan that
+# `curve_lattice` and `fan_polytope_vertices` used before their integer
+# determinant tests.
+
+
+def oracle_spans(basis, kernel):
+    """Do the rows of `basis`, all curve classes, span the kernel lattice?
+
+    Each kernel row must have integer coordinates over `basis`, by exact
+    rational solves; the other inclusion holds because the kernel basis
+    spans every integer relation among the rays.
+    """
+    return (len(basis) == len(kernel)
+            and all(lattice_membership(basis, v) is not None for v in kernel))
+
+
+def oracle_nef(fan, basis):
+    """Every wall class has nonnegative integer coordinates over `basis`."""
+    for c in wall_curve_classes(fan):
+        exps = lattice_membership(basis, c.coefficients)
+        if exps is None or any(e < 0 for e in exps):
+            return False
+    return True
+
+
+def oracle_nef_basis(fan):
+    """(basis, nef): the first l wall classes that form a nef Z-basis of the
+    kernel, in `combinations` order, else the kernel basis and its verdict."""
+    kernel = left_kernel_basis([list(v) for v in fan.rays])
+    walls = [list(c.coefficients) for c in wall_curve_classes(fan)]
+    for w in walls:
+        assert all(sum(d * v[j] for d, v in zip(w, fan.rays)) == 0
+                   for j in range(fan.dimension))
+    for sub in combinations(walls, len(kernel)):
+        if oracle_spans(sub, kernel) and oracle_nef(fan, sub):
+            return [tuple(b) for b in sub], True
+    return [tuple(b) for b in kernel], oracle_nef(fan, kernel)
+
+
+def oracle_hull_vertices(fan):
+    """Rays that are no convex combination of at most n+1 other rays."""
+    n = fan.dimension
+    out = set()
+    for i, p in enumerate(fan.rays):
+        others = fan.rays[:i] + fan.rays[i + 1:]
+        if not any(_in_simplex(p, sub, n) for size in range(1, n + 2)
+                   for sub in combinations(others, size)):
+            out.add(i)
+    return out
+
+
+def _in_simplex(p, sub, n):
+    A = [[q[j] for q in sub] for j in range(n)] + [[1] * len(sub)]
+    lam = solve_rational(A, list(p) + [1])
+    # solve_rational zero-fills free variables; re-verify the combination
+    return (lam is not None and all(v >= 0 for v in lam) and sum(lam) == 1
+            and all(sum(l * q[j] for l, q in zip(lam, sub)) == p[j] for j in range(n)))
+
+
+@pytest.fixture(scope="module")
+def oracle_cases():
+    """(label, fan, supplied basis) for every bundled fixture and every
+    distinct surface of the benchmark's universe."""
+    docs = [(name, load_fixture(name)) for name in FIXTURES]
+    seen = []
+    for rays, _cap in surfaces.universe():
+        if rays not in seen:
+            seen.append(rays)
+            docs.append((f"surface {rays}", surfaces.document(rays)))
+    return [(label, *parse_input(doc)[:2]) for label, doc in docs]
+
+
+def test_nef_basis_matches_rational_scan(oracle_cases):
+    verdicts = set()
+    for label, fan, supplied in oracle_cases:
+        lattice = curve_lattice(fan)
+        basis, nef = oracle_nef_basis(fan)
+        assert [b.coefficients for b in lattice.basis] == basis, label
+        assert lattice.nef_verified is nef, label
+        assert nef_check(lattice)[0] is nef, label
+        verdicts.add(nef)
+        if supplied is not None:
+            kernel = left_kernel_basis([list(v) for v in fan.rays])
+            assert oracle_spans(supplied, kernel), label
+            lattice = curve_lattice(fan, supplied)
+            assert lattice.nef_verified is oracle_nef(fan, supplied), label
+    # the universe holds surfaces with and without a nef wall basis
+    assert verdicts == {True, False}
+
+
+def test_hull_vertices_match_caratheodory_scan(oracle_cases):
+    for label, fan, _ in oracle_cases:
+        assert fan_polytope_vertices(fan) == oracle_hull_vertices(fan), label
+

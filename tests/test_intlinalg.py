@@ -1,13 +1,32 @@
 from fractions import Fraction
+from itertools import permutations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from semifano.intlinalg import (
-    det_rational,
+    fraction_free_solve,
     lattice_membership,
     left_kernel_basis,
     rational_rank,
-    same_lattice,
     solve_rational,
 )
+
+
+def transition_det(rows, basis):
+    """det X for rows = X·basis with X integer, or None if no such X exists.
+
+    `basis` must be unimodular on its first l columns, so X is read off
+    there; rows and basis then span the same lattice iff the result is +-1.
+    """
+    l = len(basis)
+    det, adj = fraction_free_solve([b[:l] for b in basis], [r[:l] for r in rows])
+    assert abs(det) == 1
+    X = [[det * v for v in x] for x in adj]
+    if [[sum(x[a] * b[j] for a, b in enumerate(basis)) for j in range(len(basis[0]))]
+            for x in X] != [list(r) for r in rows]:
+        return None
+    return fraction_free_solve(X, [])[0]
 
 
 def test_left_kernel_simple():
@@ -15,14 +34,14 @@ def test_left_kernel_simple():
     V = [[1, 0], [0, 1], [-1, -1]]
     k = left_kernel_basis(V)
     assert len(k) == 1
-    assert same_lattice(k, [[1, 1, 1]])
+    assert abs(transition_det(k, [[1, 1, 1]])) == 1
 
 
 def test_left_kernel_rank_two():
     V = [[1, 0], [0, 1], [-1, -2], [0, -1]]
     k = left_kernel_basis(V)
     assert len(k) == 2
-    assert same_lattice(k, [[1, 0, 1, -2], [0, 1, 0, 1]])
+    assert abs(transition_det(k, [[1, 0, 1, -2], [0, 1, 0, 1]])) == 1
 
 
 def test_kernel_rows_annihilate():
@@ -44,8 +63,11 @@ def test_solve_rational():
 def test_rank_and_det():
     assert rational_rank([[1, 2], [2, 4]]) == 1
     assert rational_rank([[1, 2], [3, 4]]) == 2
-    assert det_rational([[1, 2], [3, 4]]) == -2
-    assert det_rational([[1, 2], [2, 4]]) == 0
+    assert fraction_free_solve([[1, 2], [3, 4]], []) == (-2, [])
+    assert fraction_free_solve([[1, 2], [2, 4]], [[1, 1]]) == (0, None)
+    # zero leading pivot: one row swap, and the sign is corrected for it
+    assert fraction_free_solve([[0, 1], [1, 0]], [[2, 3]]) == (-1, [[-3, -2]])
+    assert fraction_free_solve([], [[], []]) == (1, [[], []])
 
 
 def test_lattice_membership():
@@ -57,5 +79,52 @@ def test_lattice_membership():
 
 
 def test_same_lattice_index():
-    assert same_lattice([[1, 0], [0, 1]], [[1, 1], [0, 1]])
-    assert not same_lattice([[1, 0], [0, 1]], [[2, 0], [0, 1]])
+    assert abs(transition_det([[1, 1], [0, 1]], [[1, 0], [0, 1]])) == 1
+    assert transition_det([[2, 0], [0, 1]], [[1, 0], [0, 1]]) == 2
+    assert transition_det([[1, 0, 0, 0]], [[1, 0, 1, -2]]) is None
+
+
+def leibniz_det(B):
+    """Determinant as the signed sum over permutations, in Fractions."""
+    total = Fraction(0)
+    for perm in permutations(range(len(B))):
+        inversions = sum(perm[i] > perm[j]
+                         for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = Fraction((-1) ** inversions)
+        for i, j in enumerate(perm):
+            term *= B[i][j]
+        total += term
+    return total
+
+
+@st.composite
+def integer_systems(draw):
+    """(B, Y): square B of size 1-5, entries -4..4, and up to 4 rows Y.
+
+    Some draws repeat a row of B (a singular B) or zero its leading entry,
+    so that elimination must swap rows at the first pivot.
+    """
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    B = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    shape = draw(st.sampled_from(("plain", "singular", "zero-pivot")))
+    if shape == "singular" and n > 1:
+        B[-1] = list(B[draw(st.integers(0, n - 2))])
+    elif shape == "zero-pivot":
+        B[0][0] = 0
+    Y = draw(st.lists(st.lists(entry, min_size=n, max_size=n), max_size=4))
+    return B, Y
+
+
+@settings(max_examples=300, deadline=None)
+@given(integer_systems())
+def test_fraction_free_solve_matches_rational(system):
+    B, Y = system
+    det, adj = fraction_free_solve(B, Y)
+    assert det == leibniz_det(B)
+    if det == 0:
+        assert adj is None
+        return
+    Bt = [[B[a][j] for a in range(len(B))] for j in range(len(B))]
+    for y, x in zip(Y, adj, strict=True):
+        assert [Fraction(v, det) for v in x] == solve_rational(Bt, y)
