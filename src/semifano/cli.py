@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from importlib import resources
+from math import prod
 
 from .fans import (
     Fan,
@@ -36,6 +37,8 @@ from .superpotential import (
 )
 
 SCHEMA_VERSION = 1
+# largest box accepted, in monomials prod(cap + 1); caps 9,9,9,9 have 10,000
+MAX_BOX_MONOMIALS = 100_000
 
 
 class InputError(ValueError):
@@ -162,6 +165,10 @@ def _setup(args):
             raise InputError(f"{kind} index {index} out of range")
     lattice = curve_lattice(fan, basis)
     box = _parse_box(args.box, lattice.rank)
+    size = prod(c + 1 for c in box.caps)
+    if size > MAX_BOX_MONOMIALS:
+        raise InputError(f"box {box.caps} has {size} monomials, over the limit "
+                         f"of {MAX_BOX_MONOMIALS}")
     return document, fan, lattice, box, meta
 
 

@@ -13,12 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .intlinalg import (
-    fraction_free_solve,
-    lattice_membership,
-    left_kernel_basis,
-    solve_rational,
-)
+from .intlinalg import fraction_free_solve, lattice_membership, left_kernel_basis
 
 
 class FanError(ValueError):
@@ -156,11 +151,10 @@ def validate_fan(fan: Fan):
 def cone_coordinates(fan: Fan, sigma, k):
     """Integer coordinates of ray k in the unimodular basis given by cone sigma."""
     cone = fan.max_cones[sigma]
-    A = [[fan.rays[c][j] for c in cone] for j in range(fan.dimension)]
-    x = solve_rational(A, list(fan.rays[k]))
-    coords = tuple(int(c) for c in x)
-    assert all(c.denominator == 1 for c in x)
-    return coords
+    d, adj = fraction_free_solve([fan.rays[c] for c in cone], [fan.rays[k]])
+    if abs(d) != 1:
+        raise FanError(f"cone {tuple(c + 1 for c in cone)} determinant {d}, non-smooth")
+    return tuple(d * x for x in adj[0])
 
 
 def alpha_class(fan: Fan, sigma, k):

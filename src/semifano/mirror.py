@@ -62,6 +62,7 @@ class GZeroFamily:
 
     lattice: CurveLattice
     series: tuple[MultiSeries, ...]
+    vertices: frozenset[int]  # the rays that are hull vertices
 
     @property
     def box(self):
@@ -77,13 +78,14 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox) -> GZeroFamily:
     """
     fan = lattice.fan
     coeffs = [{} for _ in range(fan.num_rays)]
-    if len(fan_polytope_vertices(fan)) < fan.num_rays:
+    vertices = frozenset(fan_polytope_vertices(fan))
+    if len(vertices) < fan.num_rays:
         for i, cls, exps in enumerate_g0_classes(lattice, box):
             b = -cls[i]
             den = prod(factorial(dj) for j, dj in enumerate(cls) if j != i)
             coeffs[i][exps] = Fraction((-1) ** b * factorial(b - 1), den)
     series = tuple(MultiSeries.from_dict(box, c) for c in coeffs)
-    return GZeroFamily(lattice, series)
+    return GZeroFamily(lattice, series, vertices)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,9 @@ with the untruncated computation.
 Hot paths run on plain exponent->Fraction dicts (the underscore helpers); the
 public classes are immutable wrappers holding reduced Fractions in canonical
 term order.  Products go through _mul_dict, which packs exponents into ints
-and sums integer numerators over a common denominator.  Every substitution
+and sums integer numerators over a common denominator.  exp and log share
+one graded recurrence on the same packing, _exp_dict, which solves degree by
+degree in integer numerators instead of summing powers.  Every substitution
 x_a := x_a * exp(u_a) goes through one kernel, _subst_dict, fed by the powers
 (x_a * exp(u_a))^k that _power_tables builds once per map.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial, lcm, perm
 
 
 class SeriesError(ValueError):
@@ -57,10 +59,8 @@ def _graded_lex_key(exp):
 # dict-level kernels
 
 
-def _add_into(r, t, scale=None):
+def _add_into(r, t):
     for e, c in t.items():
-        if scale is not None:
-            c = c * scale
         c2 = r.get(e)
         c2 = c if c2 is None else c2 + c
         if c2:
@@ -70,8 +70,21 @@ def _add_into(r, t, scale=None):
     return r
 
 
+def _layout(caps):
+    """(w, shifts, bias, guard, mask): an exponent vector packs into one int,
+    w bits a variable at shifts; mask selects one field.  bias holds
+    2^(w-1) - 1 - cap_a in field a, so adding it to the sum of two in-box
+    exponents sets field a's top (guard) bit exactly when the sum leaves the
+    box: one add and one mask a pair."""
+    w = (2 * max(caps, default=0) + 1).bit_length() + 1
+    shifts = range(0, w * len(caps), w)
+    bias = sum(((1 << (w - 1)) - 1 - c) << k for c, k in zip(caps, shifts))
+    guard = sum(1 << (k + w - 1) for k in shifts)
+    return w, shifts, bias, guard, (1 << w) - 1
+
+
 def _packed(d, w):
-    """(D, [(packed exponent, integer numerator over D)]) for one dict."""
+    """(D, [(packed exponent, integer numerator over D)]) in d's order."""
     den = lcm(*(c.denominator for c in d.values()))
     out = []
     for e, c in d.items():
@@ -85,17 +98,12 @@ def _packed(d, w):
 def _mul_dict(s, t, caps):
     """Truncated product of two in-box dicts, as reduced Fractions.
 
-    Exponents are packed w bits per variable, coefficients scaled to integer
-    numerators over each factor's lcm denominator.  One factor carries the
-    bias 2^(w-1) - 1 - cap_a in field a, so a pair's sum sets field a's top
-    (guard) bit exactly when it leaves the box: one add and one mask a pair.
+    Exponents are packed by _layout and one factor carries the bias;
+    coefficients are integer numerators over each factor's lcm denominator.
     """
     if len(s) > len(t):
         s, t = t, s
-    w = (2 * max(caps, default=0) + 1).bit_length() + 1
-    shifts = range(0, w * len(caps), w)
-    bias = sum(((1 << (w - 1)) - 1 - c) << k for c, k in zip(caps, shifts))
-    guard = sum(1 << (k + w - 1) for k in shifts)
+    w, shifts, bias, guard, mask = _layout(caps)
     ds, sp = _packed(s, w)
     dt, tp = _packed(t, w)
     r = {}
@@ -105,7 +113,7 @@ def _mul_dict(s, t, caps):
             p = p1 + p2
             if not p & guard:
                 r[p] = r.get(p, 0) + n1 * n2
-    mask, den = (1 << w) - 1, ds * dt
+    den = ds * dt
     return {
         tuple((p - bias) >> k & mask for k in shifts): Fraction(n, den)
         for p, n in r.items()
@@ -113,21 +121,41 @@ def _mul_dict(s, t, caps):
     }
 
 
-def _power_sum(s, coeff, caps):
-    """sum over k >= 1 of coeff(k) * s^k, for s with zero constant term."""
-    r = {}
-    p = {(0,) * len(caps): Fraction(1)}
-    for k in range(1, sum(caps) + 1):
-        p = _mul_dict(p, s, caps)
-        if not p:
-            break
-        _add_into(r, p, coeff(k))
-    return r
+def _exp_dict(s, caps, log=False):
+    """exp(s), or log(1 + s) when log is set, for s with zero constant term.
 
-
-def _exp_dict(s, caps):
-    r = _power_sum(s, lambda k: Fraction(1, factorial(k)), caps)
-    return _add_into(r, {(0,) * len(caps): Fraction(1)})
+    Solved by total degree from the parts s_k of degree k (Knuth, TAOCP 2,
+    4.7): exp is E_0 = 1, n E_n = sum_k k s_k E_{n-k}, and log is L_0 = 0,
+    n L_n = n s_n - sum_{k<n} (n-k) s_k L_{n-k}.  Degree n is kept as the
+    integers F_n = D^n n! X_n, D the lcm of the denominators of s: F_0 = 1,
+    F_n = sum_k c_k D^(k-1) (n-1)!/(n-k)! (D s_k) F_{n-k}, with c_k = k for
+    exp; log has c_k = k - n for k < n and c_n = n, and drops F_0.
+    """
+    w, shifts, bias, guard, mask = _layout(caps)
+    den, sp = _packed(s, w)
+    top = sum(caps)
+    parts = [[] for _ in range(top + 1)]
+    for (p, c), e in zip(sp, s):
+        parts[sum(e)].append((p + bias, c))
+    f = [{0: 1}]
+    for n in range(1, top + 1):
+        r = {}
+        for k in range(1, n + 1):
+            if not parts[k]:
+                continue
+            c = (k - n if log and k < n else k) * den ** (k - 1) * perm(n - 1, k - 1)
+            for p1, n1 in parts[k]:
+                n1 *= c
+                for p2, n2 in f[n - k].items():
+                    p = p1 + p2
+                    if not p & guard:
+                        r[p] = r.get(p, 0) + n1 * n2
+        f.append({p - bias: m for p, m in r.items() if m})
+    return {
+        tuple(p >> k & mask for k in shifts): Fraction(m, den ** n * factorial(n))
+        for n in range(1 if log else 0, top + 1)
+        for p, m in f[n].items()
+    }
 
 
 def _power_tables(umaps, series, caps):
@@ -256,8 +284,7 @@ def log_series(s: MultiSeries) -> MultiSeries:
         raise SeriesError("log_series needs constant term one")
     u = s.to_dict()
     del u[s.box.zero_exp()]
-    log1p = _power_sum(u, lambda k: Fraction((-1) ** (k + 1), k), s.box.caps)
-    return MultiSeries.from_dict(s.box, log1p)
+    return MultiSeries.from_dict(s.box, _exp_dict(u, s.box.caps, log=True))
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,6 @@ from .fans import (
     FanError,
     alpha_class,
     cone_coordinates,
-    fan_polytope_vertices,
     is_semi_fano,
 )
 from .intlinalg import rational_rank
@@ -442,7 +441,7 @@ def structural_report(analysis: ToricAnalysis) -> CheckReport:
     rationally independent pairing rows, and unit constant disk count.
     """
     details = []
-    vertices = fan_polytope_vertices(analysis.fan)
+    vertices = analysis.g0.vertices
     nonzero = [
         d.ray_index for d in analysis.deltas if not d.delta.is_zero()
     ]

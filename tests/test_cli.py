@@ -1,8 +1,15 @@
 import json
+import time
 
 import pytest
 
-from semifano.cli import InputError, fixture_path, main, parse_input
+from semifano.cli import (
+    MAX_BOX_MONOMIALS,
+    InputError,
+    fixture_path,
+    main,
+    parse_input,
+)
 from conftest import load_fixture
 
 
@@ -131,6 +138,19 @@ def test_output_is_deterministic(capsys):
         )
         runs.add(out)
     assert len(runs) == 1
+
+
+def test_box_budget_exit_2(capsys):
+    # 41^4 monomials: refused before any series work starts
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "g0", fx("threefold-example"), "--box", "40")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == (
+        f"box (40, 40, 40, 40) has 2825761 monomials, over the limit of "
+        f"{MAX_BOX_MONOMIALS}"
+    )
 
 
 def test_mirror_map_box_default(capsys):

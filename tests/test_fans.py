@@ -97,6 +97,16 @@ def test_cone_coordinates_f2():
     assert cone_coordinates(fan, sigma, 3) == (0, -1)
 
 
+def test_cone_coordinates_refuses_non_unimodular_cone():
+    # a FanError, not an assert that python -O would strip
+    fan = Fan(2, ((1, 0), (1, 2), (-1, -1), (-1, 0)),
+              ((0, 1), (1, 2), (2, 0), (0, 3)))
+    with pytest.raises(FanError, match=r"^cone \(1, 2\) determinant 2, non-smooth$"):
+        cone_coordinates(fan, 0, 2)
+    with pytest.raises(FanError, match=r"^cone \(1, 4\) determinant 0, non-smooth$"):
+        cone_coordinates(fan, 3, 1)
+
+
 def test_alpha_class_f2():
     fan, _ = fixture_fan("f2")
     sigma = fan.max_cones.index((0, 1))

@@ -235,6 +235,18 @@ def test_mirror_map_f2():
     assert compose(mm.inverse, mm.forward).is_identity()
 
 
+def test_threefold_inverse_at_7777(threefold_lattice):
+    # the size and height of the inverse mirror map at the benchmark's box
+    _, lattice = threefold_lattice
+    mm = assemble_mirror_map(compute_g0_family(lattice, TruncationBox((7,) * 4)))
+    terms = [c for u in mm.inverse.components for _, c in u.terms]
+    assert len(terms) == 191
+    bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+               for c in terms)
+    assert bits == 30
+    assert compose(mm.forward, mm.inverse).is_identity()
+
+
 def test_mirror_map_fano_identity():
     for name, caps in (("p2", (4,)), ("p1xp1", (3, 3)), ("p1cubed", (2, 2, 2))):
         _, lattice = fixture_lattice(name)

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,7 @@ from semifano import (
     render,
     substitute,
 )
-from semifano.series import _mul_dict, compose
+from semifano.series import _exp_dict, _mul_dict, compose
 
 
 def S(caps, coeffs):
@@ -202,6 +202,102 @@ def test_mul_packing_edges():
     s = {(1, 0): F(1, 2), (0, 1): F(-1, 3)}
     t = {(1, 0): F(1, 2), (0, 1): F(1, 3)}
     assert _mul_dict(s, t, (2, 2)) == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
+
+
+# ---------------------------------------------------------------------------
+# exp and log against the sum of powers they replaced
+
+
+def naive_mul(s, t, caps):
+    r = {}
+    for e1, c1 in s.items():
+        for e2, c2 in t.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if all(x <= c for x, c in zip(e, caps)):
+                r[e] = r.get(e, 0) + c1 * c2
+    return r
+
+
+def power_sum(s, coeff, caps):
+    """sum over k >= 1 of coeff(k) * s^k, from s^k = s^(k-1) * s."""
+    r = {}
+    p = {(0,) * len(caps): Fraction(1)}
+    for k in range(1, sum(caps) + 1):
+        p = naive_mul(p, s, caps)
+        for e, c in p.items():
+            r[e] = r.get(e, 0) + coeff(k) * c
+    return {e: c for e, c in r.items() if c}
+
+
+def oracle_exp(s):
+    d = power_sum(s.to_dict(), lambda k: Fraction(1, factorial(k)), s.box.caps)
+    d[s.box.zero_exp()] = Fraction(1)
+    return MultiSeries.from_dict(s.box, d)
+
+
+def oracle_log(s):
+    u = s.to_dict()
+    del u[s.box.zero_exp()]
+    d = power_sum(u, lambda k: Fraction((-1) ** (k + 1), k), s.box.caps)
+    return MultiSeries.from_dict(s.box, d)
+
+
+@st.composite
+def wide_series(draw, constant):
+    # arity 0..4 and caps 0..9 cross the packed field width change between
+    # caps 7 and 8; coefficients have mixed denominators
+    arity = draw(st.integers(0, 4))
+    caps = tuple(draw(st.integers(0, 9)) for _ in range(arity))
+    return draw(boxed_series(caps=caps, constant=constant))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_series(constant=0))
+def test_exp_matches_power_sum(s):
+    assert exp_series(s) == oracle_exp(s)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_series(constant=1))
+def test_log_matches_power_sum(s):
+    assert log_series(s) == oracle_log(s)
+
+
+def test_exp_log_closed_forms():
+    F = Fraction
+    x = S((9,), {(1,): 1})
+    assert exp_series(x) == S((9,), {(k,): F(1, factorial(k)) for k in range(10)})
+    assert log_series(S((9,), {(0,): 1, (1,): 1})) == S(
+        (9,), {(k,): F((-1) ** (k + 1), k) for k in range(1, 10)}
+    )
+    # log(1+x+y) = sum (-1)^(i+j+1) C(i+j, i) x^i y^j / (i+j)
+    assert log_series(S((9, 9), {(0, 0): 1, (1, 0): 1, (0, 1): 1})) == S(
+        (9, 9),
+        {(i, j): F((-1) ** (i + j + 1) * comb(i + j, i), i + j)
+         for i in range(10) for j in range(10) if i + j},
+    )
+
+
+def test_exp_log_edges():
+    F = Fraction
+    # the empty series and the arity-0 box
+    for caps in ((9, 0), ()):
+        box = TruncationBox(caps)
+        assert exp_series(MultiSeries.zero(box)) == MultiSeries.one(box)
+        assert log_series(MultiSeries.one(box)) == MultiSeries.zero(box)
+    # a wide field next to a zero cap, mixed denominators
+    s = S((9, 0), {(1, 0): F(1, 2), (3, 0): F(-2, 3), (7, 0): F(5, 4)})
+    assert exp_series(s) == oracle_exp(s)
+    one_plus_s = add(MultiSeries.one(s.box), s)
+    assert log_series(one_plus_s) == oracle_log(one_plus_s)
+    # exp(x - x^2/2) and log(1 + x + x^2/2) have x^2 terms that cancel
+    # exactly; they must not be stored as zeros
+    e = _exp_dict({(1,): F(1), (2,): F(-1, 2)}, (5,))
+    assert (2,) not in e and e[(3,)] == F(-1, 3)
+    assert e == oracle_exp(S((5,), {(1,): 1, (2,): F(-1, 2)})).to_dict()
+    g = _exp_dict({(1,): F(1), (2,): F(1, 2)}, (5,), log=True)
+    assert (2,) not in g and g[(3,)] == F(-1, 6)
+    assert g == oracle_log(S((5,), {(0,): 1, (1,): 1, (2,): F(1, 2)})).to_dict()
 
 
 @st.composite

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -165,6 +166,25 @@ def test_structural_report_fixtures():
         an = fixture_analysis(name, caps)
         report = structural_report(an)
         assert report.passed, (name, report.details)
+
+
+def test_structural_report_reuses_hull_vertices(f2_analysis, monkeypatch):
+    # the hull vertices come from the g0 family; the fan is not scanned again
+    import semifano.fans
+    import semifano.mirror
+
+    def must_not_run(fan):
+        raise AssertionError("hull vertices recomputed")
+
+    monkeypatch.setattr(semifano.fans, "fan_polytope_vertices", must_not_run)
+    monkeypatch.setattr(semifano.mirror, "fan_polytope_vertices", must_not_run)
+    an = f2_analysis
+    assert an.g0.vertices == {0, 1, 2}
+    assert structural_report(an).passed
+    wrong = replace(an, g0=replace(an.g0, vertices=frozenset({3})))
+    assert structural_report(wrong).details == (
+        "ray 4 is a hull vertex but has nonzero delta",
+    )
 
 
 def test_pf_lf_check_reports_discrepancy(f2_analysis):
