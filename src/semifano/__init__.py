@@ -63,7 +63,7 @@ from .superpotential import (
     normalize_W_LF,
     render_table,
     structural_report,
-    surface_admissible_delta,
+    surface_admissible_deltas,
 )
 
 __version__ = "0.1.0"

@@ -24,6 +24,7 @@ from .fans import (
     validate_fan,
     wall_curve_classes,
 )
+from .mirror import assemble_mirror_map, compute_g0_family
 from .series import TruncationBox, render
 from .superpotential import (
     analyze,
@@ -33,7 +34,7 @@ from .superpotential import (
     invariant_table,
     render_table,
     structural_report,
-    surface_admissible_delta,
+    surface_admissible_deltas,
 )
 
 SCHEMA_VERSION = 1
@@ -122,16 +123,16 @@ def _parse_box(text, rank):
     return TruncationBox(caps)
 
 
-def _render_term(term, names, zray_names):
+def _render_term(term, zray_names):
     zmono = "*".join(
         f"{zray_names[j]}" if e == 1 else f"{zray_names[j]}^{e}"
         for j, e in enumerate(term.z_exponent) if e
     ) or "1"
     qmono = "*".join(
-        f"{names[a]}" if e == 1 else f"{names[a]}^{e}"
+        f"q{a + 1}" if e == 1 else f"q{a + 1}^{e}"
         for a, e in enumerate(term.q_exponent) if e
     )
-    unit = render(term.unit, names)
+    unit = render(term.unit)
     coeff = qmono if qmono else ""
     if unit != "1":
         coeff = f"{coeff}*({unit})" if coeff else f"({unit})"
@@ -155,7 +156,7 @@ def _emit(args, command, document, lines, results, ok):
 
 def _setup(args):
     document = load_document(args.input)
-    fan, basis, meta = parse_input(document)
+    fan, basis, _ = parse_input(document)
     violations = validate_fan(fan)
     if violations:
         raise FanError("; ".join(violations))
@@ -169,16 +170,12 @@ def _setup(args):
     if size > MAX_BOX_MONOMIALS:
         raise InputError(f"box {box.caps} has {size} monomials, over the limit "
                          f"of {MAX_BOX_MONOMIALS}")
-    return document, fan, lattice, box, meta
-
-
-def _var_names(lattice, meta):
-    return [f"q{a + 1}" for a in range(lattice.rank)]
+    return document, fan, lattice, box
 
 
 def cmd_validate(args):
     document = load_document(args.input)
-    fan, basis, meta = parse_input(document)
+    fan, basis, _ = parse_input(document)
     violations = validate_fan(fan)
     lines = []
     results = {"violations": violations}
@@ -216,31 +213,25 @@ def cmd_validate(args):
 
 
 def cmd_g0(args):
-    document, fan, lattice, box, meta = _setup(args)
-    from .mirror import compute_g0_family
-
+    document, fan, lattice, box = _setup(args)
     family = compute_g0_family(lattice, box)
-    names = _var_names(lattice, meta)
     lines = []
     results = {}
     for i, s in enumerate(family.series):
-        text = render(s, names)
+        text = render(s)
         lines.append(f"g0[{i + 1}] = {text}")
         results[str(i + 1)] = text
     return _emit(args, "g0", document, lines, results, True)
 
 
 def cmd_mirror_map(args):
-    document, fan, lattice, box, meta = _setup(args)
-    from .mirror import assemble_mirror_map, compute_g0_family
-
+    document, fan, lattice, box = _setup(args)
     mm = assemble_mirror_map(compute_g0_family(lattice, box))
-    names = _var_names(lattice, meta)
     lines = []
     results = {"forward": {}, "inverse": {}}
     for a in range(lattice.rank):
-        fwd = render(mm.forward.components[a], names)
-        inv = render(mm.inverse.components[a], names)
+        fwd = render(mm.forward.components[a])
+        inv = render(mm.inverse.components[a])
         lines.append(f"forward exponent {a + 1}: {fwd}")
         lines.append(f"inverse exponent {a + 1}: {inv}")
         results["forward"][str(a + 1)] = fwd
@@ -249,7 +240,7 @@ def cmd_mirror_map(args):
 
 
 def cmd_invariants(args):
-    document, fan, lattice, box, meta = _setup(args)
+    document, fan, lattice, box = _setup(args)
     analysis = analyze(fan, lattice, box)
     rays = (
         [args.ray - 1] if args.ray else list(range(fan.num_rays))
@@ -271,17 +262,16 @@ def cmd_invariants(args):
 
 
 def cmd_superpotential(args):
-    document, fan, lattice, box, meta = _setup(args)
+    document, fan, lattice, box = _setup(args)
     analysis = analyze(fan, lattice, box)
     whv, wpf, wlf, report = compare_superpotentials(
         analysis, (args.cone or 1) - 1
     )
-    names = _var_names(lattice, meta)
     zn = [f"z{j + 1}" for j in range(fan.dimension)]
     lines = []
     results = {}
     for tag, expr in (("plain", whv), ("PF", wpf), ("LF", wlf)):
-        text = " + ".join(_render_term(t, names, zn) for t in expr.terms)
+        text = " + ".join(_render_term(t, zn) for t in expr.terms)
         lines.append(f"W[{tag}] = {text}")
         results[tag] = text
     lines.append("EQUAL" if report.passed else "DIFFER: " + "; ".join(report.details))
@@ -291,14 +281,14 @@ def cmd_superpotential(args):
 
 
 def cmd_surface_oracle(args):
-    document, fan, lattice, box, meta = _setup(args)
-    report = cross_validate_surface(fan, lattice, box)
-    names = _var_names(lattice, meta)
+    document, fan, lattice, box = _setup(args)
+    # the oracle refuses unsuitable fans before the engine runs
+    oracle = surface_admissible_deltas(fan, lattice, box)
+    report = cross_validate_surface(oracle, analyze(fan, lattice, box))
     lines = []
     results = {"deltas": {}}
-    for i in range(fan.num_rays):
-        s = surface_admissible_delta(fan, lattice, i, box)
-        text = render(s, names)
+    for i, s in enumerate(oracle):
+        text = render(s)
         lines.append(f"delta[{i + 1}] (combinatorial) = {text}")
         results["deltas"][str(i + 1)] = text
     lines.append("AGREE" if report.passed else "DISAGREE: " + "; ".join(report.details))
@@ -307,7 +297,7 @@ def cmd_surface_oracle(args):
 
 
 def cmd_check(args):
-    document, fan, lattice, box, meta = _setup(args)
+    document, fan, lattice, box = _setup(args)
     semi, witness = is_semi_fano(fan)
     lines = []
     results = {}
@@ -326,7 +316,8 @@ def cmd_check(args):
         compare_superpotentials(analysis, (args.cone or 1) - 1)[3],
     ]
     if fan.dimension == 2:
-        reports.append(cross_validate_surface(fan, lattice, box))
+        oracle = surface_admissible_deltas(fan, lattice, box)
+        reports.append(cross_validate_surface(oracle, analysis))
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"
         lines.append(f"{rep.name}: {status}")

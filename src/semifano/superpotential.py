@@ -5,7 +5,8 @@ ray i; it is produced from the corrected coordinate change.  The three
 Laurent-polynomial superpotentials (plain, coordinate-changed, and
 instanton-corrected) are compared term by term.  For surfaces an independent
 combinatorial count over chains of self-intersection-(-2) divisors gives the
-same functions, which serves as a cross-check oracle.
+same functions: `surface_admissible_deltas` computes it for every ray without
+the engine, and `cross_validate_surface` compares it with an analysis.
 """
 
 from __future__ import annotations
@@ -295,16 +296,6 @@ def surface_self_intersections(fan: Fan):
     return out
 
 
-def _divisor_curve_class(fan: Fan, order, selfints, k):
-    pos = order.index(k)
-    m = len(order)
-    d = [0] * fan.num_rays
-    d[order[pos - 1]] += 1
-    d[order[(pos + 1) % m]] += 1
-    d[k] += selfints[k]
-    return CurveClass(tuple(d))
-
-
 def _admissible_side_sequences(start, length):
     """All nonincreasing runs of given length from `start` with steps 0 or 1,
     nonnegative, ending at most 1."""
@@ -319,15 +310,15 @@ def _admissible_side_sequences(start, length):
     return out
 
 
-def surface_admissible_delta(fan: Fan, lattice: CurveLattice, i: int,
-                             box: TruncationBox) -> MultiSeries:
-    """Independent combinatorial computation of delta_i for a surface.
+def surface_admissible_deltas(fan: Fan, lattice: CurveLattice,
+                              box: TruncationBox) -> tuple[MultiSeries, ...]:
+    """Independent combinatorial computation of every delta_i for a surface.
 
     A contributing class adds, to the basic disk through divisor i, a
     combination sum_k s_k [D_k] supported on the maximal chain of
     self-intersection-(-2) divisors through i, with both halves of s
     nonincreasing away from i in unit steps and ending at most 1.  Each such
-    class contributes exactly 1.
+    class contributes exactly 1.  Rays off every (-2)-chain get zero.
     """
     if fan.dimension != 2:
         raise FanError("surface oracle needs a 2-dimensional fan")
@@ -338,8 +329,25 @@ def surface_admissible_delta(fan: Fan, lattice: CurveLattice, i: int,
         )
     order = cyclic_ray_order(fan)
     selfints = surface_self_intersections(fan)
-    if selfints[i] != -2:
-        return MultiSeries.zero(box)
+    m = len(order)
+    # class of each (-2)-divisor: its neighbors once each, itself -2 times
+    classes = {}
+    for pos, k in enumerate(order):
+        if selfints[k] == -2:
+            d = [0] * fan.num_rays
+            d[order[pos - 1]] += 1
+            d[order[(pos + 1) % m]] += 1
+            d[k] -= 2
+            classes[k] = d
+    return tuple(
+        _chain_delta(lattice, box, order, classes, i) if i in classes
+        else MultiSeries.zero(box)
+        for i in range(fan.num_rays)
+    )
+
+
+def _chain_delta(lattice, box, order, classes, i):
+    """delta_i of a (-2)-divisor i; `classes` maps every (-2)-divisor to its class."""
     m = len(order)
     pos = order.index(i)
     # maximal chain of (-2)-divisors through i, walked in both directions
@@ -347,26 +355,22 @@ def surface_admissible_delta(fan: Fan, lattice: CurveLattice, i: int,
     p = pos
     while len(right) < m - 1:
         p = (p + 1) % m
-        if selfints[order[p]] != -2 or order[p] == i:
+        if order[p] not in classes or order[p] == i:
             break
         right.append(order[p])
     left = []
     p = pos
     while len(left) < m - 1 - len(right):
         p = (p - 1) % m
-        if selfints[order[p]] != -2 or order[p] == i or order[p] in right:
+        if order[p] not in classes or order[p] == i or order[p] in right:
             break
         left.append(order[p])
-    classes = {
-        k: _divisor_curve_class(fan, order, selfints, k)
-        for k in [i] + right + left
-    }
     coeffs = {}
     s0 = 1
     while s0 <= min(len(left), len(right)) + 1:
         for rs in _admissible_side_sequences(s0, len(right)):
             for ls in _admissible_side_sequences(s0, len(left)):
-                total = [0] * fan.num_rays
+                total = [0] * len(classes[i])
                 for k, s in [(i, s0)] + list(zip(right, rs)) + list(zip(left, ls)):
                     for j, c in enumerate(classes[k]):
                         total[j] += s * c
@@ -380,23 +384,17 @@ def surface_admissible_delta(fan: Fan, lattice: CurveLattice, i: int,
     return MultiSeries.from_dict(box, coeffs)
 
 
-def cross_validate_surface(fan: Fan, lattice: CurveLattice,
-                           box: TruncationBox) -> CheckReport:
-    """Compare the combinatorial surface count with the coordinate-change route.
+def cross_validate_surface(oracle, analysis: ToricAnalysis) -> CheckReport:
+    """Compare the combinatorial surface count with an analysis's deltas.
 
-    The oracle runs first, so a fan it refuses fails before the engine runs.
+    `oracle` is the tuple `surface_admissible_deltas` returns; computing it
+    before `analyze` lets a fan the oracle refuses fail before the engine runs.
     """
-    oracle = [
-        surface_admissible_delta(fan, lattice, i, box)
-        for i in range(fan.num_rays)
+    details = [
+        f"ray {d.ray_index + 1}: oracle and engine disagree"
+        for d, expected in zip(analysis.deltas, oracle)
+        if d.delta != expected
     ]
-    g0 = compute_g0_family(lattice, box)
-    mm = assemble_mirror_map(g0)
-    pulled = pullback_g0(g0, mm)
-    details = []
-    for i, expected in enumerate(oracle):
-        if delta_series(pulled, i).delta != expected:
-            details.append(f"ray {i + 1}: oracle and engine disagree")
     return CheckReport("surface-oracle", not details, tuple(details))
 
 

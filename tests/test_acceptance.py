@@ -24,6 +24,7 @@ from semifano import (
     is_semi_fano,
     normalize_W_LF,
     structural_report,
+    surface_admissible_deltas,
 )
 from semifano.cli import fixture_path, main
 from semifano.intlinalg import rational_rank
@@ -209,8 +210,9 @@ def test_criterion_6_structural_theorems():
 def test_criterion_7_surface_oracle():
     ok = True
     for name, caps in (("f2", (5, 5)), ("f2-blowup", (5, 5, 5))):
-        fan, lattice = fixture_lattice(name)
-        ok = ok and cross_validate_surface(fan, lattice, TruncationBox(caps)).passed
+        an = fixture_analysis(name, caps)
+        oracle = surface_admissible_deltas(an.fan, an.lattice, an.box)
+        ok = ok and cross_validate_surface(oracle, an).passed
     assert report(7, "surface oracle equivalence", ok)
 
 

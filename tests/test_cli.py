@@ -1,3 +1,4 @@
+import hashlib
 import json
 import time
 
@@ -178,3 +179,32 @@ def test_bad_indices_exit_2(capsys, argv):
     message = json.loads(err)["error"]
     assert message == f"{flag[2:]} index {value} out of range"
 
+
+
+# sha256 of f"{exit code}\n{stdout}\0{stderr}" for surface-oracle runs,
+# recorded before the oracle and the cross-check were restructured
+SURFACE_ORACLE_PINS = (
+    ("f2", "5,5", "text", 0, "b684ac9be5e468e6bf8b44aa7041760e51410b607eb8e815132e40da501dea45"),
+    ("f2", "5,5", "json", 0, "eafa4911e35e1ca0d97b418f03aa7d75b88f176cc2463cf2b8c05af5d6724bfc"),
+    ("f2-blowup", "5,5,5", "text", 0, "c87ab0825a2e4a1580ad19cbb2620c35e47b1c968b09ba6efc3af6dc302867ed"),
+    ("f2-blowup", "5,5,5", "json", 0, "89320f0de3f9308decb59afe15a43d85e0b5442b35615516a52866daaa9ff883"),
+    ("p1xp1", "5,5", "text", 0, "ff98f83df4601c89c37662950ff0b5de6a70b9d78083c2f6d6bb06e17213b381"),
+    ("p1xp1", "5,5", "json", 0, "c417ac1e5dae65e4233b49219170e708ccc3d77f0521d7f09fe079c41c5e05e1"),
+    ("p2", "5", "text", 0, "5779075f85a58b3e6f7c98b7cb3bdd8c42d0289cab1d7f8e40b9cceee7c698cd"),
+    ("p2", "5", "json", 0, "eee7919efa73a6e8770abdf7d103de60053d8c6a50b8b1f0cc5cb545952792aa"),
+    ("f3", None, "text", 2, "cad7a141708e15f05df6d8b8cd5c6fd571cf2a9eab9ecb8d46457fdf02031f17"),
+    ("f3", None, "json", 2, "cad7a141708e15f05df6d8b8cd5c6fd571cf2a9eab9ecb8d46457fdf02031f17"),
+    ("threefold-example", None, "text", 2, "69bef1e3e3b5701220ee7cee132ce47eea86087af305e8a84b9db76acdc9684b"),
+    ("threefold-example", None, "json", 2, "69bef1e3e3b5701220ee7cee132ce47eea86087af305e8a84b9db76acdc9684b"),
+)
+
+
+@pytest.mark.parametrize("name, box, fmt, code, digest", SURFACE_ORACLE_PINS)
+def test_surface_oracle_output_pinned(capsys, name, box, fmt, code, digest):
+    argv = ["surface-oracle", fx(name), "--format", fmt]
+    if box:
+        argv += ["--box", box]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    blob = f"{got}\n{out}\0{err}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

@@ -2,16 +2,19 @@ import pytest
 
 from semifano import (
     FanError,
+    MultiSeries,
     TruncationBox,
+    add,
+    analyze,
     cross_validate_surface,
-    surface_admissible_delta,
+    surface_admissible_deltas,
 )
-from semifano import superpotential
+from semifano import cli, mirror, superpotential
 from semifano.superpotential import (
     cyclic_ray_order,
     surface_self_intersections,
 )
-from conftest import fixture_fan, fixture_lattice
+from conftest import fixture_analysis, fixture_fan, fixture_lattice
 
 
 def test_cyclic_order_f2():
@@ -35,18 +38,20 @@ def test_self_intersections_f2_blowup():
 def test_admissible_delta_f2():
     fan, lattice = fixture_lattice("f2")
     box = TruncationBox((5, 5))
-    assert surface_admissible_delta(fan, lattice, 3, box).to_dict() == {
-        (1, 0): 1
-    }
+    deltas = surface_admissible_deltas(fan, lattice, box)
+    assert len(deltas) == fan.num_rays
+    assert deltas[3].to_dict() == {(1, 0): 1}
     for i in (0, 1, 2):
-        assert surface_admissible_delta(fan, lattice, i, box).is_zero()
+        assert deltas[i].is_zero()
 
 
 def test_admissible_delta_fano_zero():
     fan, lattice = fixture_lattice("p1xp1")
     box = TruncationBox((4, 4))
+    deltas = surface_admissible_deltas(fan, lattice, box)
+    assert len(deltas) == 4
     for i in range(4):
-        assert surface_admissible_delta(fan, lattice, i, box).is_zero()
+        assert deltas[i].is_zero()
 
 
 def test_cross_validation_surfaces():
@@ -57,24 +62,68 @@ def test_cross_validation_surfaces():
         ("p2", (5,)),
     ):
         fan, lattice = fixture_lattice(name)
-        report = cross_validate_surface(fan, lattice, TruncationBox(caps))
+        box = TruncationBox(caps)
+        oracle = surface_admissible_deltas(fan, lattice, box)
+        report = cross_validate_surface(oracle, analyze(fan, lattice, box))
         assert report.passed, (name, report.details)
+
+
+@pytest.mark.parametrize("ray", range(5))
+def test_cross_validation_names_the_disagreeing_ray(ray):
+    an = fixture_analysis("f2-blowup", (5, 5, 5))
+    oracle = list(surface_admissible_deltas(an.fan, an.lattice, an.box))
+    oracle[ray] = add(oracle[ray], MultiSeries.from_dict(an.box, {(1, 0, 0): 1}))
+    report = cross_validate_surface(tuple(oracle), an)
+    assert not report.passed
+    assert report.details == (f"ray {ray + 1}: oracle and engine disagree",)
 
 
 def test_oracle_rejects_threefold():
     fan, lattice = fixture_lattice("threefold-example")
     with pytest.raises(FanError):
-        surface_admissible_delta(fan, lattice, 0, TruncationBox((2, 2, 2, 2)))
+        surface_admissible_deltas(fan, lattice, TruncationBox((2, 2, 2, 2)))
 
 
-def test_cross_validation_refuses_before_engine_runs(monkeypatch):
+def test_cross_validation_refuses_before_engine_runs(monkeypatch, capsys):
     def engine_must_not_run(*args):
         raise AssertionError("engine ran on a fan the oracle refuses")
 
-    monkeypatch.setattr(superpotential, "compute_g0_family", engine_must_not_run)
-    fan, lattice = fixture_lattice("threefold-example")
-    with pytest.raises(FanError):
-        cross_validate_surface(fan, lattice, TruncationBox((2, 2, 2, 2)))
+    monkeypatch.setattr(cli, "analyze", engine_must_not_run)
+    for name, message in (
+        ("threefold-example", "surface oracle needs a 2-dimensional fan"),
+        ("f3", "fan is not semi-Fano"),
+    ):
+        path = str(cli.fixture_path(f"{name}.json"))
+        assert cli.main(["surface-oracle", path]) == 2
+        assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ("check", "surface-oracle"))
+def test_surface_command_runs_engine_and_oracle_once(monkeypatch, capsys, command):
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(superpotential, "compute_g0_family")
+    count(mirror, "invert_diagonal_unit")
+    count(superpotential, "pullback_g0")
+    count(cli, "surface_admissible_deltas")
+    path = str(cli.fixture_path("f2-blowup.json"))
+    assert cli.main([command, path, "--box", "5,5,5"]) == 0
+    capsys.readouterr()
+    assert calls == {
+        "compute_g0_family": 1,
+        "invert_diagonal_unit": 1,
+        "pullback_g0": 1,
+        "surface_admissible_deltas": 1,
+    }
 
 
 def test_oracle_rejects_non_semi_fano():
@@ -83,4 +132,4 @@ def test_oracle_rejects_non_semi_fano():
 
     lattice = curve_lattice(fan)
     with pytest.raises(FanError):
-        surface_admissible_delta(fan, lattice, 3, TruncationBox((3, 3)))
+        surface_admissible_deltas(fan, lattice, TruncationBox((3, 3)))
