@@ -7,21 +7,21 @@ rest of the package relies on.  Every operation here only ever adds
 nonnegative vectors to exponents, so coefficients at in-box exponents agree
 with the untruncated computation.
 
-Hot paths run on plain exponent->Fraction dicts (the underscore helpers); the
-public classes are immutable wrappers holding reduced Fractions in canonical
-term order.  Products go through _mul_dict, which packs exponents into ints
-and sums integer numerators over a common denominator.  exp and log share
-one graded recurrence on the same packing, _exp_dict, which solves degree by
-degree in integer numerators instead of summing powers.  Every substitution
-x_a := x_a * exp(u_a) goes through one kernel, _subst_dict, fed by the powers
-(x_a * exp(u_a))^k that _power_tables builds once per map.
+The public classes are immutable wrappers holding reduced Fractions in
+canonical term order; Fractions appear only there.  The kernels work on packed
+series: exponents packed into ints, integer numerators over one denominator,
+in lowest terms.  _pmul multiplies, _pexp solves exp and log by one graded
+recurrence, and _subst_dict evaluates x_a := x_a * exp(u_a) from the powers
+(x_a * exp(u_a))^k that _power_tables builds once per map, building each
+monomial's image once.  Series are packed on entry and unpacked on exit, so
+the inversion's fixed point runs entirely on packed series.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, lcm, perm
+from math import factorial, gcd, lcm, perm
 
 
 class SeriesError(ValueError):
@@ -49,10 +49,6 @@ class TruncationBox:
 
     def zero_exp(self):
         return (0,) * len(self.caps)
-
-
-def _graded_lex_key(exp):
-    return (sum(exp), exp)
 
 
 # ---------------------------------------------------------------------------
@@ -83,60 +79,61 @@ def _layout(caps):
     return w, shifts, bias, guard, (1 << w) - 1
 
 
-def _packed(d, w):
-    """(D, [(packed exponent, integer numerator over D)]) in d's order."""
+def _pack(d, lay):
+    """The packed series (D, {packed exponent: integer numerator over D}) of
+    an exponent -> reduced Fraction dict.  Packed series are kept in lowest
+    terms (no zero numerator, gcd(D, numerators) = 1), so they are canonical."""
     den = lcm(*(c.denominator for c in d.values()))
-    out = []
-    for e, c in d.items():
-        p = 0
-        for x in reversed(e):
-            p = p << w | x
-        out.append((p, c.numerator * (den // c.denominator)))
-    return den, out
+    return den, {sum(x << k for x, k in zip(e, lay[1])):
+                 c.numerator * (den // c.denominator) for e, c in d.items()}
 
 
-def _mul_dict(s, t, caps):
-    """Truncated product of two in-box dicts, as reduced Fractions.
+def _unpack(s, lay):
+    return {tuple(p >> k & lay[4] for k in lay[1]): Fraction(n, s[0])
+            for p, n in s[1].items()}
 
-    Exponents are packed by _layout and one factor carries the bias;
-    coefficients are integer numerators over each factor's lcm denominator.
+
+def _lowest(den, r, offset=0):
+    """(den, r) in lowest terms, zeros dropped and offset taken off the keys."""
+    g = gcd(den, *r.values())
+    return den // g, {p - offset: n // g for p, n in r.items() if n}
+
+
+def _pmul(s, t, bias, guard):
+    """Truncated product of two packed series.
+
+    The outer factor carries the bias, so a pair is in the box exactly when
+    its sum has no guard bit set; numerators multiply over D_s D_t.
     """
-    if len(s) > len(t):
+    if len(s[1]) > len(t[1]):
         s, t = t, s
-    w, shifts, bias, guard, mask = _layout(caps)
-    ds, sp = _packed(s, w)
-    dt, tp = _packed(t, w)
     r = {}
-    for p1, n1 in sp:
+    for p1, n1 in s[1].items():
         p1 += bias
-        for p2, n2 in tp:
+        for p2, n2 in t[1].items():
             p = p1 + p2
             if not p & guard:
                 r[p] = r.get(p, 0) + n1 * n2
-    den = ds * dt
-    return {
-        tuple((p - bias) >> k & mask for k in shifts): Fraction(n, den)
-        for p, n in r.items()
-        if n
-    }
+    return _lowest(s[0] * t[0], r, bias)
 
 
-def _exp_dict(s, caps, log=False):
-    """exp(s), or log(1 + s) when log is set, for s with zero constant term.
+def _pexp(s, caps, log=False):
+    """exp(s), or log(1 + s) when log is set, of packed s with no constant term.
 
     Solved by total degree from the parts s_k of degree k (Knuth, TAOCP 2,
     4.7): exp is E_0 = 1, n E_n = sum_k k s_k E_{n-k}, and log is L_0 = 0,
     n L_n = n s_n - sum_{k<n} (n-k) s_k L_{n-k}.  Degree n is kept as the
-    integers F_n = D^n n! X_n, D the lcm of the denominators of s: F_0 = 1,
+    integers F_n = D^n n! X_n, D the denominator of s: F_0 = 1,
     F_n = sum_k c_k D^(k-1) (n-1)!/(n-k)! (D s_k) F_{n-k}, with c_k = k for
-    exp; log has c_k = k - n for k < n and c_n = n, and drops F_0.
+    exp; log has c_k = k - n for k < n and c_n = n, and drops F_0.  With
+    N = sum(caps), X_n is F_n D^(N-n) N!/n! over D^N N!.
     """
     w, shifts, bias, guard, mask = _layout(caps)
-    den, sp = _packed(s, w)
+    den, sd = s
     top = sum(caps)
     parts = [[] for _ in range(top + 1)]
-    for (p, c), e in zip(sp, s):
-        parts[sum(e)].append((p + bias, c))
+    for p, c in sd.items():
+        parts[sum(p >> k & mask for k in shifts)].append((p + bias, c))
     f = [{0: 1}]
     for n in range(1, top + 1):
         r = {}
@@ -151,45 +148,73 @@ def _exp_dict(s, caps, log=False):
                     if not p & guard:
                         r[p] = r.get(p, 0) + n1 * n2
         f.append({p - bias: m for p, m in r.items() if m})
-    return {
-        tuple(p >> k & mask for k in shifts): Fraction(m, den ** n * factorial(n))
-        for n in range(1 if log else 0, top + 1)
-        for p, m in f[n].items()
-    }
+    scale = [den ** (top - n) * perm(top, top - n) for n in range(top + 1)]
+    out = {p: m * scale[n] for n in range(1 if log else 0, top + 1)
+           for p, m in f[n].items()}
+    return _lowest(den ** top * factorial(top), out)
+
+
+def _mul_dict(s, t, caps):
+    """Truncated product of two in-box exponent -> Fraction dicts."""
+    lay = _layout(caps)
+    return _unpack(_pmul(_pack(s, lay), _pack(t, lay), lay[2], lay[3]), lay)
+
+
+def _exp_dict(s, caps, log=False):
+    """exp(s), or log(1 + s) when log is set, of an exponent -> Fraction dict."""
+    lay = _layout(caps)
+    return _unpack(_pexp(_pack(s, lay), caps, log), lay)
 
 
 def _power_tables(umaps, series, caps):
-    """tables[a][k] = (x_a * exp(u_a))^k, for k up to the largest exponent of
-    x_a in any of the given series.
+    """tables[a][k] = (x_a * exp(u_a))^k, packed, for k up to the largest
+    exponent of x_a in any of the given packed series.
 
     The factor x_a^k keeps the part of exp(u_a)^k that a monomial with x_a^k
     can use, so entries shrink as k grows and products of them stay small.
     """
-    l = len(caps)
+    w, shifts, bias, guard, mask = _layout(caps)
     tables = []
-    for a, u in enumerate(umaps):
-        depth = max((e[a] for s in series for e in s), default=0)
-        pa = [{(0,) * l: Fraction(1)}]
+    for k, u in zip(shifts, umaps):
+        depth = max((p >> k & mask for _, d in series for p in d), default=0)
+        pa = [(1, {0: 1})]
         if depth:
-            xa = {tuple(int(b == a) for b in range(l)): Fraction(1)}
-            ya = _mul_dict(xa, _exp_dict(u, caps), caps)
+            ya = _pmul((1, {1 << k: 1}), _pexp(u, caps), bias, guard)
             for _ in range(depth):
-                pa.append(_mul_dict(pa[-1], ya, caps))
+                pa.append(_pmul(pa[-1], ya, bias, guard))
         tables.append(pa)
     return tables
 
 
-def _subst_dict(s, tables, caps):
-    """Evaluate s at x_a := x_a * exp(u_a), given the power tables of u."""
-    zero = (0,) * len(caps)
-    r = {}
-    for e, c in s.items():
-        term = {zero: c}
-        for k, pa in zip(e, tables):
-            if k:
-                term = _mul_dict(term, pa[k], caps)
-        _add_into(r, term)
-    return r
+def _subst_dict(series, tables, lay):
+    """Evaluate packed series at x_a := x_a * exp(u_a), given u's power tables.
+
+    The image prod_a tables[a][e_a] of each monomial e is built once, from the
+    image of its prefix (e_1, .., e_(a-1), 0, .., 0), and then serves every
+    series and term that contains e.
+    """
+    w, shifts, bias, guard, mask = lay
+    images = {0: (1, {0: 1})}
+    out = []
+    for den, d in series:
+        terms = []
+        for p, n in d.items():
+            img = images[0]
+            for k, pa in zip(shifts, tables):
+                if p >> k & mask:
+                    pre = p & ((1 << k + w) - 1)
+                    if pre not in images:
+                        images[pre] = _pmul(img, pa[p >> k & mask], bias, guard)
+                    img = images[pre]
+            terms.append((n, img))
+        scale = lcm(*(di for _, (di, _) in terms))
+        r = {}
+        for n, (di, img) in terms:
+            n *= scale // di
+            for q, m in img.items():
+                r[q] = r.get(q, 0) + n * m
+        out.append(_lowest(den * scale, r))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +239,7 @@ class MultiSeries:
             if not box.contains(exp):
                 raise SeriesError(f"exponent {exp} outside box {box.caps}")
             items.append((exp, c))
-        items.sort(key=lambda t: _graded_lex_key(t[0]))
+        items.sort(key=lambda t: (sum(t[0]), t[0]))
         return MultiSeries(box, tuple(items))
 
     @staticmethod
@@ -318,32 +343,31 @@ class DiagonalUnitMap:
         return all(u.is_zero() for u in self.components)
 
 
-def _tables_of(m: DiagonalUnitMap, box: TruncationBox, series):
-    """Power tables of m for substituting into the given dicts of this box."""
+def _tables_of(m: DiagonalUnitMap, box: TruncationBox, series, lay):
+    """Power tables of m for substituting into the given packed series."""
     if m.arity != box.arity or (m.components and m.box != box):
         raise SeriesError("map arity/box does not match the series")
-    return _power_tables([u.to_dict() for u in m.components], series, box.caps)
+    umaps = [_pack(u.to_dict(), lay) for u in m.components]
+    return _power_tables(umaps, series, box.caps)
 
 
 def substitute(s: MultiSeries, m: DiagonalUnitMap) -> MultiSeries:
     """Evaluate s at x_a := x_a * exp(u_a(x))."""
-    sd = s.to_dict()
-    tables = _tables_of(m, s.box, [sd])
-    return MultiSeries.from_dict(s.box, _subst_dict(sd, tables, s.box.caps))
+    lay = _layout(s.box.caps)
+    sp = [_pack(s.to_dict(), lay)]
+    r = _subst_dict(sp, _tables_of(m, s.box, sp, lay), lay)[0]
+    return MultiSeries.from_dict(s.box, _unpack(r, lay))
 
 
 def compose(outer: DiagonalUnitMap, inner: DiagonalUnitMap) -> DiagonalUnitMap:
     """Map sending x_a to x_a*exp(u_a) followed by x_a to x_a*exp(w_a)."""
-    box = outer.box
-    us = [u.to_dict() for u in outer.components]
-    tables = _tables_of(inner, box, us)
-    comps = tuple(
-        MultiSeries.from_dict(
-            box, _add_into(_subst_dict(u, tables, box.caps), w.to_dict())
-        )
-        for u, w in zip(us, inner.components)
-    )
-    return DiagonalUnitMap(comps)
+    lay = _layout(outer.box.caps)
+    us = [_pack(u.to_dict(), lay) for u in outer.components]
+    rs = _subst_dict(us, _tables_of(inner, outer.box, us, lay), lay)
+    return DiagonalUnitMap(tuple(
+        MultiSeries.from_dict(outer.box, _add_into(_unpack(r, lay), w.to_dict()))
+        for r, w in zip(rs, inner.components)
+    ))
 
 
 def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
@@ -353,18 +377,20 @@ def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
     has zero constant term, so if two w agree up to total degree k their
     images agree up to degree k+1: round k fixes w up to degree k, and the
     first round that leaves w unchanged has found the unique inverse.  That
-    takes at most sum(caps) + 1 rounds.
+    takes at most sum(caps) + 1 rounds.  Packed series are canonical, so the
+    comparison is exact.
     """
     caps = m.box.caps
-    minus_u = [{e: -c for e, c in u.terms} for u in m.components]
-    w = [{} for _ in minus_u]
+    lay = _layout(caps)
+    minus_u = [_pack({e: -c for e, c in u.terms}, lay) for u in m.components]
+    w = [(1, {}) for _ in minus_u]
     for _ in range(sum(caps) + 1):
-        tables = _power_tables(w, minus_u, caps)
-        w2 = [_subst_dict(u, tables, caps) for u in minus_u]
+        w2 = _subst_dict(minus_u, _power_tables(w, minus_u, caps), lay)
         if w2 == w:
             break
         w = w2
-    return DiagonalUnitMap(tuple(MultiSeries.from_dict(m.box, c) for c in w))
+    return DiagonalUnitMap(tuple(MultiSeries.from_dict(m.box, _unpack(c, lay))
+                                 for c in w))
 
 
 def render(s: MultiSeries, names=None) -> str:

@@ -81,16 +81,13 @@ def invariant_table(inv: InvariantSeries, box: TruncationBox = None,
     if box is None:
         box = series.box
     coeffs = series.to_dict()
-    entries = {}
-    bad = []
-    for exp in sorted(
-        product(*[range(c + 1) for c in box.caps]),
-        key=lambda e: (sum(e), e),
-    ):
-        c = coeffs.get(exp, Fraction(0))
-        if c.denominator != 1:
-            bad.append(exp)
-        entries[exp] = c
+    zero = Fraction(0)
+    # product runs in lex order, so a stable sort by degree is graded lex
+    entries = {
+        exp: coeffs.get(exp, zero)
+        for exp in sorted(product(*[range(c + 1) for c in box.caps]), key=sum)
+    }
+    bad = [exp for exp, c in entries.items() if c.denominator != 1]
     if bad and strict:
         raise ValueError(
             f"non-integer disk count at exponents {bad} for ray {inv.ray_index + 1}"

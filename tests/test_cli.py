@@ -208,3 +208,57 @@ def test_surface_oracle_output_pinned(capsys, name, box, fmt, code, digest):
     assert got == code
     blob = f"{got}\n{out}\0{err}"
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
+
+# sha256 of f"{exit code}\n{stdout}\0{stderr}" for g0 and mirror-map runs at
+# the default box (5 per variable) and one mirror-map at 7,7,7,7, recorded
+# before the inversion moved to packed series; mirror-map renders the inverse
+# map.  f3 is not semi-Fano, yet both commands accept it and exit 0: these
+# pins record that behaviour, and refusing the fan must move them on purpose.
+ENGINE_PINS = (
+    ("g0", "f2", None, "text", 0, "536327924281a35e18e866e47835d767afc0bd2ae31275c8cd784de985450ad5"),
+    ("g0", "f2", None, "json", 0, "3e87f87c91e982d5a7acbe038237092f3ecfddcf20c1048610f7088814d3b5b3"),
+    ("g0", "f2-blowup", None, "text", 0, "afd267c4d1e43ff44ecd803d253d1c4b03413a2c29e20a3832e2be6876aa51ed"),
+    ("g0", "f2-blowup", None, "json", 0, "f0b7f61829be633c0ab2fd16a7e5d19f03d2e9fec3b5b79f7384de2f86f38383"),
+    ("g0", "f3", None, "text", 0, "13853772ea1d5975ae58c43156bd9e3177485f1ff1af93d6a4c7163ddb0ba8a2"),
+    ("g0", "f3", None, "json", 0, "066d981b44942aed79dbd847fad71edf7f72c6fb6a5bf415dd8745dd95d3c59c"),
+    ("g0", "kp2-bundle", None, "text", 0, "6c1812a21ee4a9850c246e36d1c271a35ed6126158afd3f20c19c60e1096bfb2"),
+    ("g0", "kp2-bundle", None, "json", 0, "4415b556e399ee2a85d68323649abc7c65b702228f040d51e48ae6ab3efb7aed"),
+    ("g0", "p1cubed", None, "text", 0, "f4a16e047577ed26fef506d15ca78129b7b255965be1d833aff1c26a5e94bee8"),
+    ("g0", "p1cubed", None, "json", 0, "bc9b35d817cac923fa2a2fb442687ebad375cedc4fe819e7a93379525b84153b"),
+    ("g0", "p1xp1", None, "text", 0, "5e187f1f6ba9ac25d3cc6de42a322ea1ff791b4c1f09096f0f20770e19647000"),
+    ("g0", "p1xp1", None, "json", 0, "f3096594fca8b6cae2c7efea9515620614fae9e851d1bb3d0fccbf758150b2e4"),
+    ("g0", "p2", None, "text", 0, "ab7b31f0f5dce3889aacc2aef67a103b98dbcd2e11c2d2a12f5e2eeaec4160c6"),
+    ("g0", "p2", None, "json", 0, "65ab35a26119dd89701fa4f6553395892bd22bdfd90f49ff7906c6b15beb83e4"),
+    ("g0", "threefold-example", None, "text", 0, "66b3c460903b948b40bcc6ba35b8eea0a687ffbe127e88d322b63b1d72e625c9"),
+    ("g0", "threefold-example", None, "json", 0, "3fa74f825b84577e2cc942c51e8c8f094298a25a797acfd29ad6b83ebdc27031"),
+    ("mirror-map", "f2", None, "text", 0, "20c71e69ab34cda11486447883d2b49547b1e22da89eecca2c731dc62b3d37bb"),
+    ("mirror-map", "f2", None, "json", 0, "824fb41bad4c799ce50aba831f28acf12697649134ef5ca599bb43d9f395ee6d"),
+    ("mirror-map", "f2-blowup", None, "text", 0, "36fa7be47fb1bbb94d3fb5cfbbf2303362f8e5b0aa9b23a6f1eccccfd268cf14"),
+    ("mirror-map", "f2-blowup", None, "json", 0, "4956e03e02882f85c3a81a6f758609f50c955a6a3962d921a9783d54458143c4"),
+    ("mirror-map", "f3", None, "text", 0, "405ac46cfd50852cea1944a02c9b3791fe22193634f17a9011f28fb151bf7159"),
+    ("mirror-map", "f3", None, "json", 0, "da52138d87f7d39e52248d98e8af6a08aafa8a4d50935e2dcab9f0b8d8d7d9db"),
+    ("mirror-map", "kp2-bundle", None, "text", 0, "86fc83334094ce57a5f2de444254bb7dacf7c494a559ef9ac7054b28e7465a4e"),
+    ("mirror-map", "kp2-bundle", None, "json", 0, "2156d13e23994dbea7b65e44777411b6cc1d761f3cfb5b48dc9d152654353b7e"),
+    ("mirror-map", "p1cubed", None, "text", 0, "43930a5b74d52e2033283b871cd5ac714fd09206e0bd9910332b740027306136"),
+    ("mirror-map", "p1cubed", None, "json", 0, "6933f38d61bdf84f274ed127cc33dc4ec48e36e1f49f6d0141077397b9890c5c"),
+    ("mirror-map", "p1xp1", None, "text", 0, "77e91fec437a65f6c002451515ebc1a76e7a1821ea55d74a84483adc36cb7c53"),
+    ("mirror-map", "p1xp1", None, "json", 0, "f9e4fcd89f93c4223d0d80280dd549fa65fcab9694c958c4ff7e23e59657d5f5"),
+    ("mirror-map", "p2", None, "text", 0, "d287cac27c3f62c52d1bcf304e36f092382b74359d9af3370d5322e1191fadb6"),
+    ("mirror-map", "p2", None, "json", 0, "51f364ccbc698c15dc6154ac1d06b31eba554ba026dd6f3096e5f4c214f9f97d"),
+    ("mirror-map", "threefold-example", None, "text", 0, "7162b441c37668832f511c866147c3df35924009d974a7710d070a3fb35c0200"),
+    ("mirror-map", "threefold-example", None, "json", 0, "37deda955272a9463290c2875d0cdc96401fef4699b87c00bd12648f5d3341a9"),
+    ("mirror-map", "threefold-example", "7,7,7,7", "text", 0, "e9bdb00e945c758a3728ba6aed88a49bcef8343469c067f9762e9efae7c87cf6"),
+    ("mirror-map", "threefold-example", "7,7,7,7", "json", 0, "1c808089a1358ffc936c60354dbbb15f404f20b0b0bb33211e234ac21067513e"),
+)
+
+
+@pytest.mark.parametrize("command, name, box, fmt, code, digest", ENGINE_PINS)
+def test_engine_output_pinned(capsys, command, name, box, fmt, code, digest):
+    argv = [command, fx(name), "--format", fmt]
+    if box:
+        argv += ["--box", box]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code
+    blob = f"{got}\n{out}\0{err}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest

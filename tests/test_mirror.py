@@ -22,6 +22,7 @@ from semifano import (
     log_series,
     pullback_g0,
 )
+from semifano import series
 from semifano.cli import main, parse_input
 from semifano.series import compose
 from conftest import fixture_fan, fixture_lattice
@@ -245,6 +246,21 @@ def test_threefold_inverse_at_7777(threefold_lattice):
                for c in terms)
     assert bits == 30
     assert compose(mm.forward, mm.inverse).is_identity()
+
+
+def test_threefold_inversion_takes_15_rounds(threefold_lattice, monkeypatch):
+    # 14 rounds change w and the 15th leaves it fixed; the stopping test
+    # relies on packed series in lowest terms, without which it would run all
+    # sum(caps) + 1 = 29 rounds
+    _, lattice = threefold_lattice
+    fam = compute_g0_family(lattice, TruncationBox((7,) * 4))
+    forward = assemble_mirror_map(fam).forward
+    build, calls = series._power_tables, []
+    monkeypatch.setattr(
+        series, "_power_tables", lambda *args: calls.append(1) or build(*args)
+    )
+    series.invert_diagonal_unit(forward)
+    assert len(calls) == 15
 
 
 def test_mirror_map_fano_identity():

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings
@@ -18,7 +18,16 @@ from semifano import (
     render,
     substitute,
 )
-from semifano.series import _exp_dict, _mul_dict, compose
+from semifano.series import (
+    _exp_dict,
+    _layout,
+    _lowest,
+    _mul_dict,
+    _pack,
+    _pmul,
+    _subst_dict,
+    compose,
+)
 
 
 def S(caps, coeffs):
@@ -390,3 +399,125 @@ def test_truncation_monotonicity(data):
     product = mul(a_big, b_big)
     in_small = {e: c for e, c in product.terms if small_box.contains(e)}
     assert MultiSeries.from_dict(small_box, in_small) == mul(a_small, b_small)
+
+
+# ---------------------------------------------------------------------------
+# substitution, composition and inversion against a Fraction-dict oracle
+
+
+def oracle_subst(s, us, caps):
+    """s at x_a := x_a * exp(u_a): each term c x^e is c x^e exp(sum_a e_a u_a),
+    the exponential summed as powers in the box left over by x^e."""
+    r = {}
+    for e, c in s.items():
+        rest = tuple(cap - k for cap, k in zip(caps, e))
+        v = {}
+        for k, u in zip(e, us):
+            for f, d in u.items():
+                if all(x <= y for x, y in zip(f, rest)):
+                    v[f] = v.get(f, 0) + k * d
+        ev = power_sum(v, lambda n: Fraction(1, factorial(n)), rest)
+        ev[(0,) * len(caps)] = ev.get((0,) * len(caps), 0) + 1
+        for f, d in ev.items():
+            g = tuple(a + b for a, b in zip(e, f))
+            r[g] = r.get(g, 0) + c * d
+    return {g: c for g, c in r.items() if c}
+
+
+@st.composite
+def shared_maps(draw, size):
+    """Two unit maps and a series in one box of at most size monomials
+    (arity 1..4, caps 0..9), drawn over one small pool of monomials so that
+    components and terms share monomials."""
+    caps = []
+    for _ in range(draw(st.integers(1, 4))):
+        room = size // prod(c + 1 for c in caps)
+        caps.append(draw(st.integers(0, min(9, room - 1))))
+    box = TruncationBox(tuple(draw(st.permutations(caps))))
+    exps = st.tuples(*[st.integers(0, c) for c in box.caps])
+    pool = draw(st.lists(exps, min_size=1, max_size=5, unique=True))
+    mono = st.one_of(st.sampled_from(pool), exps)
+
+    def series(constant=None):
+        d = draw(st.dictionaries(mono, frac, max_size=5))
+        if constant is not None:
+            d[box.zero_exp()] = Fraction(constant)
+        return MultiSeries.from_dict(box, d)
+
+    outer, inner = (DiagonalUnitMap(tuple(series(0) for _ in caps)) for _ in "ab")
+    return outer, inner, series()
+
+
+def oracle_compose(outer, inner):
+    caps = outer.box.caps
+    us = [w.to_dict() for w in inner.components]
+    comps = []
+    for u, w in zip(outer.components, us):
+        r = oracle_subst(u.to_dict(), us, caps)
+        for e, c in w.items():
+            r[e] = r.get(e, 0) + c
+        comps.append(MultiSeries.from_dict(outer.box, r))
+    return DiagonalUnitMap(tuple(comps))
+
+
+@settings(max_examples=100, deadline=None)
+@given(shared_maps(size=400), st.data())
+def test_substitute_and_compose_match_oracle(drawn, data):
+    outer, inner, s = drawn
+    caps = s.box.caps
+    us = [w.to_dict() for w in inner.components]
+    want = oracle_subst(s.to_dict(), us, caps)
+    if want:
+        # take c x^f off s for one monomial f of its image: the image of x^f
+        # has coefficient 1 at f, so the contributions to f cancel to zero
+        f = data.draw(st.sampled_from(sorted(want)))
+        s = add(s, MultiSeries.from_dict(s.box, {f: -want[f]}))
+        want = oracle_subst(s.to_dict(), us, caps)
+        assert f not in want
+    assert substitute(s, inner) == MultiSeries.from_dict(s.box, want)
+    assert compose(outer, inner) == oracle_compose(outer, inner)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_maps(size=120))
+def test_inverse_is_the_oracle_fixed_point(drawn):
+    # w inverts u exactly when w_a = -u_a(x * exp(w)) for every a, and that
+    # fixed point is unique
+    m, _, _ = drawn
+    w = invert_diagonal_unit(m)
+    caps = m.box.caps
+    ws = [c.to_dict() for c in w.components]
+    for u, c in zip(m.components, w.components):
+        minus_u = {e: -d for e, d in u.to_dict().items()}
+        assert c == MultiSeries.from_dict(m.box, oracle_subst(minus_u, ws, caps))
+
+
+def test_packed_form_is_canonical():
+    F = Fraction
+    lay = _layout((3, 3))
+    w, _, bias, guard, _ = lay
+    x, y, xy = 1, 1 << w, 1 | 1 << w
+    # x*y/3 through denominators 2*3, 3*2 and 3, and by reducing 4/12
+    routes = [
+        _pmul(_pack({(1, 0): F(1, 2)}, lay), _pack({(0, 1): F(2, 3)}, lay), bias, guard),
+        _pmul(_pack({(1, 0): F(2, 3)}, lay), _pack({(0, 1): F(1, 2)}, lay), bias, guard),
+        _pmul(_pack({(1, 0): F(1, 3)}, lay), _pack({(0, 1): F(1)}, lay), bias, guard),
+        _lowest(12, {xy: 4}),
+        _pack({(1, 1): F(1, 3)}, lay),
+    ]
+    assert all(r == (3, {xy: 1}) for r in routes)
+    # zero numerators are dropped: (x/2 - y/3)(x/2 + y/3) has no x*y term
+    s = _pack({(1, 0): F(1, 2), (0, 1): F(-1, 3)}, lay)
+    t = _pack({(1, 0): F(1, 2), (0, 1): F(1, 3)}, lay)
+    assert _pmul(s, t, bias, guard) == (36, {2 * x: 9, 2 * y: -4})
+    assert _lowest(12, {x: 4, y: 0}) == (3, {x: 1})
+    # every zero is (1, {}), the inversion's starting point
+    assert _lowest(12, {x: 0}) == (1, {}) == _pack({}, lay)
+    assert _pmul(_pack({(3, 3): F(5, 7)}, lay), s, bias, guard) == (1, {})
+    # at x := x * exp(x/2), x - x^2/2 becomes x - 3/8 x^3: the contributions
+    # to x^2 cancel, and the result is stored without them
+    tables = [[(1, {0: 1}), _pack({(k, 0): F(1, 2 ** (k - 1) * factorial(k - 1))
+                                   for k in range(1, 4)}, lay),
+               _pack({(2, 0): F(1), (3, 0): F(1)}, lay)], [(1, {0: 1})]]
+    r = _subst_dict([_pack({(1, 0): F(1), (2, 0): F(-1, 2)}, lay)], tables, lay)
+    assert r == [(8, {x: 8, 3 * x: -3})]
