@@ -17,7 +17,6 @@ from .fans import (
     curve_lattice,
     fan_polytope_vertices,
     is_semi_fano,
-    nef_check,
     validate_fan,
     wall_curve_classes,
 )

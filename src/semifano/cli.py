@@ -46,6 +46,11 @@ class InputError(ValueError):
     pass
 
 
+def _is_int(x):
+    """A JSON integer; JSON true and false load as bool, a subclass of int."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_input(document):
     """Validate a fan description document; returns (Fan, basis or None, meta)."""
     if not isinstance(document, dict):
@@ -54,14 +59,14 @@ def parse_input(document):
         if key not in document:
             raise InputError(f"missing required field '{key}'")
     n = document["dimension"]
-    if not isinstance(n, int) or n <= 0:
+    if not _is_int(n) or n <= 0:
         raise InputError("field 'dimension' must be a positive integer")
     rays = document["rays"]
     if not isinstance(rays, list) or not rays:
         raise InputError("field 'rays' must be a nonempty list")
     for idx, v in enumerate(rays):
         if (not isinstance(v, list) or len(v) != n
-                or not all(isinstance(x, int) for x in v)):
+                or not all(_is_int(x) for x in v)):
             raise InputError(f"field 'rays'[{idx}] must be an integer {n}-vector")
     cones = document["max_cones"]
     if not isinstance(cones, list) or not cones:
@@ -69,7 +74,7 @@ def parse_input(document):
     zero_based = []
     for idx, c in enumerate(cones):
         if (not isinstance(c, list)
-                or not all(isinstance(x, int) and 1 <= x <= len(rays) for x in c)):
+                or not all(_is_int(x) and 1 <= x <= len(rays) for x in c)):
             raise InputError(
                 f"field 'max_cones'[{idx}] must list 1-based ray indices"
             )
@@ -80,7 +85,7 @@ def parse_input(document):
             raise InputError("field 'curve_class_basis' must be a list")
         for idx, b in enumerate(basis):
             if (not isinstance(b, list) or len(b) != len(rays)
-                    or not all(isinstance(x, int) for x in b)):
+                    or not all(_is_int(x) for x in b)):
                 raise InputError(
                     f"field 'curve_class_basis'[{idx}] must be an integer "
                     f"{len(rays)}-vector"

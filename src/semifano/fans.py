@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
 
-from .intlinalg import fraction_free_solve, lattice_membership, left_kernel_basis
+from .intlinalg import fraction_free_solve
 
 
 class FanError(ValueError):
@@ -96,8 +96,19 @@ class CurveLattice:
         return tuple(b[ray_index] for b in self.basis)
 
     def coordinates(self, cls: CurveClass):
-        """Integer coordinates of a kernel class in the chosen basis, or None."""
-        return lattice_membership([b.coefficients for b in self.basis], cls.coefficients)
+        """Integer coordinates of a kernel class in the chosen basis, or None.
+
+        One fraction-free solve in the coordinates of `_free_coordinates`.
+        The quotients by the determinant stand only if they rebuild `cls`,
+        which also holds just when every division is exact; a class outside
+        the kernel or off the basis lattice gets None.
+        """
+        det, adj = fraction_free_solve(_free_coordinates(self.fan, self.basis),
+                                       _free_coordinates(self.fan, [cls]))
+        if det == 0:
+            return None
+        exps = [v // det for v in adj[0]]
+        return exps if self.class_from_coordinates(exps) == cls else None
 
     def class_from_coordinates(self, exps):
         m = self.fan.num_rays
@@ -175,33 +186,18 @@ def alpha_class(fan: Fan, sigma, k):
 
 
 def wall_curve_classes(fan: Fan):
-    """Primitive relation class of every wall, with the two opposite rays at +1."""
-    classes = []
-    for wall, cones in sorted(fan.walls().items()):
-        c0, c1 = cones
-        x = next(r for r in fan.max_cones[c0] if r not in wall)
+    """Primitive relation class of every wall, with the two opposite rays at +1.
+
+    Across the wall from cone c0 lies ray y with v_y = -v_x + (a sum over
+    the wall rays), x being the ray of c0 off the wall; that relation is
+    the class of y's superpotential term relative to c0.
+    """
+    classes = {}
+    for wall, (c0, c1) in sorted(fan.walls().items()):
         y = next(r for r in fan.max_cones[c1] if r not in wall)
-        coords = cone_coordinates(fan, c0, y)
-        cone = fan.max_cones[c0]
-        d = [0] * fan.num_rays
-        d[y] += 1
-        d[x] += 1
-        # v_y = -v_x + sum over wall rays of coords * v_c, so the relation is
-        # v_x + v_y - sum coords * v_c = 0
-        for j, c in enumerate(cone):
-            if c == x:
-                assert coords[j] == -1
-            else:
-                d[c] -= coords[j]
-        classes.append(CurveClass(tuple(d)))
-    # dedupe preserving order
-    seen = set()
-    out = []
-    for c in classes:
-        if c.coefficients not in seen:
-            seen.add(c.coefficients)
-            out.append(c)
-    return out
+        cls = alpha_class(fan, c0, y)
+        classes[cls.coefficients] = cls
+    return list(classes.values())
 
 
 def is_semi_fano(fan: Fan):
@@ -242,7 +238,8 @@ def _free_coordinates(fan: Fan, classes):
     In a smooth fan that cone is a Z-basis of Z^n, so a class is fixed by
     these l entries and any l integers are the entries of exactly one
     class: they are the integer coordinates of the class over the dual
-    kernel basis.
+    kernel basis, the `alpha_class` of each of these rays relative to that
+    cone.
     """
     free = [i for i in range(fan.num_rays) if i not in fan.max_cones[0]]
     return [[c[i] for i in free] for c in classes]
@@ -263,16 +260,6 @@ def _nef_verdict(rows, walls):
     return True, next(bad, None)
 
 
-def nef_check(lattice: CurveLattice):
-    """(flag, witness): the basis is a Z-basis, as `curve_lattice` builds,
-    and every wall class has nonnegative coordinates in it."""
-    fan = lattice.fan
-    walls = wall_curve_classes(fan)
-    _, bad = _nef_verdict(_free_coordinates(fan, lattice.basis),
-                          _free_coordinates(fan, walls))
-    return (True, None) if bad is None else (False, walls[bad])
-
-
 def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
     """Build a verified curve lattice, choosing a nef basis when possible.
 
@@ -282,7 +269,8 @@ def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
     class has nonnegative coordinates in it; one fraction-free solve
     (`fraction_free_solve`) decides both.  A supplied basis must be such a
     Z-basis.  Without one, the first l wall classes in `combinations` order
-    that form a nef Z-basis are chosen, else the kernel basis is kept.
+    that form a nef Z-basis are chosen, else the dual kernel basis of
+    `_free_coordinates` is kept.
     """
     l = fan.num_rays - fan.dimension
     walls = wall_curve_classes(fan)
@@ -303,6 +291,7 @@ def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
         _, bad = _nef_verdict([coords[k] for k in sub], coords)
         if bad is None:
             return CurveLattice(fan, tuple(walls[k] for k in sub), nef_verified=True)
-    kernel = tuple(CurveClass(b) for b in left_kernel_basis(fan.rays))
+    kernel = tuple(alpha_class(fan, 0, k) for k in range(fan.num_rays)
+                   if k not in fan.max_cones[0])
     _, bad = _nef_verdict(_free_coordinates(fan, kernel), coords)
     return CurveLattice(fan, kernel, nef_verified=bad is None)

@@ -1,99 +1,11 @@
-"""Exact integer and rational linear algebra helpers.
+"""Exact integer linear algebra: one fraction-free solve.
 
-Everything here works over Z or Q (fractions.Fraction); no floating point.
+Everything here works over Z; no fractions and no floating point.
 Matrices are lists of lists (row-major), small enough that cubic algorithms
 with exact arithmetic are fine.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
-
-
-def left_kernel_basis(V):
-    """Z-basis of the left kernel {d : d @ V = 0} of an integer matrix V.
-
-    Row-reduces the augmented matrix [V | I] with unimodular integer row
-    operations (a Hermite-style sweep); rows whose V-part vanishes give the
-    kernel lattice exactly since the transform is invertible over Z.
-    """
-    m = len(V)
-    n = len(V[0]) if m else 0
-    aug = [list(V[i]) + [1 if j == i else 0 for j in range(m)] for i in range(m)]
-    row = 0
-    for col in range(n):
-        # euclidean elimination in this column below `row`
-        while True:
-            pivots = [i for i in range(row, m) if aug[i][col] != 0]
-            if not pivots:
-                break
-            piv = min(pivots, key=lambda i: abs(aug[i][col]))
-            aug[row], aug[piv] = aug[piv], aug[row]
-            done = True
-            for i in range(row + 1, m):
-                if aug[i][col] != 0:
-                    q = aug[i][col] // aug[row][col]
-                    aug[i] = [a - q * b for a, b in zip(aug[i], aug[row])]
-                    if aug[i][col] != 0:
-                        done = False
-            if done:
-                row += 1
-                break
-    return [r[n:] for r in aug[row:]]
-
-
-def solve_rational(A, b):
-    """Solve A x = b over Q; returns list of Fractions or None if inconsistent.
-
-    A may be rectangular; when the system is underdetermined the particular
-    solution with free variables set to 0 is returned.
-    """
-    n = len(A)
-    m = len(A[0]) if n else 0
-    M = [[Fraction(A[i][j]) for j in range(m)] + [Fraction(b[i])] for i in range(n)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        M[r] = [v / M[r][c] for v in M[r]]
-        for i in range(n):
-            if i != r and M[i][c] != 0:
-                f = M[i][c]
-                M[i] = [v - f * w for v, w in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if M[i][m] != 0:
-            return None
-    x = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        x[c] = M[i][m]
-    return x
-
-
-def rational_rank(A):
-    n = len(A)
-    if n == 0:
-        return 0
-    m = len(A[0])
-    M = [[Fraction(v) for v in row] for row in A]
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if M[i][c] != 0), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        for i in range(r + 1, n):
-            if M[i][c] != 0:
-                f = M[i][c] / M[r][c]
-                M[i] = [v - f * w for v, w in zip(M[i], M[r])]
-        r += 1
-    return r
 
 
 def fraction_free_solve(B, Y):
@@ -125,21 +37,3 @@ def fraction_free_solve(B, Y):
                 M[i] = [(p * v - f * w) // prev for v, w in zip(M[i], pivot_row)]
         prev = p
     return sign * prev, [[sign * M[j][n + k] for j in range(n)] for k in range(len(Y))]
-
-
-def lattice_membership(basis, vec):
-    """Integer coordinates of `vec` in the lattice spanned by `basis` rows, or None."""
-    if not basis:
-        return [] if all(v == 0 for v in vec) else None
-    cols = len(basis[0])
-    A = [[basis[a][j] for a in range(len(basis))] for j in range(cols)]
-    x = solve_rational(A, list(vec))
-    if x is None:
-        return None
-    if any(c.denominator != 1 for c in x):
-        return None
-    # verify (solve_rational zero-fills free vars; basis has full rank in use)
-    for j in range(cols):
-        if sum(int(x[a]) * basis[a][j] for a in range(len(basis))) != vec[j]:
-            return None
-    return [int(c) for c in x]

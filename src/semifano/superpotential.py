@@ -25,7 +25,7 @@ from .fans import (
     cone_coordinates,
     is_semi_fano,
 )
-from .intlinalg import rational_rank
+from .intlinalg import fraction_free_solve
 from .mirror import (
     GZeroFamily,
     MirrorMapPair,
@@ -447,8 +447,10 @@ def structural_report(analysis: ToricAnalysis) -> CheckReport:
     if l > 0 and len(nonzero) > l - 1:
         details.append(f"{len(nonzero)} nonzero deltas exceeds rank-1 = {l - 1}")
     if nonzero:
-        rows = [list(analysis.lattice.pairing_row(i)) for i in nonzero]
-        if rational_rank(rows) != len(rows):
+        rows = [analysis.lattice.pairing_row(i) for i in nonzero]
+        # the rows are independent iff their Gram matrix is nonsingular
+        gram = [[sum(a * b for a, b in zip(r, s)) for s in rows] for r in rows]
+        if fraction_free_solve(gram, [])[0] == 0:
             details.append("pairing rows of nonzero-delta rays are dependent")
     for d in analysis.deltas:
         if d.one_plus.constant_term != 1:

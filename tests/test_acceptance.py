@@ -27,7 +27,7 @@ from semifano import (
     surface_admissible_deltas,
 )
 from semifano.cli import fixture_path, main
-from semifano.intlinalg import rational_rank
+from oracles import rational_rank
 from conftest import fixture_analysis, fixture_lattice
 from test_mirror import threefold_closed_forms
 

@@ -73,6 +73,33 @@ def test_bad_document_is_reported(tmp_path, capsys):
     assert "max_cones" in err
 
 
+P1 = {"rays": [[1], [-1]], "max_cones": [[1], [2]]}
+P2 = {"dimension": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
+      "max_cones": [[1, 2], [2, 3], [3, 1]]}
+
+
+# JSON true and false load as bool, which isinstance counts as int
+@pytest.mark.parametrize("document, message", [
+    ({**P1, "dimension": True},
+     "field 'dimension' must be a positive integer"),
+    ({**P2, "rays": [[True, 0], [0, 1], [-1, -1]]},
+     "field 'rays'[0] must be an integer 2-vector"),
+    ({**P2, "rays": [[1, 0], [0, True], [-1, -1]]},
+     "field 'rays'[1] must be an integer 2-vector"),
+    ({**P2, "max_cones": [[1, 2], [2, 3], [3, True]]},
+     "field 'max_cones'[2] must list 1-based ray indices"),
+    ({**P2, "curve_class_basis": [[True, True, True]]},
+     "field 'curve_class_basis'[0] must be an integer 3-vector"),
+], ids=["dimension", "ray-first", "ray-second", "cone", "basis"])
+def test_json_booleans_are_not_integers(tmp_path, capsys, document, message):
+    p = tmp_path / "bool.json"
+    p.write_text(json.dumps(document))
+    for command in ("validate", "g0"):
+        code, out, err = run_cli(capsys, command, str(p))
+        assert (code, out) == (2, ""), command
+        assert message in err, command
+
+
 def test_g0_output(capsys):
     code, out, _ = run_cli(capsys, "g0", fx("f2"), "--box", "3,3")
     assert code == 0

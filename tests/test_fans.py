@@ -14,12 +14,11 @@ from semifano import (
     curve_lattice,
     fan_polytope_vertices,
     is_semi_fano,
-    nef_check,
     validate_fan,
     wall_curve_classes,
 )
 from semifano.cli import parse_input
-from semifano.intlinalg import lattice_membership, left_kernel_basis, solve_rational
+from oracles import lattice_membership, left_kernel_basis, solve_rational
 from conftest import fixture_fan, fixture_lattice, load_fixture
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -145,20 +144,17 @@ def test_curve_lattice_auto_basis_is_nef():
     for name in ("p2", "p1xp1", "p1cubed", "f2-blowup", "kp2-bundle"):
         fan, lattice = fixture_lattice(name)
         assert lattice.nef_verified, name
-        ok, witness = nef_check(lattice)
-        assert ok, name
+        basis = [b.coefficients for b in lattice.basis]
+        assert oracle_nef_witness(fan, basis) is None, name
 
 
 def test_nef_check_flags_bad_basis():
     fan, _ = fixture_fan("f2")
     # valid Z-basis, but the fiber wall class gets coordinates (-1, 1) in it
-    lattice = curve_lattice(fan, [[1, 0, 1, -2], [1, 1, 1, -1]])
+    basis = [[1, 0, 1, -2], [1, 1, 1, -1]]
+    lattice = curve_lattice(fan, basis)
     assert not lattice.nef_verified
-    ok, witness = nef_check(lattice)
-    assert not ok and witness.coefficients == (0, 1, 0, 1)
-    # an index-two sublattice basis is no nef basis, whatever the signs
-    index_two = CurveLattice(fan, (CurveClass((2, 0, 2, -4)), CurveClass((0, 1, 0, 1))))
-    assert nef_check(index_two)[0] is False
+    assert oracle_nef_witness(fan, basis) == (0, 1, 0, 1)
 
 
 def test_pairing_rows():
@@ -183,13 +179,19 @@ def oracle_spans(basis, kernel):
             and all(lattice_membership(basis, v) is not None for v in kernel))
 
 
-def oracle_nef(fan, basis):
-    """Every wall class has nonnegative integer coordinates over `basis`."""
+def oracle_nef_witness(fan, basis):
+    """The first wall class without nonnegative integer coordinates over
+    `basis`, or None when there is none."""
     for c in wall_curve_classes(fan):
         exps = lattice_membership(basis, c.coefficients)
         if exps is None or any(e < 0 for e in exps):
-            return False
-    return True
+            return c.coefficients
+    return None
+
+
+def oracle_nef(fan, basis):
+    """Every wall class has nonnegative integer coordinates over `basis`."""
+    return oracle_nef_witness(fan, basis) is None
 
 
 def oracle_nef_basis(fan):
@@ -246,7 +248,6 @@ def test_nef_basis_matches_rational_scan(oracle_cases):
         basis, nef = oracle_nef_basis(fan)
         assert [b.coefficients for b in lattice.basis] == basis, label
         assert lattice.nef_verified is nef, label
-        assert nef_check(lattice)[0] is nef, label
         verdicts.add(nef)
         if supplied is not None:
             kernel = left_kernel_basis([list(v) for v in fan.rays])
@@ -261,3 +262,56 @@ def test_hull_vertices_match_caratheodory_scan(oracle_cases):
     for label, fan, _ in oracle_cases:
         assert fan_polytope_vertices(fan) == oracle_hull_vertices(fan), label
 
+
+
+def test_coordinates_match_rational_membership(oracle_cases):
+    for label, fan, supplied in oracle_cases:
+        lattices = [curve_lattice(fan)]
+        if supplied is not None:
+            lattices.append(curve_lattice(fan, supplied))
+        classes = wall_curve_classes(fan) + [
+            alpha_class(fan, sigma, k)
+            for sigma, cone in enumerate(fan.max_cones)
+            for k in range(fan.num_rays) if k not in cone]
+        # unit vectors: sum_i d_i v_i = v_k, never zero
+        outside = [CurveClass(tuple(int(i == k) for i in range(fan.num_rays)))
+                   for k in range(fan.num_rays)]
+        for lattice in lattices:
+            basis = [b.coefficients for b in lattice.basis]
+            for c in classes:
+                exps = lattice.coordinates(c)
+                assert exps is not None, (label, c)
+                assert exps == lattice_membership(basis, c.coefficients), (label, c)
+            for c in outside:
+                assert lattice.coordinates(c) is None, (label, c)
+
+
+def test_coordinates_refuse_classes_off_the_basis_lattice():
+    fan, _ = fixture_fan("f2")
+    # an index-two sublattice: spans the kernel over Q, not over Z
+    basis = [(2, 0, 2, -4), (0, 1, 0, 1)]
+    index_two = CurveLattice(fan, tuple(CurveClass(b) for b in basis))
+    for cls, exps in (((1, 0, 1, -2), None), ((1, 2, 1, 0), None),
+                      ((2, 1, 2, -3), [1, 1]), ((0, 3, 0, 3), [0, 3])):
+        assert lattice_membership(basis, cls) == exps, cls
+        assert index_two.coordinates(CurveClass(cls)) == exps, cls
+
+
+def test_wall_classes_are_the_wall_relations(oracle_cases):
+    """One class per wall relation: in the kernel, +1 at the two rays
+    opposite the wall and 0 off the wall and those two rays."""
+    for label, fan, _ in oracle_cases:
+        classes = [c.coefficients for c in wall_curve_classes(fan)]
+        assert len(set(classes)) == len(classes), label
+        for d in classes:
+            assert all(sum(x * v[j] for x, v in zip(d, fan.rays)) == 0
+                       for j in range(fan.dimension)), (label, d)
+        relations = set()
+        for wall, cones in fan.walls().items():
+            opposite = {r for c in cones for r in fan.max_cones[c] if r not in wall}
+            fits = [d for d in classes
+                    if all(d[i] == (i in opposite)
+                           for i in range(fan.num_rays) if i not in wall)]
+            assert len(fits) == 1, (label, wall)
+            relations.update(fits)
+        assert relations == set(classes), label

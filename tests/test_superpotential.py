@@ -187,6 +187,19 @@ def test_structural_report_reuses_hull_vertices(f2_analysis, monkeypatch):
     )
 
 
+def test_structural_report_flags_dependent_pairing_rows():
+    an = fixture_analysis("threefold-example", (2, 2, 2, 2))
+    detail = "pairing rows of nonzero-delta rays are dependent"
+    assert detail not in structural_report(an).details
+    # rays 5 and 6 pair with the basis alike
+    assert an.lattice.pairing_row(4) == an.lattice.pairing_row(5) == (1, 0, 0, 0)
+    nonzero = an.deltas[0].delta
+    assert not nonzero.is_zero()
+    wrong = replace(an, deltas=tuple(
+        replace(d, delta=nonzero) if d.ray_index in (4, 5) else d for d in an.deltas))
+    assert detail in structural_report(wrong).details
+
+
 def test_pf_lf_check_reports_discrepancy(f2_analysis):
     an = f2_analysis
     whv = assemble_W_HV(an.fan, an.lattice, 0, an.box)
