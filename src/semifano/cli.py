@@ -118,7 +118,13 @@ def _digest(document):
 def _parse_box(text, rank):
     if text is None:
         return TruncationBox((5,) * rank)
-    caps = tuple(int(p) for p in text.split(","))
+    try:
+        caps = tuple(int(p) for p in text.split(","))
+        if min(caps) < 0:
+            raise ValueError
+    except ValueError:
+        raise InputError(
+            f"box {text!r} must be comma-separated nonnegative integers") from None
     if len(caps) == 1 and rank != 1:
         caps = caps * rank
     if len(caps) != rank:

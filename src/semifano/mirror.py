@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import factorial, prod
+from operator import mul
 
-from .fans import CurveLattice, FanError, fan_polytope_vertices
+from .fans import CurveClass, CurveLattice, FanError, fan_polytope_vertices
 from .series import (
     DiagonalUnitMap,
     MultiSeries,
@@ -28,10 +29,12 @@ from .series import (
 def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
     """All correction classes with basis exponents inside the box.
 
-    Scans every exponent vector of the box once, maps it to its curve class
-    and keeps the classes with anticanonical pairing zero that are negative
-    at exactly one ray i.  Returns (i, CurveClass, exponents) triples in
-    graded order.
+    A correction class has anticanonical pairing sum_a e_a * c1(b_a) = 0 and
+    is negative at exactly one ray i.  As every e_a >= 0, when no c1(b_a) is
+    negative each e_a with c1(b_a) > 0 is 0, so only that face of the box is
+    scanned; otherwise the whole box is.  Pairings are integer dot products,
+    and a CurveClass is built only for the classes kept.  Returns
+    (i, CurveClass, exponents) triples in graded order.
 
     The scan sees only nonnegative exponents.  It relies on the nef basis to
     give every correction class nonnegative coordinates, so a basis that is
@@ -41,12 +44,17 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
         raise FanError("correction enumeration needs a nef-verified basis")
     if box.arity != lattice.rank:
         raise FanError("box arity must equal the lattice rank")
+    c1 = [b.chern_number() for b in lattice.basis]
+    caps = box.caps
+    if min(c1, default=0) >= 0:
+        caps = [0 if c else cap for c, cap in zip(c1, caps)]
+    rows = [lattice.pairing_row(j) for j in range(lattice.fan.num_rays)]
     out = []
-    for exps in product(*[range(c + 1) for c in box.caps]):
-        cls = lattice.class_from_coordinates(exps)
+    for exps in product(*[range(c + 1) for c in caps]):
+        cls = [sum(map(mul, exps, row)) for row in rows]
         negative = [j for j, dj in enumerate(cls) if dj < 0]
-        if len(negative) == 1 and cls.chern_number() == 0:
-            out.append((negative[0], cls, exps))
+        if len(negative) == 1 and sum(cls) == 0:
+            out.append((negative[0], CurveClass(tuple(cls)), exps))
     out.sort(key=lambda t: (sum(t[2]), t[2]))
     return out
 

@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import product
 from math import factorial, gcd, lcm, perm
 
 
@@ -49,6 +51,15 @@ class TruncationBox:
 
     def zero_exp(self):
         return (0,) * len(self.caps)
+
+    @cached_property
+    def table_rows(self):
+        """Every exponent vector of the box in graded-lex order, mapped to its
+        tab-terminated table text; built once per box object."""
+        fmt = "%d\t" * len(self.caps)
+        # product runs in lex order, so a stable sort by degree is graded lex
+        return {e: fmt % e for e in
+                sorted(product(*[range(c + 1) for c in self.caps]), key=sum)}
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import product
 
 from .fans import (
     CurveClass,
@@ -35,6 +34,7 @@ from .mirror import (
 )
 from .series import (
     MultiSeries,
+    SeriesError,
     TruncationBox,
     add,
     exp_series,
@@ -74,20 +74,20 @@ def invariant_table(inv: InvariantSeries, box: TruncationBox = None,
                     strict: bool = True) -> InvariantTable:
     """All in-box coefficients of 1 + delta_i, explicit zeros included.
 
-    Coefficients are expected to be integers; in strict mode a fractional
-    entry raises, otherwise it is recorded in the report field.
+    The table box must lie inside the series' box.  Coefficients are expected
+    to be integers; in strict mode a fractional entry raises, otherwise it is
+    recorded in the report field.
     """
     series = inv.one_plus
     if box is None:
         box = series.box
-    coeffs = series.to_dict()
-    zero = Fraction(0)
-    # product runs in lex order, so a stable sort by degree is graded lex
-    entries = {
-        exp: coeffs.get(exp, zero)
-        for exp in sorted(product(*[range(c + 1) for c in box.caps]), key=sum)
-    }
-    bad = [exp for exp, c in entries.items() if c.denominator != 1]
+    elif not series.box.contains(box.caps):
+        raise SeriesError(f"table box {box.caps} is not inside the series box "
+                          f"{series.box.caps}")
+    terms = [(exp, c) for exp, c in series.terms if box.contains(exp)]
+    entries = dict.fromkeys(box.table_rows, Fraction(0))
+    entries.update(terms)
+    bad = [exp for exp, c in terms if c.denominator != 1]
     if bad and strict:
         raise ValueError(
             f"non-integer disk count at exponents {bad} for ray {inv.ray_index + 1}"
@@ -96,12 +96,9 @@ def invariant_table(inv: InvariantSeries, box: TruncationBox = None,
 
 
 def render_table(table: InvariantTable) -> str:
-    l = table.box.arity
-    header = "\t".join([f"k{a + 1}" for a in range(l)] + ["n"])
-    lines = [header]
-    for exp, c in table.entries.items():
-        val = str(c) if c.denominator != 1 else str(int(c))
-        lines.append("\t".join([str(e) for e in exp] + [val]))
+    rows = table.box.table_rows
+    lines = ["".join(f"k{a + 1}\t" for a in range(table.box.arity)) + "n"]
+    lines += [rows[exp] + (str(c) if c else "0") for exp, c in table.entries.items()]
     return "\n".join(lines)
 
 

@@ -188,6 +188,15 @@ def test_mirror_map_box_default(capsys):
     assert "inverse exponent 1: -2*q1 + q1^2 - 2/3*q1^3" in out
 
 
+@pytest.mark.parametrize("box", ["x", "5,,5", "", "1e3", "-1", "3,-2"])
+def test_malformed_box_exit_2(capsys, box):
+    code, out, err = run_cli(capsys, "g0", fx("f2"), "--box", box)
+    assert code == 2
+    assert out == ""
+    assert json.loads(err)["error"] == (
+        f"box {box!r} must be comma-separated nonnegative integers"
+    )
+
 @pytest.mark.parametrize("argv", [
     ("check", "--cone", "99"),
     ("superpotential", "--cone", "5"),
@@ -280,7 +289,34 @@ ENGINE_PINS = (
 )
 
 
-@pytest.mark.parametrize("command, name, box, fmt, code, digest", ENGINE_PINS)
+# sha256 of f"{exit code}\n{stdout}\0{stderr}" for invariants runs at the
+# default box and the threefold at 7,7,7,7, recorded before the correction
+# scan moved to the degree-zero face and the tables to shared row text.  f3
+# is not semi-Fano, yet invariants accepts it and exits 0: refusing the fan
+# must move its pins on purpose.
+INVARIANT_PINS = (
+    ("invariants", "f2", None, "text", 0, "31bd798f7a5029fddd77b728d5d9577d9fee24501bf861daf2ea94df39be0832"),
+    ("invariants", "f2", None, "json", 0, "89811469c9d36d0a6337dabfb3bb62b1734eeeacd8b20c0634b4fc677f8aa05e"),
+    ("invariants", "f2-blowup", None, "text", 0, "251909fe03b6e81adcc2ac66eae5104c99a93037f197b22b28df2df494fb6828"),
+    ("invariants", "f2-blowup", None, "json", 0, "9225f52bb08b3ca294083599570d22686e64b1d559354bb2895af629df7db02f"),
+    ("invariants", "f3", None, "text", 0, "8d8419993ca9b4f640ff8147f344d5aeb5e694975877f1d15d5ce6bf3d1c76f9"),
+    ("invariants", "f3", None, "json", 0, "5cddfdf3781041d0c37cf746eaf3bcc94e0830b46660dea0496fcd08280195a4"),
+    ("invariants", "kp2-bundle", None, "text", 0, "f7ec2ab53e4886dc9de6319cda15cb59683b922a5ef58bcf686cf9dc873cb20c"),
+    ("invariants", "kp2-bundle", None, "json", 0, "372834bcc4f26f52c34bde004545b16b320dce5017ded8e051d9c2b5f665c451"),
+    ("invariants", "p1cubed", None, "text", 0, "56caa2a038aad58847d790832d3471f5f474b81f4fdc972d0d7058846568b1d8"),
+    ("invariants", "p1cubed", None, "json", 0, "c2ab77bd30952f61d79fa0f615926ff56b85f8ca6c3d59d67fe26410f324fad8"),
+    ("invariants", "p1xp1", None, "text", 0, "3806793e7c476f338b53a61e03231c89adfeee6c394162f5a7a58f0ebf24b17f"),
+    ("invariants", "p1xp1", None, "json", 0, "554070e4c329875d7f8115c87fc387e604503ac282a4bc387a5c3262b6c45bc2"),
+    ("invariants", "p2", None, "text", 0, "707a0289a255dc8a11c22e43495d75e3ea9768fe63d99aa325c5ee67706b662d"),
+    ("invariants", "p2", None, "json", 0, "23b77ed65ed767b2bd2d6fb4c944f5b61ac2e83dd9f967051b6f57d140ca9b70"),
+    ("invariants", "threefold-example", None, "text", 0, "80b48f74a282cccfda928572e6dd91cd4014b7715843fb05bb4e6f8765e44d50"),
+    ("invariants", "threefold-example", None, "json", 0, "7232578725d5978f594c5bcabfa4538515af788a6b398982e8471ba9fff6ea75"),
+    ("invariants", "threefold-example", "7,7,7,7", "text", 0, "ac5f95b222badb8b24f9347ace2d11ba1968f8210fd5e079fc5b91dca0afbb31"),
+    ("invariants", "threefold-example", "7,7,7,7", "json", 0, "90852515c4bce756fb42a5525532706a4de2061243448b3d43ad837cbcdc171d"),
+)
+
+
+@pytest.mark.parametrize("command, name, box, fmt, code, digest", ENGINE_PINS + INVARIANT_PINS)
 def test_engine_output_pinned(capsys, command, name, box, fmt, code, digest):
     argv = [command, fx(name), "--format", fmt]
     if box:
@@ -289,3 +325,4 @@ def test_engine_output_pinned(capsys, command, name, box, fmt, code, digest):
     assert got == code
     blob = f"{got}\n{out}\0{err}"
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
+

@@ -1,6 +1,9 @@
 import json
+import sys
 from fractions import Fraction
+from itertools import product
 from math import factorial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,10 +25,13 @@ from semifano import (
     log_series,
     pullback_g0,
 )
-from semifano import series
+from semifano import mirror, series
 from semifano.cli import main, parse_input
 from semifano.series import compose
 from conftest import fixture_fan, fixture_lattice
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import surfaces  # noqa: E402
 
 
 def test_enumerate_f2_section_multiples():
@@ -360,6 +366,66 @@ def test_enumeration_matches_cube_scan(data):
         assert [(c.coefficients, e) for j, c, e in scan if j == i] == (
             walker_classes(lattice, i, box)
         )
+
+
+def full_box_scan(lattice, box):
+    """The correction scan before it moved to the degree-zero face: one
+    CurveClass per point of the whole box."""
+    out = []
+    for exps in product(*[range(c + 1) for c in box.caps]):
+        cls = lattice.class_from_coordinates(exps)
+        negative = [j for j, dj in enumerate(cls) if dj < 0]
+        if len(negative) == 1 and cls.chern_number() == 0:
+            out.append((negative[0], cls, exps))
+    out.sort(key=lambda t: (sum(t[2]), t[2]))
+    return out
+
+
+def face_scan_cases():
+    """(label, lattice, box): every fixture, and every distinct surface of
+    the benchmark's universe that has a nef-verified basis at its largest
+    bench cap."""
+    cases = [("threefold-example", fixture_lattice("threefold-example")[1],
+              TruncationBox(caps)) for caps in ((4, 4, 4, 4), (7, 7, 0, 0))]
+    for name in ("f2", "f2-blowup", "f3", "kp2-bundle", "p1cubed", "p1xp1", "p2"):
+        _, lattice = fixture_lattice(name)
+        cases.append((name, lattice, TruncationBox((4,) * lattice.rank)))
+    caps = {}
+    for rays, cap in surfaces.universe():
+        caps[rays] = max(cap, caps.get(rays, 0))
+    for rays, cap in caps.items():
+        fan, _, _ = parse_input(surfaces.document(rays))
+        lattice = curve_lattice(fan)
+        if lattice.nef_verified:
+            cases.append((f"surface {rays}", lattice,
+                          TruncationBox((cap,) * lattice.rank)))
+    return cases
+
+
+def test_face_scan_matches_full_box_scan():
+    labels = set()
+    for label, lattice, box in face_scan_cases():
+        assert enumerate_g0_classes(lattice, box) == full_box_scan(lattice, box), label
+        labels.add(label)
+    # the 8 fixtures and the 35 universe surfaces with a nef wall basis
+    assert len(labels) == 8 + 35
+    # f3's basis has c1 = (2, -1): its correction classes use the coordinate
+    # with c1 > 0, so the face must be the whole box there
+    _, f3 = fixture_lattice("f3")
+    found = enumerate_g0_classes(f3, TruncationBox((4, 4)))
+    assert found and all(e[0] > 0 for _, _, e in found)
+
+
+def test_face_scan_visits_only_the_face(threefold_lattice, monkeypatch):
+    # the threefold's basis has c1 = (0, 0, 1, 0): at 7^4 the scan visits the
+    # 8^3 points with e_3 = 0, not all 8^4
+    _, lattice = threefold_lattice
+    seen = []
+    monkeypatch.setattr(
+        mirror, "product", lambda *r: [seen.append(p) or p for p in product(*r)]
+    )
+    assert len(enumerate_g0_classes(lattice, TruncationBox((7,) * 4))) == 40
+    assert len(seen) == 8 ** 3 and all(p[2] == 0 for p in seen)
 
 
 def test_determinism_under_cone_shuffling():

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -18,8 +19,9 @@ from semifano import (
     render_table,
     structural_report,
 )
+from semifano.series import SeriesError
 from semifano.mirror import MirrorMapPair
-from semifano.superpotential import InvariantSeries
+from semifano.superpotential import InvariantSeries, InvariantTable
 from conftest import fixture_analysis
 
 
@@ -55,6 +57,105 @@ def test_render_table_golden():
     assert render_table(invariant_table(inv)) == (
         "k1\tk2\tn\n0\t0\t1\n0\t1\t0\n1\t0\t3\n1\t1\t0"
     )
+
+
+def oracle_invariant_table(inv, box=None, strict=True):
+    """The table code before it moved to shared row text: every entry of the
+    box looked up and tested one at a time."""
+    series = inv.one_plus
+    if box is None:
+        box = series.box
+    coeffs = series.to_dict()
+    entries = {
+        exp: coeffs.get(exp, Fraction(0))
+        for exp in sorted(product(*[range(c + 1) for c in box.caps]), key=sum)
+    }
+    bad = [exp for exp, c in entries.items() if c.denominator != 1]
+    if bad and strict:
+        raise ValueError(
+            f"non-integer disk count at exponents {bad} for ray {inv.ray_index + 1}"
+        )
+    return InvariantTable(inv.ray_index, box, entries, tuple(bad))
+
+
+def oracle_render_table(table):
+    l = table.box.arity
+    lines = ["\t".join([f"k{a + 1}" for a in range(l)] + ["n"])]
+    for exp, c in table.entries.items():
+        val = str(c) if c.denominator != 1 else str(int(c))
+        lines.append("\t".join([str(e) for e in exp] + [val]))
+    return "\n".join(lines)
+
+
+def assert_table_matches_oracle(inv, box=None):
+    for strict in (True, False):
+        try:
+            want = oracle_invariant_table(inv, box, strict)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                invariant_table(inv, box, strict)
+            assert str(got.value) == str(exc)
+            continue
+        table = invariant_table(inv, box, strict)
+        assert list(table.entries.items()) == list(want.entries.items())
+        assert table.non_integer == want.non_integer
+        assert table.box == want.box and table.ray_index == want.ray_index
+        assert render_table(table) == oracle_render_table(want)
+
+
+# every fixture at a small box of its rank
+TABLE_CAPS = {
+    "f2": (3, 3), "f2-blowup": (3, 3, 3), "f3": (3, 3), "kp2-bundle": (3, 3),
+    "p1cubed": (3, 3, 3), "p1xp1": (3, 3), "p2": (3,),
+    "threefold-example": (2, 2, 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_CAPS))
+def test_table_matches_oracle_on_fixtures(name):
+    for inv in fixture_analysis(name, TABLE_CAPS[name]).deltas:
+        assert_table_matches_oracle(inv)
+
+
+def test_table_matches_oracle_on_sub_box():
+    # criterion 2's shape: a full series tabulated on the first two degrees
+    an = fixture_analysis("threefold-example", (3, 3, 3, 3))
+    for inv in an.deltas:
+        assert_table_matches_oracle(inv, TruncationBox((3, 3, 0, 0)))
+
+
+def test_table_matches_oracle_with_fractions():
+    box = TruncationBox((3, 3))
+    terms = {(1, 0): Fraction(1, 2), (0, 2): Fraction(-1, 3), (2, 1): 4,
+             (3, 3): Fraction(5, 2)}
+    inv = InvariantSeries(1, MultiSeries.from_dict(box, terms))
+    assert_table_matches_oracle(inv)
+    assert_table_matches_oracle(inv, TruncationBox((2, 2)))
+    table = invariant_table(inv, TruncationBox((2, 2)), strict=False)
+    assert table.non_integer == ((1, 0), (0, 2))
+
+
+@pytest.mark.parametrize("caps", [(0, 3), (2, 0, 1), (11, 0), (0,), (12,)])
+def test_table_matches_oracle_on_odd_caps(caps):
+    box = TruncationBox(caps)
+    terms = {exp: (-1) ** sum(exp) * 10 ** sum(exp) for exp in
+             product(*[range(c + 1) for c in caps]) if sum(exp) % 3 == 1}
+    assert_table_matches_oracle(InvariantSeries(0, MultiSeries.from_dict(box, terms)))
+
+
+def test_render_table_arity_zero():
+    inv = InvariantSeries(0, MultiSeries.zero(TruncationBox(())))
+    assert_table_matches_oracle(inv)
+    assert render_table(invariant_table(inv)) == "n\n1"
+
+
+def test_invariant_table_refuses_box_outside_series():
+    inv = InvariantSeries(2, MultiSeries.zero(TruncationBox((2, 2))))
+    for caps in ((3, 3), (2,), (2, 2, 0)):
+        with pytest.raises(SeriesError, match=rf"table box \({caps[0]}.*series box \(2, 2\)"):
+            invariant_table(inv, TruncationBox(caps))
+    assert invariant_table(inv, TruncationBox((2, 0))).entries == {
+        (0, 0): 1, (1, 0): 0, (2, 0): 0}
 
 
 def test_w_hv_f2(f2_analysis):
