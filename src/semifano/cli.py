@@ -1,9 +1,9 @@
 """Command-line driver: parse fan descriptions, run the pipeline, render output.
 
-Subcommands: validate, g0, mirror-map, invariants, superpotential,
-surface-oracle, check.  Output is plain text by default or a versioned JSON
-envelope; invariant tables render as TSV.  Exit status is 0 exactly when every
-requested check passed.
+Commands: validate, g0, mirror-map, invariants, superpotential,
+surface-oracle, check; every command takes the same options.  Output is plain
+text by default or a versioned JSON envelope; invariant tables render as TSV.
+Exit status is 0 exactly when every requested check passed.
 """
 
 from __future__ import annotations
@@ -118,13 +118,11 @@ def _digest(document):
 def _parse_box(text, rank):
     if text is None:
         return TruncationBox((5,) * rank)
-    try:
-        caps = tuple(int(p) for p in text.split(","))
-        if min(caps) < 0:
-            raise ValueError
-    except ValueError:
+    pieces = text.split(",")
+    if not all(p.isascii() and p.isdigit() for p in pieces):
         raise InputError(
-            f"box {text!r} must be comma-separated nonnegative integers") from None
+            f"box {text!r} must be comma-separated nonnegative integers")
+    caps = tuple(map(int, pieces))
     if len(caps) == 1 and rank != 1:
         caps = caps * rank
     if len(caps) != rank:
@@ -338,42 +336,39 @@ def cmd_check(args):
     return _emit(args, "check", document, lines, results, ok)
 
 
+COMMANDS = {
+    "validate": cmd_validate,
+    "g0": cmd_g0,
+    "mirror-map": cmd_mirror_map,
+    "invariants": cmd_invariants,
+    "superpotential": cmd_superpotential,
+    "surface-oracle": cmd_surface_oracle,
+    "check": cmd_check,
+}
+
+
 def build_parser():
+    """One parser for every command: all of them take the same options."""
     parser = argparse.ArgumentParser(
         prog="semifano",
         description="Exact disk-count generating functions for toric manifolds",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("input", help="fan description JSON file")
-        p.add_argument("--box", help="per-variable degree caps, comma-separated")
-        p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--cone", type=int, help="1-based maximal cone index")
-        p.add_argument("--ray", type=int, help="restrict to one 1-based ray")
-        p.add_argument(
-            "--integrality", choices=["strict", "warn"], default="strict"
-        )
-
-    for name, fn in (
-        ("validate", cmd_validate),
-        ("g0", cmd_g0),
-        ("mirror-map", cmd_mirror_map),
-        ("invariants", cmd_invariants),
-        ("superpotential", cmd_superpotential),
-        ("surface-oracle", cmd_surface_oracle),
-        ("check", cmd_check),
-    ):
-        p = sub.add_parser(name)
-        common(p)
-        p.set_defaults(fn=fn)
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("input", help="fan description JSON file")
+    parser.add_argument("--box", help="per-variable degree caps, comma-separated")
+    parser.add_argument("--format", choices=["text", "json"], default="text")
+    parser.add_argument("--cone", type=int, help="1-based maximal cone index")
+    parser.add_argument("--ray", type=int, help="restrict to one 1-based ray")
+    parser.add_argument(
+        "--integrality", choices=["strict", "warn"], default="strict"
+    )
     return parser
 
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command](args)
     except (InputError, FanError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2

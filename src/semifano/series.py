@@ -1,20 +1,19 @@
 """Exact truncated multivariate formal power series.
 
-A MultiSeries is a sparse map from exponent vectors to Fractions, confined to
-a per-variable truncation box.  All arithmetic is exact; products silently
-drop monomials that leave the box, which is the quotient-ring semantics the
-rest of the package relies on.  Every operation here only ever adds
-nonnegative vectors to exponents, so coefficients at in-box exponents agree
-with the untruncated computation.
+A MultiSeries is a sparse exact series confined to a per-variable truncation
+box.  All arithmetic is exact; products silently drop monomials that leave
+the box, which is the quotient-ring semantics the rest of the package relies
+on.  Every operation here only ever adds nonnegative vectors to exponents, so
+coefficients at in-box exponents agree with the untruncated computation.
 
-The public classes are immutable wrappers holding reduced Fractions in
-canonical term order; Fractions appear only there.  The kernels work on packed
-series: exponents packed into ints, integer numerators over one denominator,
-in lowest terms.  _pmul multiplies, _pexp solves exp and log by one graded
-recurrence, and _subst_dict evaluates x_a := x_a * exp(u_a) from the powers
-(x_a * exp(u_a))^k that _power_tables builds once per map, building each
-monomial's image once.  Series are packed on entry and unpacked on exit, so
-the inversion's fixed point runs entirely on packed series.
+A series is stored in one form, the packed series (D, {packed exponent:
+integer numerator over D}): each exponent vector packs into one int by the
+box's layout, and the pair is kept in lowest terms, so it is canonical.  The
+kernels work on that form directly: _pmul multiplies, _pexp solves exp and
+log by one graded recurrence, and _subst_dict evaluates x_a := x_a * exp(u_a)
+from the powers (x_a * exp(u_a))^k that _power_tables builds once per map,
+building each monomial's image once.  Fractions appear only where values
+enter (MultiSeries.from_dict) or leave (terms, coefficient, constant_term).
 """
 
 from __future__ import annotations
@@ -35,7 +34,9 @@ class TruncationBox:
     caps: tuple[int, ...]
 
     def __post_init__(self):
-        caps = tuple(int(c) for c in self.caps)
+        caps = tuple(self.caps)
+        if not all(isinstance(c, int) and not isinstance(c, bool) for c in caps):
+            raise SeriesError("truncation caps must be integers")
         if any(c < 0 for c in caps):
             raise SeriesError("truncation caps must be nonnegative")
         object.__setattr__(self, "caps", caps)
@@ -49,8 +50,19 @@ class TruncationBox:
             0 <= e <= c for e, c in zip(exp, self.caps)
         )
 
-    def zero_exp(self):
-        return (0,) * len(self.caps)
+    @cached_property
+    def layout(self):
+        """(w, shifts, bias, guard, mask): an exponent vector packs into one
+        int, w bits a variable at shifts; mask selects one field.  bias holds
+        2^(w-1) - 1 - cap_a in field a, so adding it to the sum of two in-box
+        exponents sets field a's top (guard) bit exactly when the sum leaves
+        the box: one add and one mask a pair.  Built once per box object."""
+        caps = self.caps
+        w = (2 * max(caps, default=0) + 1).bit_length() + 1
+        shifts = range(0, w * len(caps), w)
+        bias = sum(((1 << (w - 1)) - 1 - c) << k for c, k in zip(caps, shifts))
+        guard = sum(1 << (k + w - 1) for k in shifts)
+        return w, shifts, bias, guard, (1 << w) - 1
 
     @cached_property
     def table_rows(self):
@@ -63,31 +75,7 @@ class TruncationBox:
 
 
 # ---------------------------------------------------------------------------
-# dict-level kernels
-
-
-def _add_into(r, t):
-    for e, c in t.items():
-        c2 = r.get(e)
-        c2 = c if c2 is None else c2 + c
-        if c2:
-            r[e] = c2
-        elif e in r:
-            del r[e]
-    return r
-
-
-def _layout(caps):
-    """(w, shifts, bias, guard, mask): an exponent vector packs into one int,
-    w bits a variable at shifts; mask selects one field.  bias holds
-    2^(w-1) - 1 - cap_a in field a, so adding it to the sum of two in-box
-    exponents sets field a's top (guard) bit exactly when the sum leaves the
-    box: one add and one mask a pair."""
-    w = (2 * max(caps, default=0) + 1).bit_length() + 1
-    shifts = range(0, w * len(caps), w)
-    bias = sum(((1 << (w - 1)) - 1 - c) << k for c, k in zip(caps, shifts))
-    guard = sum(1 << (k + w - 1) for k in shifts)
-    return w, shifts, bias, guard, (1 << w) - 1
+# packed kernels
 
 
 def _pack(d, lay):
@@ -128,7 +116,7 @@ def _pmul(s, t, bias, guard):
     return _lowest(s[0] * t[0], r, bias)
 
 
-def _pexp(s, caps, log=False):
+def _pexp(s, box, log=False):
     """exp(s), or log(1 + s) when log is set, of packed s with no constant term.
 
     Solved by total degree from the parts s_k of degree k (Knuth, TAOCP 2,
@@ -139,9 +127,9 @@ def _pexp(s, caps, log=False):
     exp; log has c_k = k - n for k < n and c_n = n, and drops F_0.  With
     N = sum(caps), X_n is F_n D^(N-n) N!/n! over D^N N!.
     """
-    w, shifts, bias, guard, mask = _layout(caps)
+    w, shifts, bias, guard, mask = box.layout
     den, sd = s
-    top = sum(caps)
+    top = sum(box.caps)
     parts = [[] for _ in range(top + 1)]
     for p, c in sd.items():
         parts[sum(p >> k & mask for k in shifts)].append((p + bias, c))
@@ -165,32 +153,20 @@ def _pexp(s, caps, log=False):
     return _lowest(den ** top * factorial(top), out)
 
 
-def _mul_dict(s, t, caps):
-    """Truncated product of two in-box exponent -> Fraction dicts."""
-    lay = _layout(caps)
-    return _unpack(_pmul(_pack(s, lay), _pack(t, lay), lay[2], lay[3]), lay)
-
-
-def _exp_dict(s, caps, log=False):
-    """exp(s), or log(1 + s) when log is set, of an exponent -> Fraction dict."""
-    lay = _layout(caps)
-    return _unpack(_pexp(_pack(s, lay), caps, log), lay)
-
-
-def _power_tables(umaps, series, caps):
+def _power_tables(umaps, series, box):
     """tables[a][k] = (x_a * exp(u_a))^k, packed, for k up to the largest
     exponent of x_a in any of the given packed series.
 
     The factor x_a^k keeps the part of exp(u_a)^k that a monomial with x_a^k
     can use, so entries shrink as k grows and products of them stay small.
     """
-    w, shifts, bias, guard, mask = _layout(caps)
+    w, shifts, bias, guard, mask = box.layout
     tables = []
     for k, u in zip(shifts, umaps):
         depth = max((p >> k & mask for _, d in series for p in d), default=0)
         pa = [(1, {0: 1})]
         if depth:
-            ya = _pmul((1, {1 << k: 1}), _pexp(u, caps), bias, guard)
+            ya = _pmul((1, {1 << k: 1}), _pexp(u, box), bias, guard)
             for _ in range(depth):
                 pa.append(_pmul(pa[-1], ya, bias, guard))
         tables.append(pa)
@@ -234,14 +210,18 @@ def _subst_dict(series, tables, lay):
 
 @dataclass(frozen=True)
 class MultiSeries:
-    """Sparse exact series; immutable, hashable via its canonical term tuple."""
+    """Sparse exact series: the packed series (D, {packed exponent: numerator})
+    in lowest terms.  Immutable, compared and hashed by that canonical form."""
 
     box: TruncationBox
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    packed: tuple[int, dict[int, int]]
+
+    def __hash__(self):
+        return hash((self.box, self.packed[0], frozenset(self.packed[1].items())))
 
     @staticmethod
     def from_dict(box, coeffs):
-        items = []
+        d = {}
         for exp, c in coeffs.items():
             exp = tuple(int(e) for e in exp)
             c = Fraction(c)
@@ -249,43 +229,49 @@ class MultiSeries:
                 continue
             if not box.contains(exp):
                 raise SeriesError(f"exponent {exp} outside box {box.caps}")
-            items.append((exp, c))
-        items.sort(key=lambda t: (sum(t[0]), t[0]))
-        return MultiSeries(box, tuple(items))
+            d[exp] = c
+        return MultiSeries(box, _pack(d, box.layout))
 
     @staticmethod
     def zero(box):
-        return MultiSeries(box, ())
+        return MultiSeries(box, (1, {}))
 
     @staticmethod
     def one(box):
-        return MultiSeries(box, ((box.zero_exp(), Fraction(1)),))
+        return MultiSeries(box, (1, {0: 1}))
+
+    @cached_property
+    def terms(self):
+        """(exponent, reduced Fraction) pairs in graded-lex order."""
+        d = _unpack(self.packed, self.box.layout)
+        return tuple(sorted(d.items(), key=lambda t: (sum(t[0]), t[0])))
 
     def to_dict(self):
         return dict(self.terms)
 
     def coefficient(self, exp):
         exp = tuple(exp)
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return Fraction(0)
+        if not self.box.contains(exp):
+            return Fraction(0)
+        p = sum(x << k for x, k in zip(exp, self.box.layout[1]))
+        return Fraction(self.packed[1].get(p, 0), self.packed[0])
 
     @property
     def constant_term(self):
-        return self.coefficient(self.box.zero_exp())
+        return Fraction(self.packed[1].get(0, 0), self.packed[0])
 
     def is_zero(self):
-        return not self.terms
+        return not self.packed[1]
 
     def __neg__(self):
-        return MultiSeries(self.box, tuple((e, -c) for e, c in self.terms))
+        den, d = self.packed
+        return MultiSeries(self.box, (den, {p: -n for p, n in d.items()}))
 
     def scale(self, k):
         k = Fraction(k)
-        if k == 0:
-            return MultiSeries.zero(self.box)
-        return MultiSeries(self.box, tuple((e, c * k) for e, c in self.terms))
+        den, d = self.packed
+        return MultiSeries(self.box, _lowest(
+            den * k.denominator, {p: n * k.numerator for p, n in d.items()}))
 
 
 def _require_same_box(s: MultiSeries, t: MultiSeries):
@@ -295,7 +281,12 @@ def _require_same_box(s: MultiSeries, t: MultiSeries):
 
 def add(s: MultiSeries, t: MultiSeries) -> MultiSeries:
     _require_same_box(s, t)
-    return MultiSeries.from_dict(s.box, _add_into(s.to_dict(), t.to_dict()))
+    (ds, a), (dt, b) = s.packed, t.packed
+    den = lcm(ds, dt)
+    r = {p: n * (den // ds) for p, n in a.items()}
+    for p, n in b.items():
+        r[p] = r.get(p, 0) + n * (den // dt)
+    return MultiSeries(s.box, _lowest(den, r))
 
 
 def sub(s: MultiSeries, t: MultiSeries) -> MultiSeries:
@@ -304,23 +295,22 @@ def sub(s: MultiSeries, t: MultiSeries) -> MultiSeries:
 
 def mul(s: MultiSeries, t: MultiSeries) -> MultiSeries:
     _require_same_box(s, t)
-    return MultiSeries.from_dict(
-        s.box, _mul_dict(s.to_dict(), t.to_dict(), s.box.caps)
-    )
+    lay = s.box.layout
+    return MultiSeries(s.box, _pmul(s.packed, t.packed, lay[2], lay[3]))
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:
     if s.constant_term != 0:
         raise SeriesError("exp_series needs zero constant term")
-    return MultiSeries.from_dict(s.box, _exp_dict(s.to_dict(), s.box.caps))
+    return MultiSeries(s.box, _pexp(s.packed, s.box))
 
 
 def log_series(s: MultiSeries) -> MultiSeries:
     if s.constant_term != 1:
         raise SeriesError("log_series needs constant term one")
-    u = s.to_dict()
-    del u[s.box.zero_exp()]
-    return MultiSeries.from_dict(s.box, _exp_dict(u, s.box.caps, log=True))
+    den, d = s.packed
+    u = (den, {p: n for p, n in d.items() if p})
+    return MultiSeries(s.box, _pexp(u, s.box, log=True))
 
 
 @dataclass(frozen=True)
@@ -354,30 +344,21 @@ class DiagonalUnitMap:
         return all(u.is_zero() for u in self.components)
 
 
-def _tables_of(m: DiagonalUnitMap, box: TruncationBox, series, lay):
-    """Power tables of m for substituting into the given packed series."""
-    if m.arity != box.arity or (m.components and m.box != box):
-        raise SeriesError("map arity/box does not match the series")
-    umaps = [_pack(u.to_dict(), lay) for u in m.components]
-    return _power_tables(umaps, series, box.caps)
-
-
 def substitute(s: MultiSeries, m: DiagonalUnitMap) -> MultiSeries:
     """Evaluate s at x_a := x_a * exp(u_a(x))."""
-    lay = _layout(s.box.caps)
-    sp = [_pack(s.to_dict(), lay)]
-    r = _subst_dict(sp, _tables_of(m, s.box, sp, lay), lay)[0]
-    return MultiSeries.from_dict(s.box, _unpack(r, lay))
+    box = s.box
+    if m.arity != box.arity or (m.components and m.box != box):
+        raise SeriesError("map arity/box does not match the series")
+    sp = [s.packed]
+    tables = _power_tables([u.packed for u in m.components], sp, box)
+    return MultiSeries(box, _subst_dict(sp, tables, box.layout)[0])
 
 
 def compose(outer: DiagonalUnitMap, inner: DiagonalUnitMap) -> DiagonalUnitMap:
     """Map sending x_a to x_a*exp(u_a) followed by x_a to x_a*exp(w_a)."""
-    lay = _layout(outer.box.caps)
-    us = [_pack(u.to_dict(), lay) for u in outer.components]
-    rs = _subst_dict(us, _tables_of(inner, outer.box, us, lay), lay)
     return DiagonalUnitMap(tuple(
-        MultiSeries.from_dict(outer.box, _add_into(_unpack(r, lay), w.to_dict()))
-        for r, w in zip(rs, inner.components)
+        add(substitute(u, inner), w)
+        for u, w in zip(outer.components, inner.components)
     ))
 
 
@@ -391,17 +372,15 @@ def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
     takes at most sum(caps) + 1 rounds.  Packed series are canonical, so the
     comparison is exact.
     """
-    caps = m.box.caps
-    lay = _layout(caps)
-    minus_u = [_pack({e: -c for e, c in u.terms}, lay) for u in m.components]
+    box = m.box
+    minus_u = [(-u).packed for u in m.components]
     w = [(1, {}) for _ in minus_u]
-    for _ in range(sum(caps) + 1):
-        w2 = _subst_dict(minus_u, _power_tables(w, minus_u, caps), lay)
+    for _ in range(sum(box.caps) + 1):
+        w2 = _subst_dict(minus_u, _power_tables(w, minus_u, box), box.layout)
         if w2 == w:
             break
         w = w2
-    return DiagonalUnitMap(tuple(MultiSeries.from_dict(m.box, _unpack(c, lay))
-                                 for c in w))
+    return DiagonalUnitMap(tuple(MultiSeries(box, c) for c in w))
 
 
 def render(s: MultiSeries, names=None) -> str:

@@ -188,7 +188,10 @@ def test_mirror_map_box_default(capsys):
     assert "inverse exponent 1: -2*q1 + q1^2 - 2/3*q1^3" in out
 
 
-@pytest.mark.parametrize("box", ["x", "5,,5", "", "1e3", "-1", "3,-2"])
+# int() would take the last four: digit separators, spaces, signs and
+# non-ASCII decimal digits
+@pytest.mark.parametrize("box", ["x", "5,,5", "", "1e3", "-1", "3,-2",
+                                 "1_0,0", " 5, 5", "+3,3", "\u0663,3"])
 def test_malformed_box_exit_2(capsys, box):
     code, out, err = run_cli(capsys, "g0", fx("f2"), "--box", box)
     assert code == 2

@@ -19,10 +19,7 @@ from semifano import (
     substitute,
 )
 from semifano.series import (
-    _exp_dict,
-    _layout,
     _lowest,
-    _mul_dict,
     _pack,
     _pmul,
     _subst_dict,
@@ -39,6 +36,12 @@ def test_constructor_enforces_box():
         S((2,), {(3,): 1})
     with pytest.raises(SeriesError):
         TruncationBox((-1,))
+
+
+@pytest.mark.parametrize("caps", [(2.7,), (True, 3), ("3",), (None,)])
+def test_box_caps_must_be_ints(caps):
+    with pytest.raises(SeriesError):
+        TruncationBox(caps)
 
 
 def test_constructor_drops_zeros():
@@ -141,7 +144,7 @@ def boxed_series(draw, caps=None, constant=None):
     exps = st.tuples(*[st.integers(0, c) for c in caps])
     coeffs = draw(st.dictionaries(exps, frac, max_size=6))
     if constant is not None:
-        coeffs[box.zero_exp()] = Fraction(constant)
+        coeffs[(0,) * box.arity] = Fraction(constant)
     return MultiSeries.from_dict(box, coeffs)
 
 
@@ -210,7 +213,7 @@ def test_mul_packing_edges():
     # the x*y terms cancel exactly and must not be stored as a zero
     s = {(1, 0): F(1, 2), (0, 1): F(-1, 3)}
     t = {(1, 0): F(1, 2), (0, 1): F(1, 3)}
-    assert _mul_dict(s, t, (2, 2)) == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
+    assert mul(S((2, 2), s), S((2, 2), t)).to_dict() == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
 
 
 # ---------------------------------------------------------------------------
@@ -240,13 +243,13 @@ def power_sum(s, coeff, caps):
 
 def oracle_exp(s):
     d = power_sum(s.to_dict(), lambda k: Fraction(1, factorial(k)), s.box.caps)
-    d[s.box.zero_exp()] = Fraction(1)
+    d[(0,) * s.box.arity] = Fraction(1)
     return MultiSeries.from_dict(s.box, d)
 
 
 def oracle_log(s):
     u = s.to_dict()
-    del u[s.box.zero_exp()]
+    del u[(0,) * s.box.arity]
     d = power_sum(u, lambda k: Fraction((-1) ** (k + 1), k), s.box.caps)
     return MultiSeries.from_dict(s.box, d)
 
@@ -301,10 +304,10 @@ def test_exp_log_edges():
     assert log_series(one_plus_s) == oracle_log(one_plus_s)
     # exp(x - x^2/2) and log(1 + x + x^2/2) have x^2 terms that cancel
     # exactly; they must not be stored as zeros
-    e = _exp_dict({(1,): F(1), (2,): F(-1, 2)}, (5,))
+    e = exp_series(S((5,), {(1,): 1, (2,): F(-1, 2)})).to_dict()
     assert (2,) not in e and e[(3,)] == F(-1, 3)
     assert e == oracle_exp(S((5,), {(1,): 1, (2,): F(-1, 2)})).to_dict()
-    g = _exp_dict({(1,): F(1), (2,): F(1, 2)}, (5,), log=True)
+    g = log_series(S((5,), {(0,): 1, (1,): 1, (2,): F(1, 2)})).to_dict()
     assert (2,) not in g and g[(3,)] == F(-1, 6)
     assert g == oracle_log(S((5,), {(0,): 1, (1,): 1, (2,): F(1, 2)})).to_dict()
 
@@ -441,7 +444,7 @@ def shared_maps(draw, size):
     def series(constant=None):
         d = draw(st.dictionaries(mono, frac, max_size=5))
         if constant is not None:
-            d[box.zero_exp()] = Fraction(constant)
+            d[(0,) * box.arity] = Fraction(constant)
         return MultiSeries.from_dict(box, d)
 
     outer, inner = (DiagonalUnitMap(tuple(series(0) for _ in caps)) for _ in "ab")
@@ -494,7 +497,7 @@ def test_inverse_is_the_oracle_fixed_point(drawn):
 
 def test_packed_form_is_canonical():
     F = Fraction
-    lay = _layout((3, 3))
+    lay = TruncationBox((3, 3)).layout
     w, _, bias, guard, _ = lay
     x, y, xy = 1, 1 << w, 1 | 1 << w
     # x*y/3 through denominators 2*3, 3*2 and 3, and by reducing 4/12
@@ -521,3 +524,16 @@ def test_packed_form_is_canonical():
                _pack({(2, 0): F(1), (3, 0): F(1)}, lay)], [(1, {0: 1})]]
     r = _subst_dict([_pack({(1, 0): F(1), (2, 0): F(-1, 2)}, lay)], tables, lay)
     assert r == [(8, {x: 8, 3 * x: -3})]
+    # the public type stores the same canonical form
+    box = TruncationBox((3, 3))
+    zero = MultiSeries.zero(box)
+    s = MultiSeries.from_dict(box, {(1, 0): F(4, 12), (0, 2): F(-6, 4), (1, 1): 2})
+    assert add(s, -s) == s.scale(0) == zero and add(s, -s).packed == (1, {})
+    t = add(S((3, 3), {(1, 0): F(1, 3)}), S((3, 3), {(0, 2): F(-3, 4)}).scale(2))
+    t = add(t, mul(S((3, 3), {(1, 0): 4}), S((3, 3), {(0, 1): F(1, 2)})))
+    assert s == t and s.packed == t.packed == (6, {x: 2, 2 * y: -9, xy: 12})
+    assert s.terms == (((1, 0), F(1, 3)), ((0, 2), F(-3, 2)), ((1, 1), F(2)))
+    # (17, 0) packs onto x*y's key, but lies outside the box
+    assert s.coefficient((1, 1)) == 2
+    assert s.coefficient((17, 0)) == s.coefficient((1, 1, 0)) == 0
+    assert hash(s) == hash(t) and len({s, t, zero}) == 2

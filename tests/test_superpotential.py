@@ -14,6 +14,7 @@ from semifano import (
     assemble_W_PF,
     check_multiplicative_consistency,
     check_PF_equals_LF,
+    compare_superpotentials,
     invariant_table,
     normalize_W_LF,
     render_table,
@@ -308,3 +309,21 @@ def test_pf_lf_check_reports_discrepancy(f2_analysis):
     report = check_PF_equals_LF(wpf, whv)
     assert not report.passed
     assert any("ray 4" in d for d in report.details)
+
+
+def test_pipeline_stays_packed(monkeypatch):
+    # the series algebra from analysis to both checks runs on packed series;
+    # only reading a series' terms unpacks it
+    import semifano.series
+
+    calls, unpack = [], semifano.series._unpack
+    monkeypatch.setattr(
+        semifano.series, "_unpack", lambda *args: calls.append(1) or unpack(*args)
+    )
+    an = fixture_analysis("threefold-example", (3, 3, 3, 3))
+    assert compare_superpotentials(an, 0)[3].passed
+    assert check_multiplicative_consistency(an.deltas, an.mirror, an.lattice).passed
+    assert calls == []
+    # the counter is live: a table reads the terms of 1 + delta once
+    invariant_table(an.deltas[0])
+    assert calls == [1]
