@@ -35,6 +35,7 @@ from .series import (
     SeriesError,
     TruncationBox,
     add,
+    combine,
     exp_series,
     invert_diagonal_unit,
     log_series,

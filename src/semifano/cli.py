@@ -163,23 +163,28 @@ def _emit(args, command, document, lines, results, ok):
     return 0 if ok else 1
 
 
+def _check_options(args, fan):
+    """The box, once the index, box and budget checks on a valid fan pass."""
+    for kind, index, count in (("cone", args.cone, len(fan.max_cones)),
+                               ("ray", args.ray, fan.num_rays)):
+        if index is not None and not 1 <= index <= count:
+            raise InputError(f"{kind} index {index} out of range")
+    box = _parse_box(args.box, fan.num_rays - fan.dimension)
+    size = prod(c + 1 for c in box.caps)
+    if size > MAX_BOX_MONOMIALS:
+        raise InputError(f"box {box.caps} has {size} monomials, over the limit "
+                         f"of {MAX_BOX_MONOMIALS}")
+    return box
+
+
 def _setup(args):
     document = load_document(args.input)
     fan, basis, _ = parse_input(document)
     violations = validate_fan(fan)
     if violations:
         raise FanError("; ".join(violations))
-    for kind, index, count in (("cone", args.cone, len(fan.max_cones)),
-                               ("ray", args.ray, fan.num_rays)):
-        if index is not None and not 1 <= index <= count:
-            raise InputError(f"{kind} index {index} out of range")
-    lattice = curve_lattice(fan, basis)
-    box = _parse_box(args.box, lattice.rank)
-    size = prod(c + 1 for c in box.caps)
-    if size > MAX_BOX_MONOMIALS:
-        raise InputError(f"box {box.caps} has {size} monomials, over the limit "
-                         f"of {MAX_BOX_MONOMIALS}")
-    return document, fan, lattice, box
+    box = _check_options(args, fan)
+    return document, fan, curve_lattice(fan, basis), box
 
 
 def cmd_validate(args):
@@ -190,6 +195,7 @@ def cmd_validate(args):
     results = {"violations": violations}
     ok = not violations
     if ok:
+        _check_options(args, fan)
         semi, witness = is_semi_fano(fan)
         verts = sorted(i + 1 for i in fan_polytope_vertices(fan))
         walls = [list(c) for c in wall_curve_classes(fan)]

@@ -211,24 +211,23 @@ def is_semi_fano(fan: Fan):
 def fan_polytope_vertices(fan: Fan):
     """Indices of rays that are vertices of the convex hull of all rays.
 
-    Exact test by Caratheodory: ray i is a non-vertex iff some n+1 affinely
+    Exact test by Caratheodory: a ray is a non-vertex iff some n+1 affinely
     independent other rays have it in their simplex, i.e. the integer Cramer
     numerators of its barycentric coordinates all have the determinant's
-    sign.  The rays of a complete fan are affinely full-dimensional, so when
-    the other rays are affinely degenerate, ray i lies off their affine hull
-    and is a vertex.
+    sign.  The rays of a complete fan are affinely full-dimensional, so such
+    a simplex exists for every non-vertex.  Each (n+1)-subset of rays is
+    solved once, against every ray outside it still presumed a vertex.
     """
     n = fan.dimension
     lifted = [v + (1,) for v in fan.rays]
-    out = set()
-    for i, p in enumerate(lifted):
-        others = lifted[:i] + lifted[i + 1:]
-        for sub in combinations(others, n + 1):
-            det, adj = fraction_free_solve(sub, [p])
-            if det != 0 and all(det * x >= 0 for x in adj[0]):
-                break
-        else:
-            out.add(i)
+    out = set(range(fan.num_rays))
+    for sub in combinations(range(fan.num_rays), n + 1):
+        rest = sorted(out.difference(sub))
+        det, adj = fraction_free_solve([lifted[k] for k in sub],
+                                       [lifted[k] for k in rest])
+        if det != 0:
+            out.difference_update(k for k, x in zip(rest, adj)
+                                  if all(det * v >= 0 for v in x))
     return out
 
 

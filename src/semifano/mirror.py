@@ -20,7 +20,7 @@ from .series import (
     DiagonalUnitMap,
     MultiSeries,
     TruncationBox,
-    add,
+    combine,
     invert_diagonal_unit,
     substitute,
 )
@@ -66,11 +66,11 @@ def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:
 
 @dataclass(frozen=True)
 class GZeroFamily:
-    """One correction series per ray, in the pre-change variables."""
+    """One correction series per ray, in the pre-change variables; the
+    series of a vertex of the fan polytope is zero."""
 
     lattice: CurveLattice
     series: tuple[MultiSeries, ...]
-    vertices: frozenset[int]  # the rays that are hull vertices
 
     @property
     def box(self):
@@ -81,19 +81,19 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox) -> GZeroFamily:
     """Every ray's correction series, from one scan of the box.
 
     A correction class negative at ray i writes v_i as a convex combination
-    of the other rays, so a fan whose rays are all hull vertices has none;
-    it is not scanned and needs no nef basis.
+    of the other rays, so a fan whose rays are all hull vertices has none.
+    A nef-verified basis is scanned without that test; any other basis is
+    refused by `enumerate_g0_classes` unless every ray is a hull vertex.
     """
     fan = lattice.fan
     coeffs = [{} for _ in range(fan.num_rays)]
-    vertices = frozenset(fan_polytope_vertices(fan))
-    if len(vertices) < fan.num_rays:
+    if lattice.nef_verified or len(fan_polytope_vertices(fan)) < fan.num_rays:
         for i, cls, exps in enumerate_g0_classes(lattice, box):
             b = -cls[i]
             den = prod(factorial(dj) for j, dj in enumerate(cls) if j != i)
             coeffs[i][exps] = Fraction((-1) ** b * factorial(b - 1), den)
     series = tuple(MultiSeries.from_dict(box, c) for c in coeffs)
-    return GZeroFamily(lattice, series, vertices)
+    return GZeroFamily(lattice, series)
 
 
 @dataclass(frozen=True)
@@ -112,18 +112,11 @@ class MirrorMapPair:
 def assemble_mirror_map(g0: GZeroFamily) -> MirrorMapPair:
     """Forward component a is -sum_i a(i, a) * g0_i; inverse by iteration."""
     lattice = g0.lattice
-    box = g0.box
-    comps = []
-    for a in range(lattice.rank):
-        u = MultiSeries.zero(box)
-        for i, s in enumerate(g0.series):
-            coeff = lattice.pairing(i, a)
-            if coeff and not s.is_zero():
-                u = add(u, s.scale(-coeff))
-        comps.append(u)
-    forward = DiagonalUnitMap(tuple(comps))
-    inverse = invert_diagonal_unit(forward)
-    return MirrorMapPair(forward, inverse)
+    forward = DiagonalUnitMap(tuple(
+        combine(g0.box, [(-lattice.pairing(i, a), s) for i, s in enumerate(g0.series)])
+        for a in range(lattice.rank)
+    ))
+    return MirrorMapPair(forward, invert_diagonal_unit(forward))
 
 
 def pullback_g0(g0: GZeroFamily, mm: MirrorMapPair):

@@ -274,27 +274,35 @@ class MultiSeries:
             den * k.denominator, {p: n * k.numerator for p, n in d.items()}))
 
 
-def _require_same_box(s: MultiSeries, t: MultiSeries):
-    if s.box != t.box:
+def _require_same_box(box, series):
+    if any(s.box != box for s in series):
         raise SeriesError("series live in different truncation boxes")
 
 
+def combine(box: TruncationBox, pairs) -> MultiSeries:
+    """sum k * s over (k, s) pairs with integer k, over one common denominator."""
+    pairs = list(pairs)
+    _require_same_box(box, [s for _, s in pairs])
+    pairs = [(k, s.packed) for k, s in pairs if k]
+    den = lcm(*(d for _, (d, _) in pairs))
+    r = {}
+    for k, (d, num) in pairs:
+        k *= den // d
+        for p, n in num.items():
+            r[p] = r.get(p, 0) + k * n
+    return MultiSeries(box, _lowest(den, r))
+
+
 def add(s: MultiSeries, t: MultiSeries) -> MultiSeries:
-    _require_same_box(s, t)
-    (ds, a), (dt, b) = s.packed, t.packed
-    den = lcm(ds, dt)
-    r = {p: n * (den // ds) for p, n in a.items()}
-    for p, n in b.items():
-        r[p] = r.get(p, 0) + n * (den // dt)
-    return MultiSeries(s.box, _lowest(den, r))
+    return combine(s.box, [(1, s), (1, t)])
 
 
 def sub(s: MultiSeries, t: MultiSeries) -> MultiSeries:
-    return add(s, -t)
+    return combine(s.box, [(1, s), (-1, t)])
 
 
 def mul(s: MultiSeries, t: MultiSeries) -> MultiSeries:
-    _require_same_box(s, t)
+    _require_same_box(s.box, [t])
     lay = s.box.layout
     return MultiSeries(s.box, _pmul(s.packed, t.packed, lay[2], lay[3]))
 
@@ -383,19 +391,15 @@ def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
     return DiagonalUnitMap(tuple(MultiSeries(box, c) for c in w))
 
 
-def render(s: MultiSeries, names=None) -> str:
-    """Canonical text form: graded-lex monomials, reduced-fraction coefficients."""
+def render(s: MultiSeries) -> str:
+    """Canonical text form: graded-lex monomials in q1..ql, reduced fractions."""
     if s.is_zero():
         return "0"
-    l = s.box.arity
-    if names is None:
-        names = [f"q{a + 1}" for a in range(l)]
+    names = [f"q{a + 1}" for a in range(s.box.arity)]
     pieces = []
     for e, c in s.terms:
         mono = "*".join(
-            names[a] if e[a] == 1 else f"{names[a]}^{e[a]}"
-            for a in range(l)
-            if e[a]
+            names[a] if x == 1 else f"{names[a]}^{x}" for a, x in enumerate(e) if x
         )
         mag = abs(c)
         if not mono:

@@ -21,7 +21,7 @@ from .fans import (
     Fan,
     FanError,
     alpha_class,
-    cone_coordinates,
+    fan_polytope_vertices,
     is_semi_fano,
 )
 from .intlinalg import fraction_free_solve
@@ -37,6 +37,7 @@ from .series import (
     SeriesError,
     TruncationBox,
     add,
+    combine,
     exp_series,
     log_series,
     mul,
@@ -58,8 +59,7 @@ class InvariantSeries:
 
 def delta_series(pulled_g0, i) -> InvariantSeries:
     s = pulled_g0[i]
-    one = MultiSeries.one(s.box)
-    return InvariantSeries(i, sub(exp_series(s), one))
+    return InvariantSeries(i, sub(exp_series(s), MultiSeries.one(s.box)))
 
 
 @dataclass(frozen=True)
@@ -122,7 +122,7 @@ def assemble_W_HV(fan: Fan, lattice: CurveLattice, sigma: int,
     """Plain superpotential relative to a chosen maximal cone.
 
     Rays in the cone contribute the coordinate monomials; every other ray k
-    contributes q^(class of its term) z^(cone coordinates of v_k).
+    contributes q^c z^(cone coordinates of v_k), c its class: -c at the cone rays.
     """
     cone = fan.max_cones[sigma]
     one = MultiSeries.one(box)
@@ -132,8 +132,8 @@ def assemble_W_HV(fan: Fan, lattice: CurveLattice, sigma: int,
             z = tuple(1 if c == k else 0 for c in cone)
             qe = (0,) * lattice.rank
         else:
-            z = cone_coordinates(fan, sigma, k)
             cls = alpha_class(fan, sigma, k)
+            z = tuple(-cls[c] for c in cone)
             coords = lattice.coordinates(cls)
             if coords is None:
                 raise FanError(
@@ -154,11 +154,7 @@ def assemble_W_PF(whv: SuperpotentialExpr, mm: MirrorMapPair,
     inv = mm.inverse.components
     terms = []
     for t in whv.terms:
-        correction = MultiSeries.zero(box)
-        for a, e in enumerate(t.q_exponent):
-            if e:
-                correction = add(correction, inv[a].scale(e))
-        unit = mul(t.unit, exp_series(correction))
+        unit = mul(t.unit, exp_series(combine(box, zip(t.q_exponent, inv))))
         terms.append(SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent, unit))
     return SuperpotentialExpr("PF", whv.cone_index, tuple(terms))
 
@@ -185,12 +181,8 @@ def normalize_W_LF(expr: SuperpotentialExpr, fan: Fan, deltas) -> Superpotential
     logs = [log_series(deltas[c].one_plus) for c in cone]
     terms = []
     for t in expr.terms:
-        corr = None
-        for j, e in enumerate(t.z_exponent):
-            if e and not logs[j].is_zero():
-                piece = logs[j].scale(-e)
-                corr = piece if corr is None else add(corr, piece)
-        unit = t.unit if corr is None else mul(t.unit, exp_series(corr))
+        corr = combine(t.unit.box, [(-e, lg) for e, lg in zip(t.z_exponent, logs)])
+        unit = t.unit if corr.is_zero() else mul(t.unit, exp_series(corr))
         terms.append(SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent, unit))
     return SuperpotentialExpr("LF", expr.cone_index, tuple(terms))
 
@@ -228,11 +220,7 @@ def check_multiplicative_consistency(deltas, mm: MirrorMapPair,
     details = []
     logs = [log_series(d.one_plus) for d in deltas]
     for a, w in enumerate(mm.inverse.components):
-        acc = MultiSeries.zero(w.box)
-        for i, lg in enumerate(logs):
-            coeff = lattice.pairing(i, a)
-            if coeff:
-                acc = add(acc, lg.scale(coeff))
+        acc = combine(w.box, [(lattice.pairing(i, a), lg) for i, lg in enumerate(logs)])
         if acc != w:
             details.append(f"basis class {a + 1}: product identity fails")
     return CheckReport("multiplicative-consistency", not details, tuple(details))
@@ -433,7 +421,7 @@ def structural_report(analysis: ToricAnalysis) -> CheckReport:
     rationally independent pairing rows, and unit constant disk count.
     """
     details = []
-    vertices = analysis.g0.vertices
+    vertices = fan_polytope_vertices(analysis.fan)
     nonzero = [
         d.ray_index for d in analysis.deltas if not d.delta.is_zero()
     ]

@@ -78,6 +78,16 @@ P2 = {"dimension": 2, "rays": [[1, 0], [0, 1], [-1, -1]],
       "max_cones": [[1, 2], [2, 3], [3, 1]]}
 
 
+def test_validate_checks_options_only_on_a_valid_fan(tmp_path, capsys):
+    # an invalid fan reports its violations, whatever the options say
+    p = tmp_path / "doubled.json"
+    p.write_text(json.dumps({**P2, "rays": [[1, 0], [1, 0], [-1, -1]]}))
+    argv = ("--box", "abc", "--ray", "99", "--cone", "0")
+    code, out, err = run_cli(capsys, "validate", str(p), *argv)
+    assert (code, err) == (1, "")
+    assert "invalid fan: rays are not pairwise distinct" in out
+
+
 # JSON true and false load as bool, which isinstance counts as int
 @pytest.mark.parametrize("document, message", [
     ({**P1, "dimension": True},
@@ -170,15 +180,16 @@ def test_output_is_deterministic(capsys):
 
 def test_box_budget_exit_2(capsys):
     # 41^4 monomials: refused before any series work starts
-    start = time.perf_counter()
-    code, out, err = run_cli(capsys, "g0", fx("threefold-example"), "--box", "40")
-    assert time.perf_counter() - start < 1
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == (
-        f"box (40, 40, 40, 40) has 2825761 monomials, over the limit of "
-        f"{MAX_BOX_MONOMIALS}"
-    )
+    for command in ("g0", "validate"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, fx("threefold-example"),
+                                 "--box", "40")
+        assert time.perf_counter() - start < 1, command
+        assert (code, out) == (2, ""), command
+        assert json.loads(err)["error"] == (
+            f"box (40, 40, 40, 40) has 2825761 monomials, over the limit of "
+            f"{MAX_BOX_MONOMIALS}"
+        ), command
 
 
 def test_mirror_map_box_default(capsys):
@@ -193,12 +204,12 @@ def test_mirror_map_box_default(capsys):
 @pytest.mark.parametrize("box", ["x", "5,,5", "", "1e3", "-1", "3,-2",
                                  "1_0,0", " 5, 5", "+3,3", "\u0663,3"])
 def test_malformed_box_exit_2(capsys, box):
-    code, out, err = run_cli(capsys, "g0", fx("f2"), "--box", box)
-    assert code == 2
-    assert out == ""
-    assert json.loads(err)["error"] == (
-        f"box {box!r} must be comma-separated nonnegative integers"
-    )
+    for command in ("g0", "validate"):
+        code, out, err = run_cli(capsys, command, fx("f2"), "--box", box)
+        assert (code, out) == (2, ""), command
+        assert json.loads(err)["error"] == (
+            f"box {box!r} must be comma-separated nonnegative integers"
+        ), command
 
 @pytest.mark.parametrize("argv", [
     ("check", "--cone", "99"),
@@ -209,6 +220,8 @@ def test_malformed_box_exit_2(capsys, box):
     ("invariants", "--ray", "0"),
     ("invariants", "--ray", "-2"),
     ("g0", "--ray", "5"),
+    ("validate", "--ray", "99"),
+    ("validate", "--cone", "0"),
 ], ids=lambda a: f"{a[0]}{a[1]}={a[2]}")
 def test_bad_indices_exit_2(capsys, argv):
     command, flag, value = argv

@@ -1,5 +1,6 @@
 import sys
 from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from semifano import (
     validate_fan,
     wall_curve_classes,
 )
+from semifano import fans
 from semifano.cli import parse_input
 from oracles import lattice_membership, left_kernel_basis, solve_rational
 from conftest import fixture_fan, fixture_lattice, load_fixture
@@ -87,6 +89,17 @@ def test_hull_vertices():
     assert fan_polytope_vertices(fan) == {2, 4, 5, 6}
     fan, _ = fixture_fan("kp2-bundle")
     assert fan_polytope_vertices(fan) == {1, 2, 3, 4}
+
+
+def test_hull_test_solves_each_simplex_once(monkeypatch):
+    solve = fans.fraction_free_solve
+    calls = []
+    monkeypatch.setattr(fans, "fraction_free_solve",
+                        lambda B, Y: calls.append(B) or solve(B, Y))
+    fan, _ = fixture_fan("threefold-example")
+    assert fan_polytope_vertices(fan) == {2, 4, 5, 6}
+    assert len(calls) == comb(fan.num_rays, fan.dimension + 1)
+    assert len(set(map(tuple, calls))) == len(calls)
 
 
 def test_cone_coordinates_f2():

@@ -20,6 +20,7 @@ from semifano import (
     compute_g0_family,
     curve_lattice,
     enumerate_g0_classes,
+    fan_polytope_vertices,
     g0_series,
     invariant_table,
     log_series,
@@ -82,6 +83,29 @@ def test_all_vertex_fan_needs_no_nef_basis(tmp_path, capsys):
         rows = [line.split("\t") for line in tsv.splitlines()[1:]]
         assert rows[0] == ["0"] * lattice.rank + ["1"]
         assert all(row[-1] == "0" for row in rows[1:])
+
+
+def test_nef_basis_is_scanned_without_the_hull_test(monkeypatch):
+    def must_not_run(fan):
+        raise AssertionError("hull test run for a nef-verified basis")
+
+    monkeypatch.setattr(mirror, "fan_polytope_vertices", must_not_run)
+    _, f2 = fixture_lattice("f2")
+    _, p2 = fixture_lattice("p2")
+    assert f2.nef_verified and p2.nef_verified
+    fam = compute_g0_family(f2, TruncationBox((3, 3)))
+    assert [s.is_zero() for s in fam.series] == [True, True, True, False]
+    fam = compute_g0_family(p2, TruncationBox((3,)))
+    assert all(s.is_zero() for s in fam.series)
+
+
+def test_non_nef_basis_with_a_non_vertex_ray_is_refused():
+    lattices = (curve_lattice(parse_input(surfaces.document(rays))[0])
+                for rays, _ in surfaces.universe())
+    lattice = next(lat for lat in lattices if not lat.nef_verified
+                   and len(fan_polytope_vertices(lat.fan)) < lat.fan.num_rays)
+    with pytest.raises(FanError, match="nef-verified"):
+        compute_g0_family(lattice, TruncationBox((2,) * lattice.rank))
 
 
 def test_g0_f2_closed_form():

@@ -11,6 +11,7 @@ from semifano import (
     SeriesError,
     TruncationBox,
     add,
+    combine,
     exp_series,
     invert_diagonal_unit,
     log_series,
@@ -160,6 +161,49 @@ def series_triple(draw):
     arity = draw(st.integers(1, 2))
     caps = tuple(draw(st.integers(0, 3)) for _ in range(arity))
     return tuple(draw(boxed_series(caps=caps)) for _ in range(3))
+
+
+def oracle_combine(pairs):
+    """sum k * s on Fraction dicts, zeros dropped."""
+    out = {}
+    for k, s in pairs:
+        for e, c in s.to_dict().items():
+            out[e] = out.get(e, Fraction(0)) + k * c
+    return {e: c for e, c in out.items() if c}
+
+
+@settings(max_examples=100)
+@given(st.data())
+def test_combine_matches_fraction_oracle(data):
+    caps = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    box = TruncationBox(tuple(caps))
+    pairs = data.draw(st.lists(
+        st.tuples(st.integers(-3, 3), boxed_series(caps=box.caps)), max_size=4))
+    got = combine(box, pairs)
+    assert got.to_dict() == oracle_combine(pairs)
+    assert got == MultiSeries.from_dict(box, oracle_combine(pairs))
+
+
+def test_combine_edges():
+    F = Fraction
+    box = TruncationBox((2, 2))
+    s = S((2, 2), {(1, 0): F(1, 3), (0, 2): F(-3, 4)})
+    t = S((2, 2), {(1, 0): F(1, 6), (1, 1): F(5, 2)})
+    # denominators 12 and 6 meet over their lcm; q1 cancels and the rest
+    # reduces once, to denominator 2
+    r = combine(box, [(2, s), (-4, t)])
+    assert r.packed == _pack({(0, 2): F(-3, 2), (1, 1): F(-10)}, box.layout)
+    assert r.packed[0] == 2
+    # a zero k drops its series; full cancellation is the packed zero
+    assert combine(box, [(0, s), (1, t)]) == t
+    assert combine(box, [(3, s), (-1, s), (-2, s)]).packed == (1, {})
+    assert combine(box, []).packed == (1, {})
+    assert add(s, t) == combine(box, [(1, t), (1, s)])
+    other = S((3, 3), {(1, 0): 1})
+    with pytest.raises(SeriesError, match="different truncation boxes"):
+        combine(box, [(1, s), (2, other)])
+    with pytest.raises(SeriesError, match="different truncation boxes"):
+        add(s, other)
 
 
 @settings(max_examples=100)

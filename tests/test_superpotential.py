@@ -270,21 +270,15 @@ def test_structural_report_fixtures():
         assert report.passed, (name, report.details)
 
 
-def test_structural_report_reuses_hull_vertices(f2_analysis, monkeypatch):
-    # the hull vertices come from the g0 family; the fan is not scanned again
-    import semifano.fans
-    import semifano.mirror
+def test_structural_report_flags_nonzero_delta_at_hull_vertex(f2_analysis,
+                                                             monkeypatch):
+    import semifano.superpotential
 
-    def must_not_run(fan):
-        raise AssertionError("hull vertices recomputed")
-
-    monkeypatch.setattr(semifano.fans, "fan_polytope_vertices", must_not_run)
-    monkeypatch.setattr(semifano.mirror, "fan_polytope_vertices", must_not_run)
-    an = f2_analysis
-    assert an.g0.vertices == {0, 1, 2}
-    assert structural_report(an).passed
-    wrong = replace(an, g0=replace(an.g0, vertices=frozenset({3})))
-    assert structural_report(wrong).details == (
+    assert structural_report(f2_analysis).passed
+    # the report computes the hull vertices itself; claim ray 4 is one
+    monkeypatch.setattr(semifano.superpotential, "fan_polytope_vertices",
+                        lambda fan: {3})
+    assert structural_report(f2_analysis).details == (
         "ray 4 is a hull vertex but has nonzero delta",
     )
 
