@@ -18,7 +18,6 @@ from .fans import (
     fan_polytope_vertices,
     is_semi_fano,
     validate_fan,
-    wall_curve_classes,
 )
 from .mirror import (
     GZeroFamily,

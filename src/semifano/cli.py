@@ -22,10 +22,9 @@ from .fans import (
     fan_polytope_vertices,
     is_semi_fano,
     validate_fan,
-    wall_curve_classes,
 )
 from .mirror import assemble_mirror_map, compute_g0_family
-from .series import TruncationBox, render
+from .series import TruncationBox, _monomial, render
 from .superpotential import (
     analyze,
     check_multiplicative_consistency,
@@ -104,6 +103,8 @@ def load_document(path):
             return json.load(fh)
         except json.JSONDecodeError as exc:
             raise InputError(f"{path}: not valid JSON ({exc})") from exc
+        except RecursionError as exc:
+            raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
 def fixture_path(name):
@@ -133,16 +134,10 @@ def _parse_box(text, rank):
 
 
 def _render_term(term, zray_names):
-    zmono = "*".join(
-        f"{zray_names[j]}" if e == 1 else f"{zray_names[j]}^{e}"
-        for j, e in enumerate(term.z_exponent) if e
-    ) or "1"
-    qmono = "*".join(
-        f"q{a + 1}" if e == 1 else f"q{a + 1}^{e}"
-        for a, e in enumerate(term.q_exponent) if e
-    )
+    zmono = _monomial(zray_names, term.z_exponent) or "1"
+    qnames = [f"q{a + 1}" for a in range(len(term.q_exponent))]
+    coeff = _monomial(qnames, term.q_exponent)
     unit = render(term.unit)
-    coeff = qmono if qmono else ""
     if unit != "1":
         coeff = f"{coeff}*({unit})" if coeff else f"({unit})"
     return f"{coeff}*{zmono}" if coeff else zmono
@@ -198,7 +193,7 @@ def cmd_validate(args):
         _check_options(args, fan)
         semi, witness = is_semi_fano(fan)
         verts = sorted(i + 1 for i in fan_polytope_vertices(fan))
-        walls = [list(c) for c in wall_curve_classes(fan)]
+        walls = [list(c) for c in fan.wall_classes]
         results.update(
             semi_fano=semi,
             witness=list(witness) if witness else None,

@@ -4,12 +4,14 @@ Rays are primitive integer vectors in Z^n; maximal cones are given as index
 sets and are required input (the fan is never guessed from rays alone).
 Curve classes live in the kernel of Z^m -> Z^n, d |-> sum_i d_i v_i, with the
 i-th coordinate of d equal to the intersection number against the i-th toric
-divisor.
+divisor.  `Fan.wall_classes` builds a fan's wall curve classes once; the
+semi-Fano test and the nef basis search both read them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import gcd
 
@@ -49,6 +51,22 @@ class Fan:
             for wall in combinations(cone, self.dimension - 1):
                 seen.setdefault(wall, []).append(ci)
         return seen
+
+    @cached_property
+    def wall_classes(self):
+        """Primitive relation class of every wall, with the two opposite rays at +1.
+
+        Across the wall from cone c0 lies ray y with v_y = -v_x + (a sum over
+        the wall rays), x being the ray of c0 off the wall; that relation is
+        the class of y's superpotential term relative to c0.  Built once per
+        fan object, for a valid fan.
+        """
+        classes = {}
+        for wall, (c0, c1) in sorted(self.walls().items()):
+            y = next(r for r in self.max_cones[c1] if r not in wall)
+            cls = alpha_class(self, c0, y)
+            classes[cls.coefficients] = cls
+        return tuple(classes.values())
 
 
 @dataclass(frozen=True)
@@ -124,7 +142,12 @@ def _is_primitive(v):
 
 
 def validate_fan(fan: Fan):
-    """Check smoothness, completeness and primitivity; returns list of violations."""
+    """Check primitivity, smoothness and completeness; returns list of violations.
+
+    Complete: every wall lies in exactly two cones, on opposite sides of it,
+    and no closed cone but the first holds the sum of the first's rays, an
+    interior point; so the cones cover each generic point once.
+    """
     violations = []
     n = fan.dimension
     if n <= 0:
@@ -143,18 +166,37 @@ def validate_fan(fan: Fan):
     for cone in fan.max_cones:
         if len(cone) != n or any(k < 0 or k >= fan.num_rays for k in cone):
             violations.append(f"cone {tuple(k + 1 for k in cone)} is not a valid index set")
-            continue
-        d, _ = fraction_free_solve([fan.rays[k] for k in cone], [])
+    if violations:
+        return violations
+    inner = [sum(fan.rays[k][j] for k in fan.max_cones[0]) for j in range(n)]
+    dets = []
+    for ci, cone in enumerate(fan.max_cones):
+        d, adj = fraction_free_solve([fan.rays[k] for k in cone], [inner])
+        dets.append(d)
         if abs(d) != 1:
             violations.append(
                 f"cone {tuple(k + 1 for k in cone)} determinant {d}, non-smooth"
             )
+        elif ci and all(d * x >= 0 for x in adj[0]):
+            violations.append(
+                f"cone {tuple(k + 1 for k in cone)} overlaps the first cone"
+            )
     if violations:
         return violations
-    for wall, cones in fan.walls().items():
-        if len(cones) != 2:
+    # per wall, as in `walls`, the sign of det(wall rays, off-wall ray) of
+    # each cone on it, up to the common factor (-1)^(n-1)
+    sides = {}
+    for cone, d in zip(fan.max_cones, dets):
+        for p in reversed(range(n)):
+            sides.setdefault(cone[:p] + cone[p + 1:], []).append(-d if p % 2 else d)
+    for wall, signs in sides.items():
+        if len(signs) != 2:
             violations.append(
-                f"wall {tuple(k + 1 for k in wall)} shared by {len(cones)} cone(s)"
+                f"wall {tuple(k + 1 for k in wall)} shared by {len(signs)} cone(s)"
+            )
+        elif signs[0] == signs[1]:
+            violations.append(
+                f"wall {tuple(k + 1 for k in wall)} has both its cones on one side"
             )
     return violations
 
@@ -185,24 +227,9 @@ def alpha_class(fan: Fan, sigma, k):
     return cls
 
 
-def wall_curve_classes(fan: Fan):
-    """Primitive relation class of every wall, with the two opposite rays at +1.
-
-    Across the wall from cone c0 lies ray y with v_y = -v_x + (a sum over
-    the wall rays), x being the ray of c0 off the wall; that relation is
-    the class of y's superpotential term relative to c0.
-    """
-    classes = {}
-    for wall, (c0, c1) in sorted(fan.walls().items()):
-        y = next(r for r in fan.max_cones[c1] if r not in wall)
-        cls = alpha_class(fan, c0, y)
-        classes[cls.coefficients] = cls
-    return list(classes.values())
-
-
 def is_semi_fano(fan: Fan):
     """(flag, witness): anticanonical pairing nonnegative on all wall classes."""
-    for c in wall_curve_classes(fan):
+    for c in fan.wall_classes:
         if c.chern_number() < 0:
             return False, c
     return True, None
@@ -272,7 +299,7 @@ def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
     `_free_coordinates` is kept.
     """
     l = fan.num_rays - fan.dimension
-    walls = wall_curve_classes(fan)
+    walls = fan.wall_classes
     coords = _free_coordinates(fan, walls)
     if basis is not None:
         rows = [tuple(int(x) for x in b) for b in basis]

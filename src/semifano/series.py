@@ -391,6 +391,11 @@ def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
     return DiagonalUnitMap(tuple(MultiSeries(box, c) for c in w))
 
 
+def _monomial(names, exponents):
+    """`name^e` factors joined by `*`, without `^1`; "" for the unit monomial."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e)
+
+
 def render(s: MultiSeries) -> str:
     """Canonical text form: graded-lex monomials in q1..ql, reduced fractions."""
     if s.is_zero():
@@ -398,9 +403,7 @@ def render(s: MultiSeries) -> str:
     names = [f"q{a + 1}" for a in range(s.box.arity)]
     pieces = []
     for e, c in s.terms:
-        mono = "*".join(
-            names[a] if x == 1 else f"{names[a]}^{x}" for a, x in enumerate(e) if x
-        )
+        mono = _monomial(names, e)
         mag = abs(c)
         if not mono:
             body = str(mag)

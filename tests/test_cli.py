@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from semifano import fans
 from semifano.cli import (
     MAX_BOX_MONOMIALS,
     InputError,
@@ -71,6 +72,49 @@ def test_bad_document_is_reported(tmp_path, capsys):
     code, _, err = run_cli(capsys, "validate", str(p))
     assert code == 2
     assert "max_cones" in err
+
+
+def test_deeply_nested_json_is_reported(tmp_path, capsys):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000)
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert (code, out) == (2, "")
+    assert json.loads(err) == {"error": f"{p}: JSON nested too deeply"}
+
+
+@pytest.mark.parametrize("rays, cones, message", [
+    ([[1, 0], [0, 1], [1, 1]], [[1, 2], [2, 3], [3, 1]],
+     "cone (2, 3) overlaps the first cone"),
+    ([[1, 0], [0, 1], [-1, 0], [0, -1], [1, 1], [-2, -1], [-1, -1]],
+     [[i, i % 7 + 1] for i in range(1, 8)],
+     "cone (4, 5) overlaps the first cone"),
+], ids=["one-quadrant", "twice-around"])
+def test_cones_that_are_no_fan_are_refused(tmp_path, capsys, rays, cones, message):
+    p = tmp_path / "nonfan.json"
+    p.write_text(json.dumps({"dimension": 2, "rays": rays, "max_cones": cones}))
+    code, out, _ = run_cli(capsys, "validate", str(p))
+    assert code == 1
+    assert f"invalid fan: {message}" in out
+    assert "semi-Fano" not in out
+    code, out, err = run_cli(capsys, "invariants", str(p), "--box", "2")
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+@pytest.mark.parametrize("argv, solves", [
+    (("check", "--box", "3,3,3"), 8),
+    (("validate",), 5),
+    (("invariants", "--box", "3,3,3"), 5),
+], ids=["check", "validate", "invariants"])
+def test_wall_classes_are_solved_once_per_job(capsys, monkeypatch, argv, solves):
+    """f2-blowup has 5 walls, one `cone_coordinates` solve each; `check`
+    adds one per ray off the first cone for its superpotentials."""
+    solve = fans.cone_coordinates
+    calls = []
+    monkeypatch.setattr(fans, "cone_coordinates",
+                        lambda *a: calls.append(a) or solve(*a))
+    code, _, _ = run_cli(capsys, argv[0], fx("f2-blowup"), *argv[1:])
+    assert (code, len(calls)) == (0, solves)
 
 
 P1 = {"rays": [[1], [-1]], "max_cones": [[1], [2]]}

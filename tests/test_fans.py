@@ -16,7 +16,6 @@ from semifano import (
     fan_polytope_vertices,
     is_semi_fano,
     validate_fan,
-    wall_curve_classes,
 )
 from semifano import fans
 from semifano.cli import parse_input
@@ -57,10 +56,48 @@ def test_validate_rejects_duplicate_rays():
     assert any("distinct" in v for v in validate_fan(fan))
 
 
+# smooth cones with every wall in two of them that still form no complete fan
+QUADRANT = Fan(2, ((1, 0), (0, 1), (1, 1)), ((0, 1), (1, 2), (2, 0)))
+TWICE_AROUND = Fan(2, ((1, 0), (0, 1), (-1, 0), (0, -1), (1, 1), (-2, -1), (-1, -1)),
+                   tuple((i, (i + 1) % 7) for i in range(7)))
+# around (-1,-1) and (-2,-1) the cycle turns back and then forward again:
+# no cone holds (1,1), yet the cones cover (-3,-2) three times
+FOLDED = Fan(2, ((1, 0), (0, 1), (-1, 0), (-1, -1), (-2, -1)),
+             tuple((i, (i + 1) % 5) for i in range(5)))
+
+
+def test_validate_rejects_cones_inside_one_quadrant():
+    assert validate_fan(QUADRANT) == ["cone (2, 3) overlaps the first cone",
+                                      "cone (1, 3) overlaps the first cone"]
+
+
+def test_validate_rejects_cones_winding_twice():
+    assert validate_fan(TWICE_AROUND) == ["cone (4, 5) overlaps the first cone",
+                                          "cone (5, 6) overlaps the first cone"]
+
+
+def test_validate_rejects_cones_folded_over_a_wall():
+    assert validate_fan(FOLDED) == ["wall (4,) has both its cones on one side",
+                                    "wall (5,) has both its cones on one side"]
+
+
+def test_validate_accepts_the_line():
+    assert validate_fan(Fan(1, ((1,), (-1,)), ((0,), (1,)))) == []
+
+
 def test_wall_classes_f2():
     fan, _ = fixture_fan("f2")
-    walls = {c.coefficients for c in wall_curve_classes(fan)}
+    walls = {c.coefficients for c in fan.wall_classes}
     assert walls == {(0, 1, 0, 1), (1, 2, 1, 0), (1, 0, 1, -2)}
+
+
+def test_wall_classes_are_built_once_and_leave_equality_alone():
+    fan, _ = fixture_fan("f2")
+    assert isinstance(fan.wall_classes, tuple)
+    assert fan.wall_classes is fan.wall_classes
+    fresh = Fan(fan.dimension, fan.rays, fan.max_cones)
+    assert fan == fresh and hash(fan) == hash(fresh)
+    assert {fresh: "fresh"}[fan] == "fresh"
 
 
 def test_semi_fano_verdicts():
@@ -195,7 +232,7 @@ def oracle_spans(basis, kernel):
 def oracle_nef_witness(fan, basis):
     """The first wall class without nonnegative integer coordinates over
     `basis`, or None when there is none."""
-    for c in wall_curve_classes(fan):
+    for c in fan.wall_classes:
         exps = lattice_membership(basis, c.coefficients)
         if exps is None or any(e < 0 for e in exps):
             return c.coefficients
@@ -211,7 +248,7 @@ def oracle_nef_basis(fan):
     """(basis, nef): the first l wall classes that form a nef Z-basis of the
     kernel, in `combinations` order, else the kernel basis and its verdict."""
     kernel = left_kernel_basis([list(v) for v in fan.rays])
-    walls = [list(c.coefficients) for c in wall_curve_classes(fan)]
+    walls = [list(c.coefficients) for c in fan.wall_classes]
     for w in walls:
         assert all(sum(d * v[j] for d, v in zip(w, fan.rays)) == 0
                    for j in range(fan.dimension))
@@ -282,7 +319,7 @@ def test_coordinates_match_rational_membership(oracle_cases):
         lattices = [curve_lattice(fan)]
         if supplied is not None:
             lattices.append(curve_lattice(fan, supplied))
-        classes = wall_curve_classes(fan) + [
+        classes = list(fan.wall_classes) + [
             alpha_class(fan, sigma, k)
             for sigma, cone in enumerate(fan.max_cones)
             for k in range(fan.num_rays) if k not in cone]
@@ -314,7 +351,7 @@ def test_wall_classes_are_the_wall_relations(oracle_cases):
     """One class per wall relation: in the kernel, +1 at the two rays
     opposite the wall and 0 off the wall and those two rays."""
     for label, fan, _ in oracle_cases:
-        classes = [c.coefficients for c in wall_curve_classes(fan)]
+        classes = [c.coefficients for c in fan.wall_classes]
         assert len(set(classes)) == len(classes), label
         for d in classes:
             assert all(sum(x * v[j] for x, v in zip(d, fan.rays)) == 0

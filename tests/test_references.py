@@ -1,0 +1,59 @@
+"""Every public function of a semifano module is used somewhere.
+
+No linter is part of the toolchain, so this reads syntax trees: a
+module-level function of `src/semifano/*.py` whose name does not start with
+`_` must occur as a name or an attribute in some file under `src/`, `tests/`
+or `bench/`.  `__init__.py` imports only to re-export, so its imports use
+nothing.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+INIT = ROOT / "src" / "semifano" / "__init__.py"
+MODULES = sorted(p for p in (ROOT / "src" / "semifano").glob("*.py") if p != INIT)
+SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")
+                 if p != INIT)
+
+
+def public_functions(source):
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def referenced_names(sources):
+    names = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+    return names
+
+
+@pytest.fixture(scope="module")
+def referenced():
+    return referenced_names(p.read_text() for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_public_functions_are_referenced(path, referenced):
+    assert [f for f in public_functions(path.read_text())
+            if f not in referenced] == []
+
+
+def test_unreferenced_function_is_found():
+    module = ("def wall_curve_classes(fan):\n"
+              "    return fan\n"
+              "def is_semi_fano(fan):\n"
+              "    return fan.wall_classes\n"
+              "def _private():\n"
+              "    pass\n")
+    caller = "from semifano import fans\nfans.is_semi_fano(None)\n"
+    used = referenced_names([module, caller])
+    assert [f for f in public_functions(module) if f not in used] == [
+        "wall_curve_classes"]
