@@ -59,10 +59,14 @@ class Fan:
         Across the wall from cone c0 lies ray y with v_y = -v_x + (a sum over
         the wall rays), x being the ray of c0 off the wall; that relation is
         the class of y's superpotential term relative to c0.  Built once per
-        fan object, for a valid fan.
+        fan object, for a valid fan; a wall not in two cones is a FanError.
         """
         classes = {}
-        for wall, (c0, c1) in sorted(self.walls().items()):
+        for wall, cones in sorted(self.walls().items()):
+            if len(cones) != 2:
+                raise FanError(f"wall {tuple(k + 1 for k in wall)} shared by "
+                               f"{len(cones)} cone(s)")
+            c0, c1 = cones
             y = next(r for r in self.max_cones[c1] if r not in wall)
             cls = alpha_class(self, c0, y)
             classes[cls.coefficients] = cls

@@ -8,12 +8,16 @@ coefficients at in-box exponents agree with the untruncated computation.
 
 A series is stored in one form, the packed series (D, {packed exponent:
 integer numerator over D}): each exponent vector packs into one int by the
-box's layout, and the pair is kept in lowest terms, so it is canonical.  The
-kernels work on that form directly: _pmul multiplies, _pexp solves exp and
-log by one graded recurrence, and _subst_dict evaluates x_a := x_a * exp(u_a)
-from the powers (x_a * exp(u_a))^k that _power_tables builds once per map,
-building each monomial's image once.  Fractions appear only where values
-enter (MultiSeries.from_dict) or leave (terms, coefficient, constant_term).
+box's layout, a field a variable and a top field for the total degree,
+and the pair is kept in lowest terms, so it is canonical.  The kernels work
+on that form directly: _pmul multiplies, _pexp solves exp and log by one
+graded recurrence, and _subst_dict evaluates x_a := x_a * exp(u_a) from the
+powers (x_a * exp(u_a))^k that _power_tables builds once per map, building
+each monomial's image once.  A total-degree cap d is only another bias
+(_bias): products past degree d are dropped before they are formed.  Only
+invert_diagonal_unit caps below the box's degree.  Fractions appear only
+where values enter (MultiSeries.from_dict) or leave (terms, coefficient,
+constant_term).
 """
 
 from __future__ import annotations
@@ -50,19 +54,28 @@ class TruncationBox:
             0 <= e <= c for e, c in zip(exp, self.caps)
         )
 
+    @property
+    def degree(self):
+        """The largest total degree in the box, sum(caps)."""
+        return sum(self.caps)
+
     @cached_property
     def layout(self):
-        """(w, shifts, bias, guard, mask): an exponent vector packs into one
-        int, w bits a variable at shifts; mask selects one field.  bias holds
-        2^(w-1) - 1 - cap_a in field a, so adding it to the sum of two in-box
-        exponents sets field a's top (guard) bit exactly when the sum leaves
-        the box: one add and one mask a pair.  Built once per box object."""
-        caps = self.caps
+        """(w, shifts, bias, guard, mask, dk): an exponent vector e packs into
+        one int, w bits a variable at shifts and its total degree sum(e) in
+        the top field at dk; mask selects one variable field.  A field of
+        width b and cap c (cap_a, or degree for the top field) holds
+        2^(b-1) - 1 - c in bias, so adding bias to the sum of two in-box keys
+        sets a field's top (guard) bit exactly when the sum passes its cap:
+        one add and one mask a pair.  Built once per box object."""
+        caps, top = self.caps, self.degree
         w = (2 * max(caps, default=0) + 1).bit_length() + 1
-        shifts = range(0, w * len(caps), w)
-        bias = sum(((1 << (w - 1)) - 1 - c) << k for c, k in zip(caps, shifts))
-        guard = sum(1 << (k + w - 1) for k in shifts)
-        return w, shifts, bias, guard, (1 << w) - 1
+        dk = w * len(caps)
+        fields = [(c, k, w) for c, k in zip(caps, range(0, dk, w))]
+        fields.append((top, dk, (2 * top + 1).bit_length() + 1))
+        bias = sum(((1 << (b - 1)) - 1 - c) << k for c, k, b in fields)
+        guard = sum(1 << (k + b - 1) for _, k, b in fields)
+        return w, range(0, dk, w), bias, guard, (1 << w) - 1, dk
 
     @cached_property
     def table_rows(self):
@@ -78,13 +91,18 @@ class TruncationBox:
 # packed kernels
 
 
+def _key(e, lay):
+    """The packed exponent of exponent vector e: its fields and its degree."""
+    return sum(x << k for x, k in zip(e, lay[1])) + (sum(e) << lay[5])
+
+
 def _pack(d, lay):
     """The packed series (D, {packed exponent: integer numerator over D}) of
     an exponent -> reduced Fraction dict.  Packed series are kept in lowest
     terms (no zero numerator, gcd(D, numerators) = 1), so they are canonical."""
     den = lcm(*(c.denominator for c in d.values()))
-    return den, {sum(x << k for x, k in zip(e, lay[1])):
-                 c.numerator * (den // c.denominator) for e, c in d.items()}
+    return den, {_key(e, lay): c.numerator * (den // c.denominator)
+                 for e, c in d.items()}
 
 
 def _unpack(s, lay):
@@ -98,11 +116,19 @@ def _lowest(den, r, offset=0):
     return den // g, {p - offset: n // g for p, n in r.items() if n}
 
 
+def _bias(box, d):
+    """The layout's bias with the total-degree cap lowered to d <= degree:
+    the degree field's guard bit then drops every product past degree d."""
+    lay = box.layout
+    return lay[2] + ((box.degree - d) << lay[5])
+
+
 def _pmul(s, t, bias, guard):
     """Truncated product of two packed series.
 
-    The outer factor carries the bias, so a pair is in the box exactly when
-    its sum has no guard bit set; numerators multiply over D_s D_t.
+    The outer factor carries the bias, so a pair is in the box (and within
+    the bias's degree cap) exactly when its sum has no guard bit set;
+    numerators multiply over D_s D_t.
     """
     if len(s[1]) > len(t[1]):
         s, t = t, s
@@ -116,25 +142,27 @@ def _pmul(s, t, bias, guard):
     return _lowest(s[0] * t[0], r, bias)
 
 
-def _pexp(s, box, log=False):
-    """exp(s), or log(1 + s) when log is set, of packed s with no constant term.
+def _pexp(s, box, d, log=False):
+    """exp(s), or log(1 + s) when log is set, of packed s with no constant
+    term, through total degree d.
 
-    Solved by total degree from the parts s_k of degree k (Knuth, TAOCP 2,
-    4.7): exp is E_0 = 1, n E_n = sum_k k s_k E_{n-k}, and log is L_0 = 0,
-    n L_n = n s_n - sum_{k<n} (n-k) s_k L_{n-k}.  Degree n is kept as the
-    integers F_n = D^n n! X_n, D the denominator of s: F_0 = 1,
-    F_n = sum_k c_k D^(k-1) (n-1)!/(n-k)! (D s_k) F_{n-k}, with c_k = k for
-    exp; log has c_k = k - n for k < n and c_n = n, and drops F_0.  With
-    N = sum(caps), X_n is F_n D^(N-n) N!/n! over D^N N!.
+    Solved by total degree from the parts s_k of degree k, read off the top
+    field (Knuth, TAOCP 2, 4.7): exp is E_0 = 1, n E_n = sum_k k s_k E_{n-k},
+    and log is L_0 = 0, n L_n = n s_n - sum_{k<n} (n-k) s_k L_{n-k}.  Degree
+    n is kept as the integers F_n = D^n n! X_n, D the denominator of s:
+    F_0 = 1, F_n = sum_k c_k D^(k-1) (n-1)!/(n-k)! (D s_k) F_{n-k}, with
+    c_k = k for exp; log has c_k = k - n for k < n and c_n = n, and drops
+    F_0.  X_n is F_n D^(d-n) d!/n! over D^d d!.  Every product has degree
+    n <= d, so the box's own bias serves for any d.
     """
-    w, shifts, bias, guard, mask = box.layout
+    _, _, bias, guard, _, dk = box.layout
     den, sd = s
-    top = sum(box.caps)
-    parts = [[] for _ in range(top + 1)]
+    parts = [[] for _ in range(d + 1)]
     for p, c in sd.items():
-        parts[sum(p >> k & mask for k in shifts)].append((p + bias, c))
+        if p >> dk <= d:
+            parts[p >> dk].append((p + bias, c))
     f = [{0: 1}]
-    for n in range(1, top + 1):
+    for n in range(1, d + 1):
         r = {}
         for k in range(1, n + 1):
             if not parts[k]:
@@ -147,45 +175,50 @@ def _pexp(s, box, log=False):
                     if not p & guard:
                         r[p] = r.get(p, 0) + n1 * n2
         f.append({p - bias: m for p, m in r.items() if m})
-    scale = [den ** (top - n) * perm(top, top - n) for n in range(top + 1)]
-    out = {p: m * scale[n] for n in range(1 if log else 0, top + 1)
+    scale = [den ** (d - n) * perm(d, d - n) for n in range(d + 1)]
+    out = {p: m * scale[n] for n in range(1 if log else 0, d + 1)
            for p, m in f[n].items()}
-    return _lowest(den ** top * factorial(top), out)
+    return _lowest(den ** d * factorial(d), out)
 
 
-def _power_tables(umaps, series, box):
-    """tables[a][k] = (x_a * exp(u_a))^k, packed, for k up to the largest
-    exponent of x_a in any of the given packed series.
+def _power_tables(umaps, series, box, d):
+    """tables[a][k] = (x_a * exp(u_a))^k, packed through total degree d, for
+    k up to d and the largest exponent of x_a in any of the packed series.
 
     The factor x_a^k keeps the part of exp(u_a)^k that a monomial with x_a^k
     can use, so entries shrink as k grows and products of them stay small.
     """
-    w, shifts, bias, guard, mask = box.layout
+    _, shifts, _, guard, mask, dk = box.layout
+    bias = _bias(box, d)
     tables = []
     for k, u in zip(shifts, umaps):
-        depth = max((p >> k & mask for _, d in series for p in d), default=0)
+        depth = min(d, max((p >> k & mask for _, s in series for p in s), default=0))
         pa = [(1, {0: 1})]
         if depth:
-            ya = _pmul((1, {1 << k: 1}), _pexp(u, box), bias, guard)
+            ya = _pmul((1, {1 << k | 1 << dk: 1}), _pexp(u, box, d - 1), bias, guard)
             for _ in range(depth):
                 pa.append(_pmul(pa[-1], ya, bias, guard))
         tables.append(pa)
     return tables
 
 
-def _subst_dict(series, tables, lay):
-    """Evaluate packed series at x_a := x_a * exp(u_a), given u's power tables.
+def _subst_dict(series, tables, box, d):
+    """Evaluate packed series at x_a := x_a * exp(u_a) through total degree
+    d, given u's power tables through degree d.
 
     The image prod_a tables[a][e_a] of each monomial e is built once, from the
     image of its prefix (e_1, .., e_(a-1), 0, .., 0), and then serves every
-    series and term that contains e.
+    series and term that contains e; a monomial past degree d has image 0.
     """
-    w, shifts, bias, guard, mask = lay
+    w, shifts, _, guard, mask, dk = box.layout
+    bias = _bias(box, d)
     images = {0: (1, {0: 1})}
     out = []
-    for den, d in series:
+    for den, s in series:
         terms = []
-        for p, n in d.items():
+        for p, n in s.items():
+            if p >> dk > d:
+                continue
             img = images[0]
             for k, pa in zip(shifts, tables):
                 if p >> k & mask:
@@ -246,15 +279,12 @@ class MultiSeries:
         d = _unpack(self.packed, self.box.layout)
         return tuple(sorted(d.items(), key=lambda t: (sum(t[0]), t[0])))
 
-    def to_dict(self):
-        return dict(self.terms)
-
     def coefficient(self, exp):
         exp = tuple(exp)
         if not self.box.contains(exp):
             return Fraction(0)
-        p = sum(x << k for x, k in zip(exp, self.box.layout[1]))
-        return Fraction(self.packed[1].get(p, 0), self.packed[0])
+        return Fraction(self.packed[1].get(_key(exp, self.box.layout), 0),
+                        self.packed[0])
 
     @property
     def constant_term(self):
@@ -310,7 +340,7 @@ def mul(s: MultiSeries, t: MultiSeries) -> MultiSeries:
 def exp_series(s: MultiSeries) -> MultiSeries:
     if s.constant_term != 0:
         raise SeriesError("exp_series needs zero constant term")
-    return MultiSeries(s.box, _pexp(s.packed, s.box))
+    return MultiSeries(s.box, _pexp(s.packed, s.box, s.box.degree))
 
 
 def log_series(s: MultiSeries) -> MultiSeries:
@@ -318,7 +348,7 @@ def log_series(s: MultiSeries) -> MultiSeries:
         raise SeriesError("log_series needs constant term one")
     den, d = s.packed
     u = (den, {p: n for p, n in d.items() if p})
-    return MultiSeries(s.box, _pexp(u, s.box, log=True))
+    return MultiSeries(s.box, _pexp(u, s.box, s.box.degree, log=True))
 
 
 @dataclass(frozen=True)
@@ -348,18 +378,15 @@ class DiagonalUnitMap:
     def arity(self):
         return len(self.components)
 
-    def is_identity(self):
-        return all(u.is_zero() for u in self.components)
-
 
 def substitute(s: MultiSeries, m: DiagonalUnitMap) -> MultiSeries:
     """Evaluate s at x_a := x_a * exp(u_a(x))."""
     box = s.box
     if m.arity != box.arity or (m.components and m.box != box):
         raise SeriesError("map arity/box does not match the series")
-    sp = [s.packed]
-    tables = _power_tables([u.packed for u in m.components], sp, box)
-    return MultiSeries(box, _subst_dict(sp, tables, box.layout)[0])
+    sp, top = [s.packed], box.degree
+    tables = _power_tables([u.packed for u in m.components], sp, box, top)
+    return MultiSeries(box, _subst_dict(sp, tables, box, top)[0])
 
 
 def compose(outer: DiagonalUnitMap, inner: DiagonalUnitMap) -> DiagonalUnitMap:
@@ -371,23 +398,39 @@ def compose(outer: DiagonalUnitMap, inner: DiagonalUnitMap) -> DiagonalUnitMap:
 
 
 def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
-    """Formal inverse of x_a -> x_a*exp(u_a), by fixed-point iteration.
+    """Formal inverse of x_a -> x_a*exp(u_a), by graded fixed-point iteration.
 
-    Iterates w_a <- -u_a(x*exp(w)) from w = 0 over the full box.  Every u_a
-    has zero constant term, so if two w agree up to total degree k their
-    images agree up to degree k+1: round k fixes w up to degree k, and the
-    first round that leaves w unchanged has found the unique inverse.  That
-    takes at most sum(caps) + 1 rounds.  Packed series are canonical, so the
-    comparison is exact.
+    Iterates w_a <- -u_a(x*exp(w)) from w = 0.  Every term of u has total
+    degree at least low >= 1, so a round capped at degree d fixes w through
+    d once w is fixed through d - low (w = 0 is, through low - 1): each
+    round raises the cap by low.  When a capped round leaves w unchanged,
+    one round over the whole box follows; if it too leaves w unchanged, w is
+    the unique inverse, else its result, cut at degree d + low, goes on.
+    From the box's degree on, every round is whole-box.  Packed series are
+    canonical, so the comparisons are exact.
     """
     box = m.box
+    top, dk = box.degree, box.layout[5]
     minus_u = [(-u).packed for u in m.components]
-    w = [(1, {}) for _ in minus_u]
-    for _ in range(sum(box.caps) + 1):
-        w2 = _subst_dict(minus_u, _power_tables(w, minus_u, box), box.layout)
+    low = min((p >> dk for _, s in minus_u for p in s), default=top + 1)
+
+    def round_to(w, d):
+        d = min(d, top)
+        return _subst_dict(minus_u, _power_tables(w, minus_u, box, d), box, d)
+
+    w, d = [(1, {}) for _ in minus_u], 2 * low - 1
+    while True:
+        w2 = round_to(w, d)
         if w2 == w:
-            break
-        w = w2
+            if d >= top:
+                break
+            w2 = round_to(w, top)
+            if w2 == w:
+                break
+            d += low
+            w2 = [_lowest(den, {p: n for p, n in s.items() if p >> dk <= d})
+                  for den, s in w2]
+        w, d = w2, d + low
     return DiagonalUnitMap(tuple(MultiSeries(box, c) for c in w))
 
 

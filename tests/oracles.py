@@ -1,15 +1,50 @@
-"""Reference linear algebra over Q (fractions.Fraction) for the tests.
+"""Reference algorithms and test-only views for the tests.
 
 The engine decides every lattice question with one fraction-free integer
-solve, `semifano.intlinalg.fraction_free_solve`.  These are independent
+solve, `semifano.intlinalg.fraction_free_solve`.  Here are independent
 algorithms, a Gauss-Jordan solve and a Gaussian rank over Q and a
 Hermite-style kernel sweep over Z, kept only so that tests can compare the
-engine against code it does not use.
+engine against code it does not use.  The same goes for the whole-box
+inversion loop that the engine's graded inversion replaced, and for the
+dict and identity views of series and maps that only tests read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+
+from semifano import DiagonalUnitMap, MultiSeries
+from semifano.series import _power_tables, _subst_dict
+
+
+def to_dict(s):
+    """The exponent -> Fraction dict of a MultiSeries."""
+    return dict(s.terms)
+
+
+def is_identity(m):
+    """Whether a DiagonalUnitMap is x_a -> x_a, every u_a zero."""
+    return all(u.is_zero() for u in m.components)
+
+
+def oracle_invert_full_box(m):
+    """Inverse of x_a -> x_a*exp(u_a) by whole-box fixed-point iteration.
+
+    Iterates w_a <- -u_a(x*exp(w)) from w = 0 with every round over the
+    whole box.  Every u_a has zero constant term, so if two w agree up to
+    total degree k their images agree up to degree k+1: round k fixes w up
+    to degree k, and the first round that leaves w unchanged has found the
+    unique inverse.  That takes at most sum(caps) + 1 rounds.
+    """
+    box, top = m.box, m.box.degree
+    minus_u = [(-u).packed for u in m.components]
+    w = [(1, {}) for _ in minus_u]
+    for _ in range(top + 1):
+        w2 = _subst_dict(minus_u, _power_tables(w, minus_u, box, top), box, top)
+        if w2 == w:
+            break
+        w = w2
+    return DiagonalUnitMap(tuple(MultiSeries(box, c) for c in w))
 
 
 def left_kernel_basis(V):

@@ -91,6 +91,16 @@ def test_wall_classes_f2():
     assert walls == {(0, 1, 0, 1), (1, 2, 1, 0), (1, 0, 1, -2)}
 
 
+def test_wall_in_one_cone_is_a_fan_error():
+    # the walls (1,) and (3,) each lie in one cone only: a FanError naming
+    # the first, not a failed unpacking
+    fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
+    with pytest.raises(FanError, match=r"wall \(1,\) shared by 1 cone"):
+        is_semi_fano(fan)
+    with pytest.raises(FanError, match="shared by 1 cone"):
+        curve_lattice(fan)
+
+
 def test_wall_classes_are_built_once_and_leave_equality_alone():
     fan, _ = fixture_fan("f2")
     assert isinstance(fan.wall_classes, tuple)

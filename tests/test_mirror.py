@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from semifano import (
     CurveClass,
+    DiagonalUnitMap,
     Fan,
     FanError,
     MultiSeries,
@@ -30,6 +31,7 @@ from semifano import mirror, series
 from semifano.cli import main, parse_input
 from semifano.series import compose
 from conftest import fixture_fan, fixture_lattice
+from oracles import is_identity, oracle_invert_full_box, to_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import surfaces  # noqa: E402
@@ -115,7 +117,7 @@ def test_g0_f2_closed_form():
         (k, 0): Fraction(factorial(2 * k - 1), factorial(k) ** 2)
         for k in range(1, 7)
     }
-    assert s.to_dict() == expected
+    assert to_dict(s) == expected
 
 
 def test_g0_kp2_bundle_closed_form():
@@ -125,7 +127,7 @@ def test_g0_kp2_bundle_closed_form():
     box = TruncationBox((4, 4))
     fam = compute_g0_family(lattice, box)
     assert [i for i, s in enumerate(fam.series) if not s.is_zero()] == [0]
-    s = fam.series[0].to_dict()
+    s = to_dict(fam.series[0])
     fiber_axis = {e for e in s}
     assert all(sum(1 for x in e if x) == 1 for e in fiber_axis)
     var = next(a for e in s for a, x in enumerate(e) if x)
@@ -167,15 +169,15 @@ def test_g0_threefold_closed_forms_small():
     _, lattice = fixture_lattice("threefold-example")
     f_coef, g_coef, h_coef = threefold_closed_forms((5, 5))
     box = TruncationBox((5, 5, 0, 0))
-    s1 = g0_series(lattice, 0, box).to_dict()
-    s2 = g0_series(lattice, 1, box).to_dict()
+    s1 = to_dict(g0_series(lattice, 0, box))
+    s2 = to_dict(g0_series(lattice, 1, box))
     for k1 in range(6):
         for k2 in range(6):
             e = (k1, k2, 0, 0)
             assert s1.get(e, Fraction(0)) == -f_coef(k1, k2)
             assert s2.get(e, Fraction(0)) == -g_coef(k1, k2)
     box4 = TruncationBox((0, 0, 0, 5))
-    s4 = g0_series(lattice, 3, box4).to_dict()
+    s4 = to_dict(g0_series(lattice, 3, box4))
     for k in range(1, 6):
         assert s4.get((0, 0, 0, k), Fraction(0)) == -h_coef(k)
 
@@ -218,7 +220,7 @@ def test_lagrange_good_oracle_threefold():
     analysis = analyze(fan, lattice, box)
     for i, s in enumerate(analysis.g0.series):
         want = g0[i] if i < 2 else {}
-        assert s.to_dict() == {k + (0, 0): c for k, c in want.items()}
+        assert to_dict(s) == {k + (0, 0): c for k, c in want.items()}
     u = [{k: sum(-lattice.pairing(i, a) * g0[i].get(k, 0) for i in (0, 1))
           for k in cells} for a in (0, 1)]
     # jac[a][b] = d_ab + x_b du_a/dx_b
@@ -262,8 +264,8 @@ def test_mirror_map_f2():
     assert mm.forward.components[0] == g4.scale(2)
     assert mm.forward.components[1] == g4.scale(-1)
     ident = compose(mm.forward, mm.inverse)
-    assert ident.is_identity()
-    assert compose(mm.inverse, mm.forward).is_identity()
+    assert is_identity(ident)
+    assert is_identity(compose(mm.inverse, mm.forward))
 
 
 def test_threefold_inverse_at_7777(threefold_lattice):
@@ -275,22 +277,45 @@ def test_threefold_inverse_at_7777(threefold_lattice):
     bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
                for c in terms)
     assert bits == 30
-    assert compose(mm.forward, mm.inverse).is_identity()
+    assert is_identity(compose(mm.forward, mm.inverse))
 
 
-def test_threefold_inversion_takes_15_rounds(threefold_lattice, monkeypatch):
-    # 14 rounds change w and the 15th leaves it fixed; the stopping test
-    # relies on packed series in lowest terms, without which it would run all
-    # sum(caps) + 1 = 29 rounds
+def inversion_caps(forward, monkeypatch):
+    """The total-degree cap of every inversion round, in order."""
+    build, caps = series._power_tables, []
+    monkeypatch.setattr(series, "_power_tables",
+                        lambda *args: caps.append(args[3]) or build(*args))
+    series.invert_diagonal_unit(forward)
+    return caps
+
+
+def test_threefold_inversion_takes_15_capped_rounds_then_one_full(
+        threefold_lattice, monkeypatch):
+    # every term of u has degree >= 1, so round d is capped at degree d; the
+    # inverse reaches degree 14, so 14 capped rounds change w, the 15th
+    # (capped at 15) leaves it fixed, and one round over the whole box
+    # (degree 28) proves it the inverse.  The stopping test relies on packed
+    # series in lowest terms; the whole-box loop takes 15 rounds at degree 28
     _, lattice = threefold_lattice
     fam = compute_g0_family(lattice, TruncationBox((7,) * 4))
     forward = assemble_mirror_map(fam).forward
-    build, calls = series._power_tables, []
-    monkeypatch.setattr(
-        series, "_power_tables", lambda *args: calls.append(1) or build(*args)
-    )
-    series.invert_diagonal_unit(forward)
-    assert len(calls) == 15
+    assert inversion_caps(forward, monkeypatch) == list(range(1, 16)) + [28]
+
+
+def test_gapless_inversion_runs_no_failed_full_box_round(monkeypatch):
+    # u = x^2 at (12,): the inverse has a term at every even degree, so every
+    # capped round changes w, rounds go up by 2 from cap 3, and the only
+    # whole-box rounds are the last two, once the cap has reached 12
+    forward = DiagonalUnitMap((MultiSeries.from_dict(TruncationBox((12,)), {(2,): 1}),))
+    assert inversion_caps(forward, monkeypatch) == [3, 5, 7, 9, 11, 12, 12]
+
+
+def test_threefold_inverse_is_the_full_box_inverse(threefold_lattice):
+    _, lattice = threefold_lattice
+    fam = compute_g0_family(lattice, TruncationBox((7,) * 4))
+    forward = assemble_mirror_map(fam).forward
+    # equal maps have equal packed components, so this is byte equality
+    assert series.invert_diagonal_unit(forward) == oracle_invert_full_box(forward)
 
 
 def test_mirror_map_fano_identity():
@@ -298,8 +323,8 @@ def test_mirror_map_fano_identity():
         _, lattice = fixture_lattice(name)
         fam = compute_g0_family(lattice, TruncationBox(caps))
         mm = assemble_mirror_map(fam)
-        assert mm.forward.is_identity()
-        assert mm.inverse.is_identity()
+        assert is_identity(mm.forward)
+        assert is_identity(mm.inverse)
 
 
 def test_mirror_round_trip_all_fixtures():
@@ -311,8 +336,8 @@ def test_mirror_round_trip_all_fixtures():
     ):
         _, lattice = fixture_lattice(name)
         mm = assemble_mirror_map(compute_g0_family(lattice, TruncationBox(caps)))
-        assert compose(mm.forward, mm.inverse).is_identity(), name
-        assert compose(mm.inverse, mm.forward).is_identity(), name
+        assert is_identity(compose(mm.forward, mm.inverse)), name
+        assert is_identity(compose(mm.inverse, mm.forward)), name
 
 
 def test_pullback_f2_is_log():

@@ -26,6 +26,7 @@ from semifano.series import (
     _subst_dict,
     compose,
 )
+from oracles import is_identity, oracle_invert_full_box, to_dict
 
 
 def S(caps, coeffs):
@@ -167,7 +168,7 @@ def oracle_combine(pairs):
     """sum k * s on Fraction dicts, zeros dropped."""
     out = {}
     for k, s in pairs:
-        for e, c in s.to_dict().items():
+        for e, c in to_dict(s).items():
             out[e] = out.get(e, Fraction(0)) + k * c
     return {e: c for e, c in out.items() if c}
 
@@ -180,7 +181,7 @@ def test_combine_matches_fraction_oracle(data):
     pairs = data.draw(st.lists(
         st.tuples(st.integers(-3, 3), boxed_series(caps=box.caps)), max_size=4))
     got = combine(box, pairs)
-    assert got.to_dict() == oracle_combine(pairs)
+    assert to_dict(got) == oracle_combine(pairs)
     assert got == MultiSeries.from_dict(box, oracle_combine(pairs))
 
 
@@ -230,7 +231,7 @@ def test_mul_matches_dense_convolution(pair):
     # zero caps sit next to large ones
     s, t = pair
     caps = s.box.caps
-    sd, td = s.to_dict(), t.to_dict()
+    sd, td = to_dict(s), to_dict(t)
     dense = {}
     for e1, c1 in sd.items():
         for e2, c2 in td.items():
@@ -257,7 +258,7 @@ def test_mul_packing_edges():
     # the x*y terms cancel exactly and must not be stored as a zero
     s = {(1, 0): F(1, 2), (0, 1): F(-1, 3)}
     t = {(1, 0): F(1, 2), (0, 1): F(1, 3)}
-    assert mul(S((2, 2), s), S((2, 2), t)).to_dict() == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
+    assert to_dict(mul(S((2, 2), s), S((2, 2), t))) == {(2, 0): F(1, 4), (0, 2): F(-1, 9)}
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +287,13 @@ def power_sum(s, coeff, caps):
 
 
 def oracle_exp(s):
-    d = power_sum(s.to_dict(), lambda k: Fraction(1, factorial(k)), s.box.caps)
+    d = power_sum(to_dict(s), lambda k: Fraction(1, factorial(k)), s.box.caps)
     d[(0,) * s.box.arity] = Fraction(1)
     return MultiSeries.from_dict(s.box, d)
 
 
 def oracle_log(s):
-    u = s.to_dict()
+    u = to_dict(s)
     del u[(0,) * s.box.arity]
     d = power_sum(u, lambda k: Fraction((-1) ** (k + 1), k), s.box.caps)
     return MultiSeries.from_dict(s.box, d)
@@ -348,12 +349,12 @@ def test_exp_log_edges():
     assert log_series(one_plus_s) == oracle_log(one_plus_s)
     # exp(x - x^2/2) and log(1 + x + x^2/2) have x^2 terms that cancel
     # exactly; they must not be stored as zeros
-    e = exp_series(S((5,), {(1,): 1, (2,): F(-1, 2)})).to_dict()
+    e = to_dict(exp_series(S((5,), {(1,): 1, (2,): F(-1, 2)})))
     assert (2,) not in e and e[(3,)] == F(-1, 3)
-    assert e == oracle_exp(S((5,), {(1,): 1, (2,): F(-1, 2)})).to_dict()
-    g = log_series(S((5,), {(0,): 1, (1,): 1, (2,): F(1, 2)})).to_dict()
+    assert e == to_dict(oracle_exp(S((5,), {(1,): 1, (2,): F(-1, 2)})))
+    g = to_dict(log_series(S((5,), {(0,): 1, (1,): 1, (2,): F(1, 2)})))
     assert (2,) not in g and g[(3,)] == F(-1, 6)
-    assert g == oracle_log(S((5,), {(0,): 1, (1,): 1, (2,): F(1, 2)})).to_dict()
+    assert g == to_dict(oracle_log(S((5,), {(0,): 1, (1,): 1, (2,): F(1, 2)})))
 
 
 @st.composite
@@ -400,9 +401,10 @@ def unit_maps(draw, caps=None):
 @given(unit_maps())
 def test_inversion_round_trip(m):
     w = invert_diagonal_unit(m)
+    assert w == oracle_invert_full_box(m)
     assert invert_diagonal_unit(w) == m
-    assert compose(m, w).is_identity()
-    assert compose(w, m).is_identity()
+    assert is_identity(compose(m, w))
+    assert is_identity(compose(w, m))
 
 
 @settings(max_examples=100, deadline=None)
@@ -421,8 +423,8 @@ def test_substitute_composition(data):
 def test_deep_round_trips(m, s):
     # boxes past degree 3 reach the late rounds of the inversion
     w = invert_diagonal_unit(m)
-    assert compose(m, w).is_identity()
-    assert compose(w, m).is_identity()
+    assert is_identity(compose(m, w))
+    assert is_identity(compose(w, m))
     assert substitute(substitute(s, m), w) == s
 
 
@@ -497,10 +499,10 @@ def shared_maps(draw, size):
 
 def oracle_compose(outer, inner):
     caps = outer.box.caps
-    us = [w.to_dict() for w in inner.components]
+    us = [to_dict(w) for w in inner.components]
     comps = []
     for u, w in zip(outer.components, us):
-        r = oracle_subst(u.to_dict(), us, caps)
+        r = oracle_subst(to_dict(u), us, caps)
         for e, c in w.items():
             r[e] = r.get(e, 0) + c
         comps.append(MultiSeries.from_dict(outer.box, r))
@@ -512,14 +514,14 @@ def oracle_compose(outer, inner):
 def test_substitute_and_compose_match_oracle(drawn, data):
     outer, inner, s = drawn
     caps = s.box.caps
-    us = [w.to_dict() for w in inner.components]
-    want = oracle_subst(s.to_dict(), us, caps)
+    us = [to_dict(w) for w in inner.components]
+    want = oracle_subst(to_dict(s), us, caps)
     if want:
         # take c x^f off s for one monomial f of its image: the image of x^f
         # has coefficient 1 at f, so the contributions to f cancel to zero
         f = data.draw(st.sampled_from(sorted(want)))
         s = add(s, MultiSeries.from_dict(s.box, {f: -want[f]}))
-        want = oracle_subst(s.to_dict(), us, caps)
+        want = oracle_subst(to_dict(s), us, caps)
         assert f not in want
     assert substitute(s, inner) == MultiSeries.from_dict(s.box, want)
     assert compose(outer, inner) == oracle_compose(outer, inner)
@@ -532,18 +534,58 @@ def test_inverse_is_the_oracle_fixed_point(drawn):
     # fixed point is unique
     m, _, _ = drawn
     w = invert_diagonal_unit(m)
+    assert w == oracle_invert_full_box(m)
     caps = m.box.caps
-    ws = [c.to_dict() for c in w.components]
+    ws = [to_dict(c) for c in w.components]
     for u, c in zip(m.components, w.components):
-        minus_u = {e: -d for e, d in u.to_dict().items()}
+        minus_u = {e: -d for e, d in to_dict(u).items()}
         assert c == MultiSeries.from_dict(m.box, oracle_subst(minus_u, ws, caps))
+
+
+GAPPED_MAPS = {
+    # lowest degree 2, 3 and 12: the cap rises by that much a round
+    "x^2": ((12,), [{(2,): 1}]),
+    "x^3/2": ((15,), [{(3,): Fraction(1, 2)}]),
+    "x^12": ((12,), [{(12,): 1}]),
+    # every term of degree >= 2, and the inverse has no term of degree 3..5:
+    # the round capped at 5 leaves w fixed, and the whole-box round after it
+    # does not, so its result is cut at degree 7
+    "two-variable": ((8, 8), [{(0, 2): 1, (3, 3): Fraction(-2, 3)},
+                              {(0, 6): 1, (2, 4): 3}]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GAPPED_MAPS))
+def test_inversion_with_degree_gaps_is_the_full_box_inverse(name):
+    caps, comps = GAPPED_MAPS[name]
+    m = DiagonalUnitMap(tuple(S(caps, u) for u in comps))
+    w = invert_diagonal_unit(m)
+    assert w == oracle_invert_full_box(m)
+    assert is_identity(compose(m, w)) and is_identity(compose(w, m))
+
+
+@settings(max_examples=100, deadline=None)
+@given(series_pair(arities=(0, 4), max_cap=9))
+def test_degree_field_is_the_total_degree(pair):
+    s, t = pair
+    _, shifts, _, _, mask, dk = s.box.layout
+    u = add(s, MultiSeries.from_dict(s.box, {(0,) * s.box.arity: -s.constant_term}))
+    for r in (s, t, mul(s, t), exp_series(u)):
+        for p in r.packed[1]:
+            assert p >> dk == sum(p >> k & mask for k in shifts)
+    for e, _ in s.terms:
+        assert MultiSeries.from_dict(s.box, {e: 1}).packed[1].keys() == {
+            sum(x << k for x, k in zip(e, shifts)) + (sum(e) << dk)}
 
 
 def test_packed_form_is_canonical():
     F = Fraction
-    lay = TruncationBox((3, 3)).layout
-    w, _, bias, guard, _ = lay
-    x, y, xy = 1, 1 << w, 1 | 1 << w
+    box = TruncationBox((3, 3))
+    lay = box.layout
+    w, _, bias, guard, _, dk = lay
+    # each key carries its total degree in the top field
+    x, y = 1 | 1 << dk, 1 << w | 1 << dk
+    xy = x + y
     # x*y/3 through denominators 2*3, 3*2 and 3, and by reducing 4/12
     routes = [
         _pmul(_pack({(1, 0): F(1, 2)}, lay), _pack({(0, 1): F(2, 3)}, lay), bias, guard),
@@ -566,10 +608,9 @@ def test_packed_form_is_canonical():
     tables = [[(1, {0: 1}), _pack({(k, 0): F(1, 2 ** (k - 1) * factorial(k - 1))
                                    for k in range(1, 4)}, lay),
                _pack({(2, 0): F(1), (3, 0): F(1)}, lay)], [(1, {0: 1})]]
-    r = _subst_dict([_pack({(1, 0): F(1), (2, 0): F(-1, 2)}, lay)], tables, lay)
+    r = _subst_dict([_pack({(1, 0): F(1), (2, 0): F(-1, 2)}, lay)], tables, box, box.degree)
     assert r == [(8, {x: 8, 3 * x: -3})]
     # the public type stores the same canonical form
-    box = TruncationBox((3, 3))
     zero = MultiSeries.zero(box)
     s = MultiSeries.from_dict(box, {(1, 0): F(4, 12), (0, 2): F(-6, 4), (1, 1): 2})
     assert add(s, -s) == s.scale(0) == zero and add(s, -s).packed == (1, {})

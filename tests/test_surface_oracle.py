@@ -15,6 +15,7 @@ from semifano.superpotential import (
     surface_self_intersections,
 )
 from conftest import fixture_analysis, fixture_fan, fixture_lattice
+from oracles import to_dict
 
 
 def test_cyclic_order_f2():
@@ -40,7 +41,7 @@ def test_admissible_delta_f2():
     box = TruncationBox((5, 5))
     deltas = surface_admissible_deltas(fan, lattice, box)
     assert len(deltas) == fan.num_rays
-    assert deltas[3].to_dict() == {(1, 0): 1}
+    assert to_dict(deltas[3]) == {(1, 0): 1}
     for i in (0, 1, 2):
         assert deltas[i].is_zero()
 
