@@ -4,7 +4,7 @@ For each ray i the correction series sums, over curve classes d with total
 anticanonical pairing zero that are negative exactly at coordinate i, the
 factorial ratio (-1)^{d_i} (-d_i - 1)! / prod_{j != i} d_j!.  The coordinate
 change multiplies each variable by the exponential of a combination of these
-series; its formal inverse is computed by fixed-point iteration.
+series; its formal inverse is computed in one pass over total degree.
 """
 
 from __future__ import annotations

@@ -13,11 +13,10 @@ and the pair is kept in lowest terms, so it is canonical.  The kernels work
 on that form directly: _pmul multiplies, _pexp solves exp and log by one
 graded recurrence, and _subst_dict evaluates x_a := x_a * exp(u_a) from the
 powers (x_a * exp(u_a))^k that _power_tables builds once per map, building
-each monomial's image once.  A total-degree cap d is only another bias
-(_bias): products past degree d are dropped before they are formed.  Only
-invert_diagonal_unit caps below the box's degree.  Fractions appear only
-where values enter (MultiSeries.from_dict) or leave (terms, coefficient,
-constant_term).
+each monomial's image once.  invert_diagonal_unit solves for its series one
+total degree at a time, each kept as a list of degree slices that _slice
+builds.  Fractions appear only where values enter (MultiSeries.from_dict)
+or leave (terms, coefficient, constant_term).
 """
 
 from __future__ import annotations
@@ -116,19 +115,11 @@ def _lowest(den, r, offset=0):
     return den // g, {p - offset: n // g for p, n in r.items() if n}
 
 
-def _bias(box, d):
-    """The layout's bias with the total-degree cap lowered to d <= degree:
-    the degree field's guard bit then drops every product past degree d."""
-    lay = box.layout
-    return lay[2] + ((box.degree - d) << lay[5])
-
-
 def _pmul(s, t, bias, guard):
     """Truncated product of two packed series.
 
-    The outer factor carries the bias, so a pair is in the box (and within
-    the bias's degree cap) exactly when its sum has no guard bit set;
-    numerators multiply over D_s D_t.
+    The outer factor carries the bias, so a pair is in the box exactly when
+    its sum has no guard bit set; numerators multiply over D_s D_t.
     """
     if len(s[1]) > len(t[1]):
         s, t = t, s
@@ -181,44 +172,40 @@ def _pexp(s, box, d, log=False):
     return _lowest(den ** d * factorial(d), out)
 
 
-def _power_tables(umaps, series, box, d):
-    """tables[a][k] = (x_a * exp(u_a))^k, packed through total degree d, for
-    k up to d and the largest exponent of x_a in any of the packed series.
+def _power_tables(umaps, series, box):
+    """tables[a][k] = (x_a * exp(u_a))^k, packed, for k up to the largest
+    exponent of x_a in any of the packed series.
 
     The factor x_a^k keeps the part of exp(u_a)^k that a monomial with x_a^k
     can use, so entries shrink as k grows and products of them stay small.
     """
-    _, shifts, _, guard, mask, dk = box.layout
-    bias = _bias(box, d)
+    _, shifts, bias, guard, mask, dk = box.layout
     tables = []
     for k, u in zip(shifts, umaps):
-        depth = min(d, max((p >> k & mask for _, s in series for p in s), default=0))
+        depth = max((p >> k & mask for _, s in series for p in s), default=0)
         pa = [(1, {0: 1})]
         if depth:
-            ya = _pmul((1, {1 << k | 1 << dk: 1}), _pexp(u, box, d - 1), bias, guard)
+            ya = _pmul((1, {1 << k | 1 << dk: 1}), _pexp(u, box, box.degree - 1),
+                       bias, guard)
             for _ in range(depth):
                 pa.append(_pmul(pa[-1], ya, bias, guard))
         tables.append(pa)
     return tables
 
 
-def _subst_dict(series, tables, box, d):
-    """Evaluate packed series at x_a := x_a * exp(u_a) through total degree
-    d, given u's power tables through degree d.
+def _subst_dict(series, tables, box):
+    """Evaluate packed series at x_a := x_a * exp(u_a), given u's power tables.
 
     The image prod_a tables[a][e_a] of each monomial e is built once, from the
     image of its prefix (e_1, .., e_(a-1), 0, .., 0), and then serves every
-    series and term that contains e; a monomial past degree d has image 0.
+    series and term that contains e.
     """
-    w, shifts, _, guard, mask, dk = box.layout
-    bias = _bias(box, d)
+    w, shifts, bias, guard, mask, _ = box.layout
     images = {0: (1, {0: 1})}
     out = []
     for den, s in series:
         terms = []
         for p, n in s.items():
-            if p >> dk > d:
-                continue
             img = images[0]
             for k, pa in zip(shifts, tables):
                 if p >> k & mask:
@@ -235,6 +222,35 @@ def _subst_dict(series, tables, box, d):
                 r[q] = r.get(q, 0) + n * m
         out.append(_lowest(den * scale, r))
     return out
+
+
+_ZERO = (1, {})
+
+
+def _slice(out, pairs, lay, den=1):
+    """Append (1/den) sum k*s*t over the (k, s, t) in pairs, in lowest terms,
+    to out: a series kept as its list of packed degree slices, so the slice
+    appended has degree len(out).  Products that leave the box are dropped
+    by the guard bits, as in _pmul.  Zero slices all share one _ZERO."""
+    _, _, bias, guard, _, _ = lay
+    pairs = [(k, s, t) for k, s, t in pairs if s[1] and t[1]]
+    # a list, not a generator: lcm(*generator) grows its argument tuple by
+    # resizing, and the resized tuples pile up in the interpreter's free lists
+    scale = lcm(*[s[0] * t[0] for _, s, t in pairs])
+    r = {}
+    for k, (ds, s), (dt, t) in pairs:
+        if len(s) > len(t):
+            s, t = t, s
+        k *= scale // (ds * dt)
+        for p1, n1 in s.items():
+            p1 += bias
+            n1 *= k
+            for p2, n2 in t.items():
+                p = p1 + p2
+                if not p & guard:
+                    r[p] = r.get(p, 0) + n1 * n2
+    s = _lowest(den * scale, r, bias)
+    out.append(s if s[1] else _ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +312,6 @@ class MultiSeries:
     def __neg__(self):
         den, d = self.packed
         return MultiSeries(self.box, (den, {p: -n for p, n in d.items()}))
-
-    def scale(self, k):
-        k = Fraction(k)
-        den, d = self.packed
-        return MultiSeries(self.box, _lowest(
-            den * k.denominator, {p: n * k.numerator for p, n in d.items()}))
 
 
 def _require_same_box(box, series):
@@ -384,54 +394,78 @@ def substitute(s: MultiSeries, m: DiagonalUnitMap) -> MultiSeries:
     box = s.box
     if m.arity != box.arity or (m.components and m.box != box):
         raise SeriesError("map arity/box does not match the series")
-    sp, top = [s.packed], box.degree
-    tables = _power_tables([u.packed for u in m.components], sp, box, top)
-    return MultiSeries(box, _subst_dict(sp, tables, box, top)[0])
-
-
-def compose(outer: DiagonalUnitMap, inner: DiagonalUnitMap) -> DiagonalUnitMap:
-    """Map sending x_a to x_a*exp(u_a) followed by x_a to x_a*exp(w_a)."""
-    return DiagonalUnitMap(tuple(
-        add(substitute(u, inner), w)
-        for u, w in zip(outer.components, inner.components)
-    ))
+    sp = [s.packed]
+    tables = _power_tables([u.packed for u in m.components], sp, box)
+    return MultiSeries(box, _subst_dict(sp, tables, box)[0])
 
 
 def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
-    """Formal inverse of x_a -> x_a*exp(u_a), by graded fixed-point iteration.
+    """Formal inverse of x_a -> x_a*exp(u_a), in one pass over total degree.
 
-    Iterates w_a <- -u_a(x*exp(w)) from w = 0.  Every term of u has total
-    degree at least low >= 1, so a round capped at degree d fixes w through
-    d once w is fixed through d - low (w = 0 is, through low - 1): each
-    round raises the cap by low.  When a capped round leaves w unchanged,
-    one round over the whole box follows; if it too leaves w unchanged, w is
-    the unique inverse, else its result, cut at degree d + low, goes on.
-    From the box's degree on, every round is whole-box.  Packed series are
-    canonical, so the comparisons are exact.
+    The inverse w is the fixed point w_a = -u_a(x*exp(w)).  Every series the
+    substitution builds is kept as its list of degree slices: y_a =
+    x_a*exp(w_a), by (n-1) y_n = sum_k k w_k y_(n-k) from y_1 = x_a; its
+    powers y_a^k, for k up to the largest exponent of x_a in u, which the
+    factor x_a^k trims as in _power_tables; the image of each monomial of
+    u, from the image of its prefix as in _subst_dict; and w.  Every term of
+    u has total degree at least 1, so the degree-n slice of an image, and so
+    w's, needs w only through degree n - 1.  Degree by degree, each slice
+    is one _slice of lower ones: built once, and exact.
     """
     box = m.box
-    top, dk = box.degree, box.layout[5]
+    lay, top = box.layout, box.degree
+    w_bits, shifts, _, _, mask, dk = lay
+    one = (1, {0: 1})
     minus_u = [(-u).packed for u in m.components]
-    low = min((p >> dk for _, s in minus_u for p in s), default=top + 1)
-
-    def round_to(w, d):
-        d = min(d, top)
-        return _subst_dict(minus_u, _power_tables(w, minus_u, box, d), box, d)
-
-    w, d = [(1, {}) for _ in minus_u], 2 * low - 1
-    while True:
-        w2 = round_to(w, d)
-        if w2 == w:
-            if d >= top:
-                break
-            w2 = round_to(w, top)
-            if w2 == w:
-                break
-            d += low
-            w2 = [_lowest(den, {p: n for p, n in s.items() if p >> dk <= d})
-                  for den, s in w2]
-        w, d = w2, d + low
-    return DiagonalUnitMap(tuple(MultiSeries(box, c) for c in w))
+    w = [[_ZERO] for _ in minus_u]
+    # powers[a][k] = y_a^k for each x_a that u contains; the k-th starts
+    # with its k zero slices, and y_a with y_1 = x_a
+    powers = {}
+    for a, k in enumerate(shifts):
+        depth = max((p >> k & mask for _, s in minus_u for p in s), default=0)
+        if depth:
+            powers[a] = [[one], [_ZERO, (1, {1 << k | 1 << dk: 1})]] + [
+                [_ZERO] * j for j in range(2, depth + 1)]
+    # the image of each prefix of a monomial of u; those past x_a^e alone
+    # are (its slices, the parent's slices, the power it multiplies in, that
+    # power's exponent) in steps
+    images, steps, comps = {0: [one]}, [], []
+    for den, s in minus_u:
+        terms = []
+        for p, c in s.items():
+            img, deg = images[0], 0
+            for a, k in enumerate(shifts):
+                e = p >> k & mask
+                if e:
+                    pre, deg = p & ((1 << k + w_bits) - 1), deg + e
+                    if pre not in images:
+                        if img is images[0]:
+                            images[pre] = powers[a][e]
+                        else:
+                            images[pre] = [_ZERO] * deg
+                            steps.append((images[pre], img, powers[a][e], e))
+                    img = images[pre]
+            terms.append((c, img))
+        comps.append((den, terms))
+    for n in range(1, top + 1):
+        for a, pw in powers.items():
+            y = pw[1]
+            if n > 1:
+                _slice(y, [(k, w[a][k], y[n - k]) for k in range(1, n)], lay, n - 1)
+            for k in range(2, min(len(pw) - 1, n) + 1):
+                _slice(pw[k], [(1, y[j], pw[k - 1][n - j])
+                               for j in range(1, n - k + 2)], lay)
+        for img, parent, pk, e in steps:
+            if len(img) == n:
+                _slice(img, [(1, parent[j], pk[n - j]) for j in range(n - e + 1)], lay)
+        for wa, (den, terms) in zip(w, comps):
+            _slice(wa, [(c, one, img[n]) for c, img in terms], lay, den)
+    out = []
+    for wa in w:
+        den = lcm(*[d for d, _ in wa])
+        # slices have disjoint keys and lowest terms, so their sum has too
+        out.append((den, {p: c * (den // d) for d, s in wa for p, c in s.items()}))
+    return DiagonalUnitMap(tuple(MultiSeries(box, c) for c in out))
 
 
 def _monomial(names, exponents):

@@ -5,16 +5,17 @@ solve, `semifano.intlinalg.fraction_free_solve`.  Here are independent
 algorithms, a Gauss-Jordan solve and a Gaussian rank over Q and a
 Hermite-style kernel sweep over Z, kept only so that tests can compare the
 engine against code it does not use.  The same goes for the whole-box
-inversion loop that the engine's graded inversion replaced, and for the
-dict and identity views of series and maps that only tests read.
+inversion loop that the engine's one-pass inversion replaced, and for the
+dict and identity views, scaling and composition of series and maps that
+only tests use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from semifano import DiagonalUnitMap, MultiSeries
-from semifano.series import _power_tables, _subst_dict
+from semifano import DiagonalUnitMap, MultiSeries, add, substitute
+from semifano.series import _lowest, _power_tables, _subst_dict
 
 
 def to_dict(s):
@@ -25,6 +26,22 @@ def to_dict(s):
 def is_identity(m):
     """Whether a DiagonalUnitMap is x_a -> x_a, every u_a zero."""
     return all(u.is_zero() for u in m.components)
+
+
+def scale(s, k):
+    """The MultiSeries k * s, for a rational k."""
+    k = Fraction(k)
+    den, d = s.packed
+    return MultiSeries(s.box, _lowest(
+        den * k.denominator, {p: n * k.numerator for p, n in d.items()}))
+
+
+def compose(outer, inner):
+    """Map sending x_a to x_a*exp(u_a) followed by x_a to x_a*exp(w_a)."""
+    return DiagonalUnitMap(tuple(
+        add(substitute(u, inner), w)
+        for u, w in zip(outer.components, inner.components)
+    ))
 
 
 def oracle_invert_full_box(m):
@@ -40,7 +57,7 @@ def oracle_invert_full_box(m):
     minus_u = [(-u).packed for u in m.components]
     w = [(1, {}) for _ in minus_u]
     for _ in range(top + 1):
-        w2 = _subst_dict(minus_u, _power_tables(w, minus_u, box, top), box, top)
+        w2 = _subst_dict(minus_u, _power_tables(w, minus_u, box), box)
         if w2 == w:
             break
         w = w2

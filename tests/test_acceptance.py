@@ -173,7 +173,7 @@ def test_criterion_5_property_suite():
         ("threefold-example", (3, 3, 3, 3)),
     ):
         an = fixture_analysis(name, caps)
-        from semifano.series import compose
+        from oracles import compose
 
         ok = ok and is_identity(compose(an.mirror.forward, an.mirror.inverse))
         ok = ok and is_identity(compose(an.mirror.inverse, an.mirror.forward))

@@ -29,9 +29,8 @@ from semifano import (
 )
 from semifano import mirror, series
 from semifano.cli import main, parse_input
-from semifano.series import compose
 from conftest import fixture_fan, fixture_lattice
-from oracles import is_identity, oracle_invert_full_box, to_dict
+from oracles import compose, is_identity, oracle_invert_full_box, scale, to_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import surfaces  # noqa: E402
@@ -261,8 +260,8 @@ def test_mirror_map_f2():
     fam = compute_g0_family(lattice, box)
     mm = assemble_mirror_map(fam)
     g4 = fam.series[3]
-    assert mm.forward.components[0] == g4.scale(2)
-    assert mm.forward.components[1] == g4.scale(-1)
+    assert mm.forward.components[0] == scale(g4, 2)
+    assert mm.forward.components[1] == scale(g4, -1)
     ident = compose(mm.forward, mm.inverse)
     assert is_identity(ident)
     assert is_identity(compose(mm.inverse, mm.forward))
@@ -280,34 +279,39 @@ def test_threefold_inverse_at_7777(threefold_lattice):
     assert is_identity(compose(mm.forward, mm.inverse))
 
 
-def inversion_caps(forward, monkeypatch):
-    """The total-degree cap of every inversion round, in order."""
-    build, caps = series._power_tables, []
-    monkeypatch.setattr(series, "_power_tables",
-                        lambda *args: caps.append(args[3]) or build(*args))
+def inversion_slices(forward, monkeypatch):
+    """(series, degree) of every slice the inversion builds, in order: a
+    series is its list of slices, and a slice is appended at index degree."""
+    build, built = series._slice, []
+    monkeypatch.setattr(series, "_slice",
+                        lambda out, *args: built.append((id(out), len(out)))
+                        or build(out, *args))
     series.invert_diagonal_unit(forward)
-    return caps
+    return built
 
 
-def test_threefold_inversion_takes_15_capped_rounds_then_one_full(
-        threefold_lattice, monkeypatch):
-    # every term of u has degree >= 1, so round d is capped at degree d; the
-    # inverse reaches degree 14, so 14 capped rounds change w, the 15th
-    # (capped at 15) leaves it fixed, and one round over the whole box
-    # (degree 28) proves it the inverse.  The stopping test relies on packed
-    # series in lowest terms; the whole-box loop takes 15 rounds at degree 28
+def test_threefold_inversion_builds_each_slice_once(threefold_lattice, monkeypatch):
+    # one pass over total degree 1..28 at 7^4: every slice of y_a =
+    # x_a exp(w_a) and its powers (x1, x2 and x4: u has no x3), of the
+    # monomial images and of w is built once, in order of degree; the
+    # whole-box loop of the oracle takes 15 rounds at degree 28
     _, lattice = threefold_lattice
     fam = compute_g0_family(lattice, TruncationBox((7,) * 4))
     forward = assemble_mirror_map(fam).forward
-    assert inversion_caps(forward, monkeypatch) == list(range(1, 16)) + [28]
+    built = inversion_slices(forward, monkeypatch)
+    degrees = [d for _, d in built]
+    assert degrees == sorted(degrees) and set(degrees) == set(range(1, 29))
+    assert len(set(built)) == len(built) == 1056
 
 
-def test_gapless_inversion_runs_no_failed_full_box_round(monkeypatch):
-    # u = x^2 at (12,): the inverse has a term at every even degree, so every
-    # capped round changes w, rounds go up by 2 from cap 3, and the only
-    # whole-box rounds are the last two, once the cap has reached 12
+def test_gapless_inversion_visits_each_degree_once(monkeypatch):
+    # u = x^2 at (12,): per degree n, the slices of y = x exp(w) and of y^2
+    # (n >= 2; y_1 = x is given, and the image of x^2 is y^2) and of w
     forward = DiagonalUnitMap((MultiSeries.from_dict(TruncationBox((12,)), {(2,): 1}),))
-    assert inversion_caps(forward, monkeypatch) == [3, 5, 7, 9, 11, 12, 12]
+    built = inversion_slices(forward, monkeypatch)
+    degrees = [d for _, d in built]
+    assert degrees == sorted(degrees) and set(degrees) == set(range(1, 13))
+    assert len(set(built)) == len(built) == 11 + 11 + 12
 
 
 def test_threefold_inverse_is_the_full_box_inverse(threefold_lattice):
@@ -315,6 +319,13 @@ def test_threefold_inverse_is_the_full_box_inverse(threefold_lattice):
     fam = compute_g0_family(lattice, TruncationBox((7,) * 4))
     forward = assemble_mirror_map(fam).forward
     # equal maps have equal packed components, so this is byte equality
+    assert series.invert_diagonal_unit(forward) == oracle_invert_full_box(forward)
+
+
+def test_threefold_inverse_at_9999_is_the_full_box_inverse(threefold_lattice):
+    _, lattice = threefold_lattice
+    fam = compute_g0_family(lattice, TruncationBox((9,) * 4))
+    forward = assemble_mirror_map(fam).forward
     assert series.invert_diagonal_unit(forward) == oracle_invert_full_box(forward)
 
 

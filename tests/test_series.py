@@ -24,9 +24,8 @@ from semifano.series import (
     _pack,
     _pmul,
     _subst_dict,
-    compose,
 )
-from oracles import is_identity, oracle_invert_full_box, to_dict
+from oracles import compose, is_identity, oracle_invert_full_box, scale, to_dict
 
 
 def S(caps, coeffs):
@@ -543,15 +542,22 @@ def test_inverse_is_the_oracle_fixed_point(drawn):
 
 
 GAPPED_MAPS = {
-    # lowest degree 2, 3 and 12: the cap rises by that much a round
+    # lowest degree 2, 3 and 12: w's slices below that degree are zero
     "x^2": ((12,), [{(2,): 1}]),
     "x^3/2": ((15,), [{(3,): Fraction(1, 2)}]),
     "x^12": ((12,), [{(12,): 1}]),
-    # every term of degree >= 2, and the inverse has no term of degree 3..5:
-    # the round capped at 5 leaves w fixed, and the whole-box round after it
-    # does not, so its result is cut at degree 7
+    # every term of degree >= 2, and the inverse has no term of degree 3..5
     "two-variable": ((8, 8), [{(0, 2): 1, (3, 3): Fraction(-2, 3)},
                               {(0, 6): 1, (2, 4): 3}]),
+    # a zero cap on the middle variable: its field holds only 0
+    "zero-middle-cap": ((3, 0, 4), [{(1, 0, 1): 1, (0, 0, 2): Fraction(1, 2)},
+                                    {(2, 0, 0): -1},
+                                    {(1, 0, 0): 2, (0, 0, 3): Fraction(-1, 3)}]),
+    # no u_a contains x2, so x2 exp(w_2) is never built, yet w_2 is not zero
+    "x2-in-no-u": ((4, 3, 4), [{(1, 0, 1): 1}, {(0, 0, 2): Fraction(2, 3)},
+                               {(2, 0, 0): -1, (1, 0, 1): 1}]),
+    # u_1 is identically zero, so w_1 is too, and x1 exp(w_1) = x1
+    "zero-component": ((5, 5), [{}, {(1, 0): 1, (1, 1): Fraction(-1, 2)}]),
 }
 
 
@@ -608,13 +614,13 @@ def test_packed_form_is_canonical():
     tables = [[(1, {0: 1}), _pack({(k, 0): F(1, 2 ** (k - 1) * factorial(k - 1))
                                    for k in range(1, 4)}, lay),
                _pack({(2, 0): F(1), (3, 0): F(1)}, lay)], [(1, {0: 1})]]
-    r = _subst_dict([_pack({(1, 0): F(1), (2, 0): F(-1, 2)}, lay)], tables, box, box.degree)
+    r = _subst_dict([_pack({(1, 0): F(1), (2, 0): F(-1, 2)}, lay)], tables, box)
     assert r == [(8, {x: 8, 3 * x: -3})]
     # the public type stores the same canonical form
     zero = MultiSeries.zero(box)
     s = MultiSeries.from_dict(box, {(1, 0): F(4, 12), (0, 2): F(-6, 4), (1, 1): 2})
-    assert add(s, -s) == s.scale(0) == zero and add(s, -s).packed == (1, {})
-    t = add(S((3, 3), {(1, 0): F(1, 3)}), S((3, 3), {(0, 2): F(-3, 4)}).scale(2))
+    assert add(s, -s) == scale(s, 0) == zero and add(s, -s).packed == (1, {})
+    t = add(S((3, 3), {(1, 0): F(1, 3)}), scale(S((3, 3), {(0, 2): F(-3, 4)}), 2))
     t = add(t, mul(S((3, 3), {(1, 0): 4}), S((3, 3), {(0, 1): F(1, 2)})))
     assert s == t and s.packed == t.packed == (6, {x: 2, 2 * y: -9, xy: 12})
     assert s.terms == (((1, 0), F(1, 3)), ((0, 2), F(-3, 2)), ((1, 1), F(2)))
