@@ -25,8 +25,6 @@ from .mirror import (
     assemble_mirror_map,
     compute_g0_family,
     enumerate_g0_classes,
-    g0_series,
-    pullback_g0,
 )
 from .series import (
     DiagonalUnitMap,
@@ -36,12 +34,11 @@ from .series import (
     add,
     combine,
     exp_series,
-    invert_diagonal_unit,
     log_series,
     mul,
+    pull_back,
     render,
     sub,
-    substitute,
 )
 from .superpotential import (
     CheckReport,

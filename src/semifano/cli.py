@@ -12,7 +12,6 @@ import argparse
 import hashlib
 import json
 import sys
-from importlib import resources
 from math import prod
 
 from .fans import (
@@ -105,10 +104,6 @@ def load_document(path):
             raise InputError(f"{path}: not valid JSON ({exc})") from exc
         except RecursionError as exc:
             raise InputError(f"{path}: JSON nested too deeply") from exc
-
-
-def fixture_path(name):
-    return resources.files("semifano").joinpath("fixtures", name)
 
 
 def _digest(document):

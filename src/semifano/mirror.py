@@ -4,7 +4,8 @@ For each ray i the correction series sums, over curve classes d with total
 anticanonical pairing zero that are negative exactly at coordinate i, the
 factorial ratio (-1)^{d_i} (-d_i - 1)! / prod_{j != i} d_j!.  The coordinate
 change multiplies each variable by the exponential of a combination of these
-series; its formal inverse is computed in one pass over total degree.
+series; its formal inverse, and each series pulled back along it, come from
+one pass over total degree.
 """
 
 from __future__ import annotations
@@ -21,8 +22,7 @@ from .series import (
     MultiSeries,
     TruncationBox,
     combine,
-    invert_diagonal_unit,
-    substitute,
+    pull_back,
 )
 
 
@@ -57,11 +57,6 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
             out.append((negative[0], CurveClass(tuple(cls)), exps))
     out.sort(key=lambda t: (sum(t[2]), t[2]))
     return out
-
-
-def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:
-    """The correction series of ray i."""
-    return compute_g0_family(lattice, box).series[i]
 
 
 @dataclass(frozen=True)
@@ -102,25 +97,23 @@ class MirrorMapPair:
 
     `forward` expresses the corrected variables in terms of the raw ones
     (q_a = x_a * exp(forward_a)); `inverse` goes back, and the composition is
-    the identity within the box.
+    the identity within the box.  `pulled` holds each ray's correction series
+    composed with the inverse.
     """
 
     forward: DiagonalUnitMap
     inverse: DiagonalUnitMap
+    pulled: tuple[MultiSeries, ...]
 
 
 def assemble_mirror_map(g0: GZeroFamily) -> MirrorMapPair:
-    """Forward component a is -sum_i a(i, a) * g0_i; inverse by iteration."""
+    """Forward component a is -sum_i a(i, a) * g0_i; the inverse and the
+    pulled-back series come from one `pull_back` pass."""
     lattice = g0.lattice
+    rows = [lattice.pairing_row(i) for i in range(lattice.fan.num_rays)]
     forward = DiagonalUnitMap(tuple(
-        combine(g0.box, [(-lattice.pairing(i, a), s) for i, s in enumerate(g0.series)])
+        combine(g0.box, [(-row[a], s) for row, s in zip(rows, g0.series)])
         for a in range(lattice.rank)
     ))
-    return MirrorMapPair(forward, invert_diagonal_unit(forward))
-
-
-def pullback_g0(g0: GZeroFamily, mm: MirrorMapPair):
-    """Each correction series composed with the inverse coordinate change."""
-    return tuple(
-        s if s.is_zero() else substitute(s, mm.inverse) for s in g0.series
-    )
+    pulled, inverse = pull_back(g0.series, rows)
+    return MirrorMapPair(forward, inverse, pulled)

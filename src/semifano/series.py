@@ -11,11 +11,10 @@ integer numerator over D}): each exponent vector packs into one int by the
 box's layout, a field a variable and a top field for the total degree,
 and the pair is kept in lowest terms, so it is canonical.  The kernels work
 on that form directly: _pmul multiplies, _pexp solves exp and log by one
-graded recurrence, and _subst_dict evaluates x_a := x_a * exp(u_a) from the
-powers (x_a * exp(u_a))^k that _power_tables builds once per map, building
-each monomial's image once.  invert_diagonal_unit solves for its series one
-total degree at a time, each kept as a list of degree slices that _slice
-builds.  Fractions appear only where values enter (MultiSeries.from_dict)
+graded recurrence, and pull_back solves for the inverse of a coordinate
+change x_a -> x_a * exp(u_a) together with series evaluated along it, one
+total degree at a time, each series kept as a list of degree slices that
+_slice builds.  Fractions appear only where values enter (MultiSeries.from_dict)
 or leave (terms, coefficient, constant_term).
 """
 
@@ -170,58 +169,6 @@ def _pexp(s, box, d, log=False):
     out = {p: m * scale[n] for n in range(1 if log else 0, d + 1)
            for p, m in f[n].items()}
     return _lowest(den ** d * factorial(d), out)
-
-
-def _power_tables(umaps, series, box):
-    """tables[a][k] = (x_a * exp(u_a))^k, packed, for k up to the largest
-    exponent of x_a in any of the packed series.
-
-    The factor x_a^k keeps the part of exp(u_a)^k that a monomial with x_a^k
-    can use, so entries shrink as k grows and products of them stay small.
-    """
-    _, shifts, bias, guard, mask, dk = box.layout
-    tables = []
-    for k, u in zip(shifts, umaps):
-        depth = max((p >> k & mask for _, s in series for p in s), default=0)
-        pa = [(1, {0: 1})]
-        if depth:
-            ya = _pmul((1, {1 << k | 1 << dk: 1}), _pexp(u, box, box.degree - 1),
-                       bias, guard)
-            for _ in range(depth):
-                pa.append(_pmul(pa[-1], ya, bias, guard))
-        tables.append(pa)
-    return tables
-
-
-def _subst_dict(series, tables, box):
-    """Evaluate packed series at x_a := x_a * exp(u_a), given u's power tables.
-
-    The image prod_a tables[a][e_a] of each monomial e is built once, from the
-    image of its prefix (e_1, .., e_(a-1), 0, .., 0), and then serves every
-    series and term that contains e.
-    """
-    w, shifts, bias, guard, mask, _ = box.layout
-    images = {0: (1, {0: 1})}
-    out = []
-    for den, s in series:
-        terms = []
-        for p, n in s.items():
-            img = images[0]
-            for k, pa in zip(shifts, tables):
-                if p >> k & mask:
-                    pre = p & ((1 << k + w) - 1)
-                    if pre not in images:
-                        images[pre] = _pmul(img, pa[p >> k & mask], bias, guard)
-                    img = images[pre]
-            terms.append((n, img))
-        scale = lcm(*(di for _, (di, _) in terms))
-        r = {}
-        for n, (di, img) in terms:
-            n *= scale // di
-            for q, m in img.items():
-                r[q] = r.get(q, 0) + n * m
-        out.append(_lowest(den * scale, r))
-    return out
 
 
 _ZERO = (1, {})
@@ -389,48 +336,54 @@ class DiagonalUnitMap:
         return len(self.components)
 
 
-def substitute(s: MultiSeries, m: DiagonalUnitMap) -> MultiSeries:
-    """Evaluate s at x_a := x_a * exp(u_a(x))."""
-    box = s.box
-    if m.arity != box.arity or (m.components and m.box != box):
-        raise SeriesError("map arity/box does not match the series")
-    sp = [s.packed]
-    tables = _power_tables([u.packed for u in m.components], sp, box)
-    return MultiSeries(box, _subst_dict(sp, tables, box)[0])
+def pull_back(gs, rows):
+    """Each g_i at x_a := x_a*exp(w_a), where x_a -> x_a*exp(w_a) inverts
+    x_a -> x_a*exp(-sum_i rows[i][a]*g_i), and that inverse, in one pass
+    over total degree.
 
-
-def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
-    """Formal inverse of x_a -> x_a*exp(u_a), in one pass over total degree.
-
-    The inverse w is the fixed point w_a = -u_a(x*exp(w)).  Every series the
+    The inverse is the fixed point w_a = sum_i rows[i][a]*G_i, where G_i =
+    g_i(x*exp(w)) is the pulled-back series, so the pass solves for the
+    nonzero G_i and reads w off them with one combine.  Every series the
     substitution builds is kept as its list of degree slices: y_a =
-    x_a*exp(w_a), by (n-1) y_n = sum_k k w_k y_(n-k) from y_1 = x_a; its
-    powers y_a^k, for k up to the largest exponent of x_a in u, which the
-    factor x_a^k trims as in _power_tables; the image of each monomial of
-    u, from the image of its prefix as in _subst_dict; and w.  Every term of
-    u has total degree at least 1, so the degree-n slice of an image, and so
-    w's, needs w only through degree n - 1.  Degree by degree, each slice
-    is one _slice of lower ones: built once, and exact.
+    x_a*exp(w_a), by (n-1) y_n = sum_(i,k) rows[i][a]*k G_(i,k) y_(n-k) from
+    y_1 = x_a; its powers y_a^k, for k up to the largest exponent of x_a in
+    the g_i, so the factor x_a^k trims exp(w_a)^k to what such a monomial
+    can use; the image of each monomial of the g_i, from the image of its
+    prefix (e_1, .., e_(a-1), 0, .., 0) and built once for every term that
+    contains it; and the G_i.  Every term of a g_i has total degree at least
+    1, so the degree-n slice of an image, and so G_i's, needs the G_j only
+    through degree n - 1.  Degree by degree, each slice is one _slice of
+    lower ones: built once, and exact.  Returns (the G_i, the inverse).
     """
-    box = m.box
+    box = gs[0].box
+    _require_same_box(box, gs)
+    if any(g.constant_term for g in gs):
+        raise SeriesError("pulled-back series need zero constant term")
+    if len(rows) != len(gs) or any(len(row) != box.arity for row in rows):
+        raise SeriesError("need one row of pairings per series and variable")
     lay, top = box.layout, box.degree
     w_bits, shifts, _, _, mask, dk = lay
     one = (1, {0: 1})
-    minus_u = [(-u).packed for u in m.components]
-    w = [[_ZERO] for _ in minus_u]
-    # powers[a][k] = y_a^k for each x_a that u contains; the k-th starts
-    # with its k zero slices, and y_a with y_1 = x_a
+    live = [i for i, g in enumerate(gs) if not g.is_zero()]
+    slices = {i: [_ZERO] for i in live}
+    # powers[a][k] = y_a^k for each x_a that some g_i contains; the k-th
+    # starts with its k zero slices, and y_a with y_1 = x_a
     powers = {}
     for a, k in enumerate(shifts):
-        depth = max((p >> k & mask for _, s in minus_u for p in s), default=0)
+        depth = max((p >> k & mask for i in live for p in gs[i].packed[1]),
+                    default=0)
         if depth:
             powers[a] = [[one], [_ZERO, (1, {1 << k | 1 << dk: 1})]] + [
                 [_ZERO] * j for j in range(2, depth + 1)]
-    # the image of each prefix of a monomial of u; those past x_a^e alone
-    # are (its slices, the parent's slices, the power it multiplies in, that
-    # power's exponent) in steps
+    # the series that feed w_a, with their pairings
+    feeds = {a: [(rows[i][a], slices[i]) for i in live if rows[i][a]]
+             for a in powers}
+    # the image of each prefix of a monomial of the g_i; those past x_a^e
+    # alone are (its slices, the parent's slices, the power it multiplies
+    # in, that power's exponent) in steps
     images, steps, comps = {0: [one]}, [], []
-    for den, s in minus_u:
+    for i in live:
+        den, s = gs[i].packed
         terms = []
         for p, c in s.items():
             img, deg = images[0], 0
@@ -446,26 +399,31 @@ def invert_diagonal_unit(m: DiagonalUnitMap) -> DiagonalUnitMap:
                             steps.append((images[pre], img, powers[a][e], e))
                     img = images[pre]
             terms.append((c, img))
-        comps.append((den, terms))
+        comps.append((slices[i], den, terms))
     for n in range(1, top + 1):
         for a, pw in powers.items():
             y = pw[1]
             if n > 1:
-                _slice(y, [(k, w[a][k], y[n - k]) for k in range(1, n)], lay, n - 1)
+                _slice(y, [(r * k, g[k], y[n - k]) for k in range(1, n)
+                           for r, g in feeds[a]], lay, n - 1)
             for k in range(2, min(len(pw) - 1, n) + 1):
                 _slice(pw[k], [(1, y[j], pw[k - 1][n - j])
                                for j in range(1, n - k + 2)], lay)
         for img, parent, pk, e in steps:
             if len(img) == n:
                 _slice(img, [(1, parent[j], pk[n - j]) for j in range(n - e + 1)], lay)
-        for wa, (den, terms) in zip(w, comps):
-            _slice(wa, [(c, one, img[n]) for c, img in terms], lay, den)
-    out = []
-    for wa in w:
-        den = lcm(*[d for d, _ in wa])
+        for g, den, terms in comps:
+            _slice(g, [(c, one, img[n]) for c, img in terms], lay, den)
+    pulled = list(gs)
+    for i, g in slices.items():
+        den = lcm(*[d for d, _ in g])
         # slices have disjoint keys and lowest terms, so their sum has too
-        out.append((den, {p: c * (den // d) for d, s in wa for p, c in s.items()}))
-    return DiagonalUnitMap(tuple(MultiSeries(box, c) for c in out))
+        pulled[i] = MultiSeries(box, (den, {p: c * (den // d) for d, s in g
+                                            for p, c in s.items()}))
+    inverse = DiagonalUnitMap(tuple(
+        combine(box, [(row[a], g) for row, g in zip(rows, pulled)])
+        for a in range(box.arity)))
+    return tuple(pulled), inverse
 
 
 def _monomial(names, exponents):

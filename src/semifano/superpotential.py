@@ -30,7 +30,6 @@ from .mirror import (
     MirrorMapPair,
     assemble_mirror_map,
     compute_g0_family,
-    pullback_g0,
 )
 from .series import (
     MultiSeries,
@@ -215,7 +214,10 @@ def check_multiplicative_consistency(deltas, mm: MirrorMapPair,
     """For each basis index a: prod_i (1+delta_i)^(pairing i,a) = exp(w_a).
 
     exp is injective on series with zero constant term, so the identity is
-    checked on logarithms: sum_i pairing(i,a) * log(1+delta_i) = w_a.
+    checked on logarithms: sum_i pairing(i,a) * log(1+delta_i) = w_a.  For
+    an analysis it holds by construction, as `pull_back` reads w off as
+    w_a = sum_i pairing(i,a) * G_i and log(1+delta_i) = G_i; a mirror map
+    built another way can fail it.
     """
     details = []
     logs = [log_series(d.one_plus) for d in deltas]
@@ -391,16 +393,14 @@ class ToricAnalysis:
     box: TruncationBox
     g0: GZeroFamily
     mirror: MirrorMapPair
-    pulled_g0: tuple[MultiSeries, ...]
     deltas: tuple[InvariantSeries, ...]
 
 
 def analyze(fan: Fan, lattice: CurveLattice, box: TruncationBox) -> ToricAnalysis:
     g0 = compute_g0_family(lattice, box)
     mm = assemble_mirror_map(g0)
-    pulled = pullback_g0(g0, mm)
-    deltas = tuple(delta_series(pulled, i) for i in range(fan.num_rays))
-    return ToricAnalysis(fan, lattice, box, g0, mm, pulled, deltas)
+    deltas = tuple(delta_series(mm.pulled, i) for i in range(fan.num_rays))
+    return ToricAnalysis(fan, lattice, box, g0, mm, deltas)
 
 
 def compare_superpotentials(analysis: ToricAnalysis, sigma: int):

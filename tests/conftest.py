@@ -7,9 +7,12 @@ from semifano import TruncationBox, analyze, curve_lattice
 from semifano.cli import parse_input
 
 
+def fixture_path(name):
+    return resources.files("semifano").joinpath("fixtures", name)
+
+
 def load_fixture(name):
-    path = resources.files("semifano").joinpath("fixtures", f"{name}.json")
-    return json.loads(path.read_text())
+    return json.loads(fixture_path(f"{name}.json").read_text())
 
 
 def fixture_fan(name):

@@ -4,18 +4,106 @@ The engine decides every lattice question with one fraction-free integer
 solve, `semifano.intlinalg.fraction_free_solve`.  Here are independent
 algorithms, a Gauss-Jordan solve and a Gaussian rank over Q and a
 Hermite-style kernel sweep over Z, kept only so that tests can compare the
-engine against code it does not use.  The same goes for the whole-box
-inversion loop that the engine's one-pass inversion replaced, and for the
-dict and identity views, scaling and composition of series and maps that
-only tests use.
+engine against code it does not use.  The same goes for the series side:
+the engine's one pass, `semifano.series.pull_back`, builds the inverse
+coordinate change and the pulled-back correction series together, degree
+by degree.  Here substitution is a separate step (`substitute`, over power
+tables of x_a * exp(u_a) and the image of each monomial), the inverse is
+the whole-box fixed-point loop that substitution drives, and
+`invert_diagonal_unit` reads the inverse alone off the one pass.  Last come
+the dict and identity views, scaling, composition and single correction
+series that only tests use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
-from semifano import DiagonalUnitMap, MultiSeries, add, substitute
-from semifano.series import _lowest, _power_tables, _subst_dict
+from semifano import (
+    CurveLattice,
+    DiagonalUnitMap,
+    MultiSeries,
+    SeriesError,
+    TruncationBox,
+    add,
+    compute_g0_family,
+    pull_back,
+)
+from semifano.series import _lowest, _pexp, _pmul
+
+
+def _power_tables(umaps, series, box):
+    """tables[a][k] = (x_a * exp(u_a))^k, packed, for k up to the largest
+    exponent of x_a in any of the packed series.
+
+    The factor x_a^k keeps the part of exp(u_a)^k that a monomial with x_a^k
+    can use, so entries shrink as k grows and products of them stay small.
+    """
+    _, shifts, bias, guard, mask, dk = box.layout
+    tables = []
+    for k, u in zip(shifts, umaps):
+        depth = max((p >> k & mask for _, s in series for p in s), default=0)
+        pa = [(1, {0: 1})]
+        if depth:
+            ya = _pmul((1, {1 << k | 1 << dk: 1}), _pexp(u, box, box.degree - 1),
+                       bias, guard)
+            for _ in range(depth):
+                pa.append(_pmul(pa[-1], ya, bias, guard))
+        tables.append(pa)
+    return tables
+
+
+def _subst_dict(series, tables, box):
+    """Evaluate packed series at x_a := x_a * exp(u_a), given u's power tables.
+
+    The image prod_a tables[a][e_a] of each monomial e is built once, from the
+    image of its prefix (e_1, .., e_(a-1), 0, .., 0), and then serves every
+    series and term that contains e.
+    """
+    w, shifts, bias, guard, mask, _ = box.layout
+    images = {0: (1, {0: 1})}
+    out = []
+    for den, s in series:
+        terms = []
+        for p, n in s.items():
+            img = images[0]
+            for k, pa in zip(shifts, tables):
+                if p >> k & mask:
+                    pre = p & ((1 << k + w) - 1)
+                    if pre not in images:
+                        images[pre] = _pmul(img, pa[p >> k & mask], bias, guard)
+                    img = images[pre]
+            terms.append((n, img))
+        scale = lcm(*(di for _, (di, _) in terms))
+        r = {}
+        for n, (di, img) in terms:
+            n *= scale // di
+            for q, m in img.items():
+                r[q] = r.get(q, 0) + n * m
+        out.append(_lowest(den * scale, r))
+    return out
+
+
+def substitute(s: MultiSeries, m: DiagonalUnitMap) -> MultiSeries:
+    """Evaluate s at x_a := x_a * exp(u_a(x))."""
+    box = s.box
+    if m.arity != box.arity or (m.components and m.box != box):
+        raise SeriesError("map arity/box does not match the series")
+    sp = [s.packed]
+    tables = _power_tables([u.packed for u in m.components], sp, box)
+    return MultiSeries(box, _subst_dict(sp, tables, box)[0])
+
+
+def invert_diagonal_unit(m):
+    """Inverse of x_a -> x_a*exp(u_a): the one pass with g = -u, rows the identity."""
+    rows = [[int(a == b) for b in range(m.arity)] for a in range(m.arity)]
+    return pull_back([-u for u in m.components], rows)[1]
+
+
+def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:
+    """The correction series of ray i."""
+    return compute_g0_family(lattice, box).series[i]
 
 
 def to_dict(s):

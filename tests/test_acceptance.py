@@ -19,16 +19,15 @@ from semifano import (
     check_PF_equals_LF,
     cross_validate_surface,
     fan_polytope_vertices,
-    g0_series,
     invariant_table,
     is_semi_fano,
     normalize_W_LF,
     structural_report,
     surface_admissible_deltas,
 )
-from semifano.cli import fixture_path, main
-from oracles import is_identity, rational_rank, to_dict
-from conftest import fixture_analysis, fixture_lattice
+from semifano.cli import main
+from oracles import g0_series, is_identity, rational_rank, to_dict
+from conftest import fixture_analysis, fixture_lattice, fixture_path
 from test_mirror import threefold_closed_forms
 
 

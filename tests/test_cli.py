@@ -8,11 +8,10 @@ from semifano import fans
 from semifano.cli import (
     MAX_BOX_MONOMIALS,
     InputError,
-    fixture_path,
     main,
     parse_input,
 )
-from conftest import load_fixture
+from conftest import fixture_path, load_fixture
 
 
 def run_cli(capsys, *argv):

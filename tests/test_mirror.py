@@ -22,15 +22,23 @@ from semifano import (
     curve_lattice,
     enumerate_g0_classes,
     fan_polytope_vertices,
-    g0_series,
     invariant_table,
     log_series,
-    pullback_g0,
+    pull_back,
 )
-from semifano import mirror, series
+from semifano import SeriesError, mirror, series
 from semifano.cli import main, parse_input
 from conftest import fixture_fan, fixture_lattice
-from oracles import compose, is_identity, oracle_invert_full_box, scale, to_dict
+from oracles import (
+    compose,
+    g0_series,
+    invert_diagonal_unit,
+    is_identity,
+    oracle_invert_full_box,
+    scale,
+    substitute,
+    to_dict,
+)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import surfaces  # noqa: E402
@@ -279,54 +287,92 @@ def test_threefold_inverse_at_7777(threefold_lattice):
     assert is_identity(compose(mm.forward, mm.inverse))
 
 
-def inversion_slices(forward, monkeypatch):
-    """(series, degree) of every slice the inversion builds, in order: a
-    series is its list of slices, and a slice is appended at index degree."""
+def pass_slices(call, monkeypatch):
+    """(series, degree) of every slice that the one pass builds during
+    call(), in order: a series is its list of slices, and a slice is
+    appended at index degree."""
     build, built = series._slice, []
     monkeypatch.setattr(series, "_slice",
                         lambda out, *args: built.append((id(out), len(out)))
                         or build(out, *args))
-    series.invert_diagonal_unit(forward)
+    call()
     return built
 
 
 def test_threefold_inversion_builds_each_slice_once(threefold_lattice, monkeypatch):
     # one pass over total degree 1..28 at 7^4: every slice of y_a =
-    # x_a exp(w_a) and its powers (x1, x2 and x4: u has no x3), of the
-    # monomial images and of w is built once, in order of degree; the
-    # whole-box loop of the oracle takes 15 rounds at degree 28
+    # x_a exp(w_a) and its powers (x1, x2 and x4: no g0_i has x3), of the
+    # monomial images and of the 3 nonzero pulled-back g0_i is built once,
+    # in order of degree; the whole-box loop of the oracle takes 15 rounds
+    # at degree 28
     _, lattice = threefold_lattice
     fam = compute_g0_family(lattice, TruncationBox((7,) * 4))
-    forward = assemble_mirror_map(fam).forward
-    built = inversion_slices(forward, monkeypatch)
+    assert sum(not s.is_zero() for s in fam.series) == 3
+    built = pass_slices(lambda: assemble_mirror_map(fam), monkeypatch)
     degrees = [d for _, d in built]
     assert degrees == sorted(degrees) and set(degrees) == set(range(1, 29))
-    assert len(set(built)) == len(built) == 1056
+    assert len(set(built)) == len(built) == 1028
 
 
 def test_gapless_inversion_visits_each_degree_once(monkeypatch):
     # u = x^2 at (12,): per degree n, the slices of y = x exp(w) and of y^2
-    # (n >= 2; y_1 = x is given, and the image of x^2 is y^2) and of w
+    # (n >= 2; y_1 = x is given, and the image of x^2 is y^2) and of the
+    # pulled-back -u, which is w
     forward = DiagonalUnitMap((MultiSeries.from_dict(TruncationBox((12,)), {(2,): 1}),))
-    built = inversion_slices(forward, monkeypatch)
+    built = pass_slices(lambda: invert_diagonal_unit(forward), monkeypatch)
     degrees = [d for _, d in built]
     assert degrees == sorted(degrees) and set(degrees) == set(range(1, 13))
     assert len(set(built)) == len(built) == 11 + 11 + 12
 
 
+def assert_pass_is_substitution(fam, label=None):
+    """The one pass's inverse and pulled-back series are those of the
+    whole-box inverse and a separate substitution into each g0_i.  Equal
+    series have equal packed forms, so this is byte equality."""
+    mm = assemble_mirror_map(fam)
+    inverse = oracle_invert_full_box(mm.forward)
+    assert mm.inverse == inverse, label
+    assert mm.pulled == tuple(s if s.is_zero() else substitute(s, inverse)
+                              for s in fam.series), label
+
+
 def test_threefold_inverse_is_the_full_box_inverse(threefold_lattice):
     _, lattice = threefold_lattice
-    fam = compute_g0_family(lattice, TruncationBox((7,) * 4))
-    forward = assemble_mirror_map(fam).forward
-    # equal maps have equal packed components, so this is byte equality
-    assert series.invert_diagonal_unit(forward) == oracle_invert_full_box(forward)
+    assert_pass_is_substitution(compute_g0_family(lattice, TruncationBox((7,) * 4)))
 
 
 def test_threefold_inverse_at_9999_is_the_full_box_inverse(threefold_lattice):
     _, lattice = threefold_lattice
-    fam = compute_g0_family(lattice, TruncationBox((9,) * 4))
-    forward = assemble_mirror_map(fam).forward
-    assert series.invert_diagonal_unit(forward) == oracle_invert_full_box(forward)
+    assert_pass_is_substitution(compute_g0_family(lattice, TruncationBox((9,) * 4)))
+
+
+def test_pass_is_substitution_on_fixtures_and_surfaces():
+    cases = [(name, fixture_lattice(name)[1]) for name in (
+        "f2", "f2-blowup", "f3", "kp2-bundle", "p1cubed", "p1xp1", "p2",
+        "threefold-example")]
+    for rays in dict.fromkeys(rays for rays, _ in surfaces.universe()):
+        lattice = curve_lattice(parse_input(surfaces.document(rays))[0])
+        if lattice.nef_verified:
+            cases.append((f"surface {rays}", lattice))
+    # the 8 fixtures and the 35 universe surfaces with a nef wall basis
+    assert len(cases) == 8 + 35
+    for label, lattice in cases:
+        caps = (3 if lattice.rank > 3 else 4,) * lattice.rank
+        assert_pass_is_substitution(compute_g0_family(lattice, TruncationBox(caps)),
+                                    label)
+
+
+def test_pass_refuses_bad_series():
+    box = TruncationBox((3, 3))
+    x = MultiSeries.from_dict(box, {(1, 0): 1})
+    rows = [(1, 0), (0, 1)]
+    with pytest.raises(SeriesError, match="zero constant term"):
+        pull_back([x, MultiSeries.from_dict(box, {(0, 0): 2, (0, 1): 1})], rows)
+    with pytest.raises(SeriesError, match="different truncation boxes"):
+        pull_back([x, MultiSeries.from_dict(TruncationBox((3, 2)), {(0, 1): 1})],
+                  rows)
+    with pytest.raises(SeriesError, match="one row"):
+        pull_back([x, x], [(1, 0, 0), (0, 1, 0)])
 
 
 def test_mirror_map_fano_identity():
@@ -356,7 +402,7 @@ def test_pullback_f2_is_log():
     box = TruncationBox((5, 5))
     fam = compute_g0_family(lattice, box)
     mm = assemble_mirror_map(fam)
-    pulled = pullback_g0(fam, mm)
+    pulled = mm.pulled
     one_plus_q1 = MultiSeries.from_dict(box, {(0, 0): 1, (1, 0): 1})
     assert pulled[3] == log_series(one_plus_q1)
     for i in (0, 1, 2):

@@ -2,8 +2,9 @@
 
 No linter is part of the toolchain, so this reads syntax trees: a
 module-level function of `src/semifano/*.py` whose name does not start with
-`_` must occur as a name or an attribute in some file under `src/`, `tests/`
-or `bench/`.  `__init__.py` imports only to re-export, so its imports use
+`_` must occur as a name or an attribute in some file under `src/` or
+`bench/`.  A function that only tests use belongs in `tests/`, so `tests/` is
+not searched.  `__init__.py` imports only to re-export, so its imports use
 nothing.
 """
 
@@ -15,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 INIT = ROOT / "src" / "semifano" / "__init__.py"
 MODULES = sorted(p for p in (ROOT / "src" / "semifano").glob("*.py") if p != INIT)
-SOURCES = sorted(p for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")
+SOURCES = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")
                  if p != INIT)
 
 
@@ -57,3 +58,16 @@ def test_unreferenced_function_is_found():
     used = referenced_names([module, caller])
     assert [f for f in public_functions(module) if f not in used] == [
         "wall_curve_classes"]
+
+
+def test_test_only_function_is_found():
+    assert not [p for p in SOURCES if ROOT / "tests" in p.parents]
+    module = ("def fixture_path(name):\n"
+              "    return name\n"
+              "def load_document(path):\n"
+              "    return path\n")
+    engine = "from . import cli\ncli.load_document('f2.json')\n"
+    # a test calls fixture_path, but tests are not among the sources
+    used = referenced_names([module, engine])
+    assert [f for f in public_functions(module) if f not in used] == [
+        "fixture_path"]

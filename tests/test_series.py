@@ -13,19 +13,25 @@ from semifano import (
     add,
     combine,
     exp_series,
-    invert_diagonal_unit,
     log_series,
     mul,
     render,
-    substitute,
 )
 from semifano.series import (
     _lowest,
     _pack,
     _pmul,
-    _subst_dict,
 )
-from oracles import compose, is_identity, oracle_invert_full_box, scale, to_dict
+from oracles import (
+    _subst_dict,
+    compose,
+    invert_diagonal_unit,
+    is_identity,
+    oracle_invert_full_box,
+    scale,
+    substitute,
+    to_dict,
+)
 
 
 def S(caps, coeffs):

@@ -251,7 +251,8 @@ def test_multiplicative_consistency_detects_wrong_inverse(f2_analysis):
     an = f2_analysis
     w = list(an.mirror.inverse.components)
     w[1] = add(w[1], MultiSeries.from_dict(an.box, {(2, 1): 1}))
-    wrong = MirrorMapPair(an.mirror.forward, DiagonalUnitMap(tuple(w)))
+    wrong = MirrorMapPair(an.mirror.forward, DiagonalUnitMap(tuple(w)),
+                          an.mirror.pulled)
     report = check_multiplicative_consistency(an.deltas, wrong, an.lattice)
     assert not report.passed
     assert report.details == ("basis class 2: product identity fails",)

@@ -14,7 +14,7 @@ from semifano.superpotential import (
     cyclic_ray_order,
     surface_self_intersections,
 )
-from conftest import fixture_analysis, fixture_fan, fixture_lattice
+from conftest import fixture_analysis, fixture_fan, fixture_lattice, fixture_path
 from oracles import to_dict
 
 
@@ -94,7 +94,7 @@ def test_cross_validation_refuses_before_engine_runs(monkeypatch, capsys):
         ("threefold-example", "surface oracle needs a 2-dimensional fan"),
         ("f3", "fan is not semi-Fano"),
     ):
-        path = str(cli.fixture_path(f"{name}.json"))
+        path = str(fixture_path(f"{name}.json"))
         assert cli.main(["surface-oracle", path]) == 2
         assert message in capsys.readouterr().err
 
@@ -113,16 +113,14 @@ def test_surface_command_runs_engine_and_oracle_once(monkeypatch, capsys, comman
         monkeypatch.setattr(module, name, counted)
 
     count(superpotential, "compute_g0_family")
-    count(mirror, "invert_diagonal_unit")
-    count(superpotential, "pullback_g0")
+    count(mirror, "pull_back")
     count(cli, "surface_admissible_deltas")
-    path = str(cli.fixture_path("f2-blowup.json"))
+    path = str(fixture_path("f2-blowup.json"))
     assert cli.main([command, path, "--box", "5,5,5"]) == 0
     capsys.readouterr()
     assert calls == {
         "compute_g0_family": 1,
-        "invert_diagonal_unit": 1,
-        "pullback_g0": 1,
+        "pull_back": 1,
         "surface_admissible_deltas": 1,
     }
 
