@@ -9,13 +9,14 @@ coefficients at in-box exponents agree with the untruncated computation.
 A series is stored in one form, the packed series (D, {packed exponent:
 integer numerator over D}): each exponent vector packs into one int by the
 box's layout, a field a variable and a top field for the total degree,
-and the pair is kept in lowest terms, so it is canonical.  The kernels work
-on that form directly: _pmul multiplies, _pexp solves exp and log by one
-graded recurrence, and pull_back solves for the inverse of a coordinate
-change x_a -> x_a * exp(u_a) together with series evaluated along it, one
-total degree at a time, each series kept as a list of degree slices that
-_slice builds.  Fractions appear only where values enter (MultiSeries.from_dict)
-or leave (terms, coefficient, constant_term).
+and the pair is kept in lowest terms, so it is canonical.  Every operation
+works on that form through one kernel, _sum, a guarded sum of products of
+packed series: combine and mul call it once, and exp, log and pull_back
+solve their recurrences one total degree at a time, each series kept as a
+list of degree slices that _slice builds from lower ones.  pull_back solves
+for the inverse of a coordinate change x_a -> x_a * exp(u_a) together with
+series evaluated along it.  Fractions appear only where values enter
+(MultiSeries.from_dict) or leave (terms, coefficient, constant_term).
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import factorial, gcd, lcm, perm
+from math import gcd, lcm
 
 
 class SeriesError(ValueError):
@@ -114,73 +115,15 @@ def _lowest(den, r, offset=0):
     return den // g, {p - offset: n // g for p, n in r.items() if n}
 
 
-def _pmul(s, t, bias, guard):
-    """Truncated product of two packed series.
-
-    The outer factor carries the bias, so a pair is in the box exactly when
-    its sum has no guard bit set; numerators multiply over D_s D_t.
-    """
-    if len(s[1]) > len(t[1]):
-        s, t = t, s
-    r = {}
-    for p1, n1 in s[1].items():
-        p1 += bias
-        for p2, n2 in t[1].items():
-            p = p1 + p2
-            if not p & guard:
-                r[p] = r.get(p, 0) + n1 * n2
-    return _lowest(s[0] * t[0], r, bias)
+_ZERO, _ONE = (1, {}), (1, {0: 1})
 
 
-def _pexp(s, box, d, log=False):
-    """exp(s), or log(1 + s) when log is set, of packed s with no constant
-    term, through total degree d.
-
-    Solved by total degree from the parts s_k of degree k, read off the top
-    field (Knuth, TAOCP 2, 4.7): exp is E_0 = 1, n E_n = sum_k k s_k E_{n-k},
-    and log is L_0 = 0, n L_n = n s_n - sum_{k<n} (n-k) s_k L_{n-k}.  Degree
-    n is kept as the integers F_n = D^n n! X_n, D the denominator of s:
-    F_0 = 1, F_n = sum_k c_k D^(k-1) (n-1)!/(n-k)! (D s_k) F_{n-k}, with
-    c_k = k for exp; log has c_k = k - n for k < n and c_n = n, and drops
-    F_0.  X_n is F_n D^(d-n) d!/n! over D^d d!.  Every product has degree
-    n <= d, so the box's own bias serves for any d.
-    """
-    _, _, bias, guard, _, dk = box.layout
-    den, sd = s
-    parts = [[] for _ in range(d + 1)]
-    for p, c in sd.items():
-        if p >> dk <= d:
-            parts[p >> dk].append((p + bias, c))
-    f = [{0: 1}]
-    for n in range(1, d + 1):
-        r = {}
-        for k in range(1, n + 1):
-            if not parts[k]:
-                continue
-            c = (k - n if log and k < n else k) * den ** (k - 1) * perm(n - 1, k - 1)
-            for p1, n1 in parts[k]:
-                n1 *= c
-                for p2, n2 in f[n - k].items():
-                    p = p1 + p2
-                    if not p & guard:
-                        r[p] = r.get(p, 0) + n1 * n2
-        f.append({p - bias: m for p, m in r.items() if m})
-    scale = [den ** (d - n) * perm(d, d - n) for n in range(d + 1)]
-    out = {p: m * scale[n] for n in range(1 if log else 0, d + 1)
-           for p, m in f[n].items()}
-    return _lowest(den ** d * factorial(d), out)
-
-
-_ZERO = (1, {})
-
-
-def _slice(out, pairs, lay, den=1):
-    """Append (1/den) sum k*s*t over the (k, s, t) in pairs, in lowest terms,
-    to out: a series kept as its list of packed degree slices, so the slice
-    appended has degree len(out).  Products that leave the box are dropped
-    by the guard bits, as in _pmul.  Zero slices all share one _ZERO."""
+def _sum(pairs, lay, den=1):
+    """(1/den) sum k*s*t over the (k, s, t) in pairs, packed series, in
+    lowest terms.  The outer factor carries the bias, so a product is in the
+    box exactly when its sum has no guard bit set; the rest are dropped."""
     _, _, bias, guard, _, _ = lay
-    pairs = [(k, s, t) for k, s, t in pairs if s[1] and t[1]]
+    pairs = [(k, s, t) for k, s, t in pairs if k and s[1] and t[1]]
     # a list, not a generator: lcm(*generator) grows its argument tuple by
     # resizing, and the resized tuples pile up in the interpreter's free lists
     scale = lcm(*[s[0] * t[0] for _, s, t in pairs])
@@ -196,8 +139,47 @@ def _slice(out, pairs, lay, den=1):
                 p = p1 + p2
                 if not p & guard:
                     r[p] = r.get(p, 0) + n1 * n2
-    s = _lowest(den * scale, r, bias)
+    return _lowest(den * scale, r, bias)
+
+
+def _slice(out, pairs, lay, den=1):
+    """Append _sum(pairs, lay, den) to out: a series kept as its list of
+    packed degree slices, so the slice appended has degree len(out).  Zero
+    slices all share one _ZERO."""
+    s = _sum(pairs, lay, den)
     out.append(s if s[1] else _ZERO)
+
+
+def _join(slices):
+    """The packed series whose degree slices these are: slices have disjoint
+    keys and lowest terms, so their sum over the lcm of their denominators
+    has too."""
+    den = lcm(*[d for d, _ in slices])
+    return den, {p: c * (den // d) for d, s in slices for p, c in s.items()}
+
+
+def _exp(s, box, log=False):
+    """exp(s), or log(1 + s) when log is set, of packed s with no constant
+    term, through the box's total degree.
+
+    Solved as a list of degree slices from the nonzero parts s_k of degree
+    k, read off the top field (Knuth, TAOCP 2, 4.7): exp is E_0 = 1,
+    n E_n = sum_k k s_k E_(n-k), and log is L_0 = 0,
+    n L_n = n s_n - sum_(k<n) (n-k) s_k L_(n-k): the same sum with
+    coefficients k - n for k < n and n for k = n, if 1 stands in for L_0
+    and is dropped at the end.
+    """
+    if not s[1]:
+        return _ZERO if log else _ONE
+    lay, parts = box.layout, {}
+    for p, c in s[1].items():
+        parts.setdefault(p >> lay[5], {})[p] = c
+    parts = [(k, _lowest(s[0], part)) for k, part in sorted(parts.items())]
+    out = [_ONE]
+    for n in range(1, box.degree + 1):
+        _slice(out, [((k - n or n) if log else k, part, out[n - k])
+                     for k, part in parts if k <= n], lay, n)
+    return _join(out[1:] if log else out)
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +212,11 @@ class MultiSeries:
 
     @staticmethod
     def zero(box):
-        return MultiSeries(box, (1, {}))
+        return MultiSeries(box, _ZERO)
 
     @staticmethod
     def one(box):
-        return MultiSeries(box, (1, {0: 1}))
+        return MultiSeries(box, _ONE)
 
     @cached_property
     def terms(self):
@@ -270,14 +252,8 @@ def combine(box: TruncationBox, pairs) -> MultiSeries:
     """sum k * s over (k, s) pairs with integer k, over one common denominator."""
     pairs = list(pairs)
     _require_same_box(box, [s for _, s in pairs])
-    pairs = [(k, s.packed) for k, s in pairs if k]
-    den = lcm(*(d for _, (d, _) in pairs))
-    r = {}
-    for k, (d, num) in pairs:
-        k *= den // d
-        for p, n in num.items():
-            r[p] = r.get(p, 0) + k * n
-    return MultiSeries(box, _lowest(den, r))
+    return MultiSeries(box, _sum([(k, s.packed, _ONE) for k, s in pairs],
+                                 box.layout))
 
 
 def add(s: MultiSeries, t: MultiSeries) -> MultiSeries:
@@ -290,14 +266,13 @@ def sub(s: MultiSeries, t: MultiSeries) -> MultiSeries:
 
 def mul(s: MultiSeries, t: MultiSeries) -> MultiSeries:
     _require_same_box(s.box, [t])
-    lay = s.box.layout
-    return MultiSeries(s.box, _pmul(s.packed, t.packed, lay[2], lay[3]))
+    return MultiSeries(s.box, _sum([(1, s.packed, t.packed)], s.box.layout))
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:
     if s.constant_term != 0:
         raise SeriesError("exp_series needs zero constant term")
-    return MultiSeries(s.box, _pexp(s.packed, s.box, s.box.degree))
+    return MultiSeries(s.box, _exp(s.packed, s.box))
 
 
 def log_series(s: MultiSeries) -> MultiSeries:
@@ -305,7 +280,7 @@ def log_series(s: MultiSeries) -> MultiSeries:
         raise SeriesError("log_series needs constant term one")
     den, d = s.packed
     u = (den, {p: n for p, n in d.items() if p})
-    return MultiSeries(s.box, _pexp(u, s.box, s.box.degree, log=True))
+    return MultiSeries(s.box, _exp(u, s.box, log=True))
 
 
 @dataclass(frozen=True)
@@ -363,7 +338,6 @@ def pull_back(gs, rows):
         raise SeriesError("need one row of pairings per series and variable")
     lay, top = box.layout, box.degree
     w_bits, shifts, _, _, mask, dk = lay
-    one = (1, {0: 1})
     live = [i for i, g in enumerate(gs) if not g.is_zero()]
     slices = {i: [_ZERO] for i in live}
     # powers[a][k] = y_a^k for each x_a that some g_i contains; the k-th
@@ -373,7 +347,7 @@ def pull_back(gs, rows):
         depth = max((p >> k & mask for i in live for p in gs[i].packed[1]),
                     default=0)
         if depth:
-            powers[a] = [[one], [_ZERO, (1, {1 << k | 1 << dk: 1})]] + [
+            powers[a] = [[_ONE], [_ZERO, (1, {1 << k | 1 << dk: 1})]] + [
                 [_ZERO] * j for j in range(2, depth + 1)]
     # the series that feed w_a, with their pairings
     feeds = {a: [(rows[i][a], slices[i]) for i in live if rows[i][a]]
@@ -381,7 +355,7 @@ def pull_back(gs, rows):
     # the image of each prefix of a monomial of the g_i; those past x_a^e
     # alone are (its slices, the parent's slices, the power it multiplies
     # in, that power's exponent) in steps
-    images, steps, comps = {0: [one]}, [], []
+    images, steps, comps = {0: [_ONE]}, [], []
     for i in live:
         den, s = gs[i].packed
         terms = []
@@ -413,13 +387,10 @@ def pull_back(gs, rows):
             if len(img) == n:
                 _slice(img, [(1, parent[j], pk[n - j]) for j in range(n - e + 1)], lay)
         for g, den, terms in comps:
-            _slice(g, [(c, one, img[n]) for c, img in terms], lay, den)
+            _slice(g, [(c, _ONE, img[n]) for c, img in terms], lay, den)
     pulled = list(gs)
     for i, g in slices.items():
-        den = lcm(*[d for d, _ in g])
-        # slices have disjoint keys and lowest terms, so their sum has too
-        pulled[i] = MultiSeries(box, (den, {p: c * (den // d) for d, s in g
-                                            for p, c in s.items()}))
+        pulled[i] = MultiSeries(box, _join(g))
     inverse = DiagonalUnitMap(tuple(
         combine(box, [(row[a], g) for row, g in zip(rows, pulled)])
         for a in range(box.arity)))

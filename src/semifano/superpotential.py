@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 
 from .fans import (
     CurveClass,
@@ -51,8 +51,9 @@ class InvariantSeries:
     ray_index: int
     delta: MultiSeries
 
-    @property
+    @cached_property
     def one_plus(self):
+        """1 + delta_i, built once per series."""
         return add(MultiSeries.one(self.delta.box), self.delta)
 
 

@@ -10,7 +10,9 @@ coordinate change and the pulled-back correction series together, degree
 by degree.  Here substitution is a separate step (`substitute`, over power
 tables of x_a * exp(u_a) and the image of each monomial), the inverse is
 the whole-box fixed-point loop that substitution drives, and
-`invert_diagonal_unit` reads the inverse alone off the one pass.  Last come
+`invert_diagonal_unit` reads the inverse alone off the one pass.  The power
+tables multiply with `_pmul`, a plain truncated product of two packed
+series, not the engine's sum-of-products kernel `series._sum`.  Last come
 the dict and identity views, scaling, composition and single correction
 series that only tests use.
 """
@@ -30,7 +32,25 @@ from semifano import (
     compute_g0_family,
     pull_back,
 )
-from semifano.series import _lowest, _pexp, _pmul
+from semifano.series import _exp, _lowest
+
+
+def _pmul(s, t, bias, guard):
+    """Truncated product of two packed series.
+
+    The outer factor carries the bias, so a pair is in the box exactly when
+    its sum has no guard bit set; numerators multiply over D_s D_t.
+    """
+    if len(s[1]) > len(t[1]):
+        s, t = t, s
+    r = {}
+    for p1, n1 in s[1].items():
+        p1 += bias
+        for p2, n2 in t[1].items():
+            p = p1 + p2
+            if not p & guard:
+                r[p] = r.get(p, 0) + n1 * n2
+    return _lowest(s[0] * t[0], r, bias)
 
 
 def _power_tables(umaps, series, box):
@@ -46,8 +66,8 @@ def _power_tables(umaps, series, box):
         depth = max((p >> k & mask for _, s in series for p in s), default=0)
         pa = [(1, {0: 1})]
         if depth:
-            ya = _pmul((1, {1 << k | 1 << dk: 1}), _pexp(u, box, box.degree - 1),
-                       bias, guard)
+            # x_a drops the top-degree slice of exp(u_a)
+            ya = _pmul((1, {1 << k | 1 << dk: 1}), _exp(u, box), bias, guard)
             for _ in range(depth):
                 pa.append(_pmul(pa[-1], ya, bias, guard))
         tables.append(pa)

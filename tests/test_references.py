@@ -1,10 +1,11 @@
-"""Every public function of a semifano module is used somewhere.
+"""Every function of a semifano module is used somewhere.
 
 No linter is part of the toolchain, so this reads syntax trees: a
 module-level function of `src/semifano/*.py` whose name does not start with
 `_` must occur as a name or an attribute in some file under `src/` or
-`bench/`.  A function that only tests use belongs in `tests/`, so `tests/` is
-not searched.  `__init__.py` imports only to re-export, so its imports use
+`bench/`, and one whose name does start with `_` in some file under `src/`.
+A function that only tests use belongs in `tests/`, so `tests/` is not
+searched.  `__init__.py` imports only to re-export, so its imports use
 nothing.
 """
 
@@ -18,11 +19,14 @@ INIT = ROOT / "src" / "semifano" / "__init__.py"
 MODULES = sorted(p for p in (ROOT / "src" / "semifano").glob("*.py") if p != INIT)
 SOURCES = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")
                  if p != INIT)
+ENGINE = [p for p in SOURCES if ROOT / "src" in p.parents]
 
 
-def public_functions(source):
+def public_functions(source, private=False):
+    """The module-level functions of source, or its `_` ones if private."""
     return [node.name for node in ast.parse(source).body
-            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+            if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_") == private]
 
 
 def referenced_names(sources):
@@ -45,6 +49,17 @@ def referenced():
 def test_public_functions_are_referenced(path, referenced):
     assert [f for f in public_functions(path.read_text())
             if f not in referenced] == []
+
+
+@pytest.fixture(scope="module")
+def engine_referenced():
+    return referenced_names(p.read_text() for p in ENGINE)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_private_functions_are_referenced_in_src(path, engine_referenced):
+    assert [f for f in public_functions(path.read_text(), private=True)
+            if f not in engine_referenced] == []
 
 
 def test_unreferenced_function_is_found():
@@ -71,3 +86,20 @@ def test_test_only_function_is_found():
     used = referenced_names([module, engine])
     assert [f for f in public_functions(module) if f not in used] == [
         "fixture_path"]
+
+
+def test_test_only_private_function_is_found():
+    assert ROOT / "src" / "semifano" / "series.py" in ENGINE
+    assert not [p for p in ENGINE if ROOT / "bench" in p.parents]
+    module = ("def _pmul(s, t):\n"
+              "    return s\n"
+              "def _sum(pairs):\n"
+              "    return pairs\n"
+              "def mul(s, t):\n"
+              "    return _sum([(s, t)])\n")
+    # an oracle calls _pmul, but only the engine's own files are searched
+    oracle = "from semifano.series import _pmul\n_pmul(1, 2)\n"
+    used = referenced_names([module])
+    assert [f for f in public_functions(module, private=True)
+            if f not in used] == ["_pmul"]
+    assert "_pmul" in referenced_names([module, oracle])

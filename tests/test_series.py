@@ -17,10 +17,11 @@ from semifano import (
     mul,
     render,
 )
+from semifano import series
 from semifano.series import (
     _lowest,
     _pack,
-    _pmul,
+    _sum,
 )
 from oracles import (
     _subst_dict,
@@ -340,6 +341,26 @@ def test_exp_log_closed_forms():
     )
 
 
+def test_exp_log_past_the_strategies_degree(monkeypatch):
+    # the strategies reach total degree 36; the recurrences run to any degree
+    F = Fraction
+    assert exp_series(S((120,), {(1,): 1})) == S(
+        (120,), {(k,): F(1, factorial(k)) for k in range(121)})
+    s = S((60,), {(1,): F(1, 2), (2,): F(-2, 3), (7,): F(5, 4), (30,): F(3, 7),
+                  (60,): F(-1, 9)})
+    assert log_series(exp_series(s)) == s
+    # one slice a degree, and none for exp(0)
+    built = []
+    build = series._slice
+    monkeypatch.setattr(series, "_slice",
+                        lambda out, *args: built.append(len(out)) or build(out, *args))
+    box = TruncationBox((12,))
+    assert exp_series(MultiSeries.zero(box)) == MultiSeries.one(box)
+    assert built == []
+    exp_series(S((12,), {(3,): F(1, 2)}))
+    assert built == list(range(1, 13))
+
+
 def test_exp_log_edges():
     F = Fraction
     # the empty series and the arity-0 box
@@ -594,15 +615,15 @@ def test_packed_form_is_canonical():
     F = Fraction
     box = TruncationBox((3, 3))
     lay = box.layout
-    w, _, bias, guard, _, dk = lay
+    w, _, _, _, _, dk = lay
     # each key carries its total degree in the top field
     x, y = 1 | 1 << dk, 1 << w | 1 << dk
     xy = x + y
     # x*y/3 through denominators 2*3, 3*2 and 3, and by reducing 4/12
     routes = [
-        _pmul(_pack({(1, 0): F(1, 2)}, lay), _pack({(0, 1): F(2, 3)}, lay), bias, guard),
-        _pmul(_pack({(1, 0): F(2, 3)}, lay), _pack({(0, 1): F(1, 2)}, lay), bias, guard),
-        _pmul(_pack({(1, 0): F(1, 3)}, lay), _pack({(0, 1): F(1)}, lay), bias, guard),
+        _sum([(1, _pack({(1, 0): F(1, 2)}, lay), _pack({(0, 1): F(2, 3)}, lay))], lay),
+        _sum([(1, _pack({(1, 0): F(2, 3)}, lay), _pack({(0, 1): F(1, 2)}, lay))], lay),
+        _sum([(1, _pack({(1, 0): F(1, 3)}, lay), _pack({(0, 1): F(1)}, lay))], lay),
         _lowest(12, {xy: 4}),
         _pack({(1, 1): F(1, 3)}, lay),
     ]
@@ -610,11 +631,11 @@ def test_packed_form_is_canonical():
     # zero numerators are dropped: (x/2 - y/3)(x/2 + y/3) has no x*y term
     s = _pack({(1, 0): F(1, 2), (0, 1): F(-1, 3)}, lay)
     t = _pack({(1, 0): F(1, 2), (0, 1): F(1, 3)}, lay)
-    assert _pmul(s, t, bias, guard) == (36, {2 * x: 9, 2 * y: -4})
+    assert _sum([(1, s, t)], lay) == (36, {2 * x: 9, 2 * y: -4})
     assert _lowest(12, {x: 4, y: 0}) == (3, {x: 1})
     # every zero is (1, {}), the inversion's starting point
     assert _lowest(12, {x: 0}) == (1, {}) == _pack({}, lay)
-    assert _pmul(_pack({(3, 3): F(5, 7)}, lay), s, bias, guard) == (1, {})
+    assert _sum([(1, _pack({(3, 3): F(5, 7)}, lay), s)], lay) == (1, {})
     # at x := x * exp(x/2), x - x^2/2 becomes x - 3/8 x^3: the contributions
     # to x^2 cancel, and the result is stored without them
     tables = [[(1, {0: 1}), _pack({(k, 0): F(1, 2 ** (k - 1) * factorial(k - 1))
