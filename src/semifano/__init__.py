@@ -27,14 +27,11 @@ from .mirror import (
     enumerate_g0_classes,
 )
 from .series import (
-    DiagonalUnitMap,
     MultiSeries,
     SeriesError,
     TruncationBox,
-    add,
     combine,
     exp_series,
-    log_series,
     mul,
     pull_back,
     render,
@@ -54,7 +51,6 @@ from .superpotential import (
     check_PF_equals_LF,
     compare_superpotentials,
     cross_validate_surface,
-    delta_series,
     invariant_table,
     normalize_W_LF,
     render_table,

@@ -235,8 +235,8 @@ def cmd_mirror_map(args):
     lines = []
     results = {"forward": {}, "inverse": {}}
     for a in range(lattice.rank):
-        fwd = render(mm.forward.components[a])
-        inv = render(mm.inverse.components[a])
+        fwd = render(mm.forward[a])
+        inv = render(mm.inverse[a])
         lines.append(f"forward exponent {a + 1}: {fwd}")
         lines.append(f"inverse exponent {a + 1}: {inv}")
         results["forward"][str(a + 1)] = fwd

@@ -17,13 +17,7 @@ from math import factorial, prod
 from operator import mul
 
 from .fans import CurveClass, CurveLattice, FanError, fan_polytope_vertices
-from .series import (
-    DiagonalUnitMap,
-    MultiSeries,
-    TruncationBox,
-    combine,
-    pull_back,
-)
+from .series import MultiSeries, TruncationBox, combine, pull_back
 
 
 def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
@@ -93,16 +87,17 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox) -> GZeroFamily:
 
 @dataclass(frozen=True)
 class MirrorMapPair:
-    """Both directions of the coordinate change, as diagonal-unit maps.
+    """Both directions of the coordinate change, one exponent series a
+    variable.
 
     `forward` expresses the corrected variables in terms of the raw ones
-    (q_a = x_a * exp(forward_a)); `inverse` goes back, and the composition is
-    the identity within the box.  `pulled` holds each ray's correction series
-    composed with the inverse.
+    (q_a = x_a * exp(forward[a])); `inverse` goes back, and the composition
+    is the identity within the box.  `pulled` holds each ray's correction
+    series composed with the inverse.
     """
 
-    forward: DiagonalUnitMap
-    inverse: DiagonalUnitMap
+    forward: tuple[MultiSeries, ...]
+    inverse: tuple[MultiSeries, ...]
     pulled: tuple[MultiSeries, ...]
 
 
@@ -111,9 +106,9 @@ def assemble_mirror_map(g0: GZeroFamily) -> MirrorMapPair:
     pulled-back series come from one `pull_back` pass."""
     lattice = g0.lattice
     rows = [lattice.pairing_row(i) for i in range(lattice.fan.num_rays)]
-    forward = DiagonalUnitMap(tuple(
+    forward = tuple(
         combine(g0.box, [(-row[a], s) for row, s in zip(rows, g0.series)])
         for a in range(lattice.rank)
-    ))
+    )
     pulled, inverse = pull_back(g0.series, rows)
     return MirrorMapPair(forward, inverse, pulled)

@@ -11,12 +11,12 @@ integer numerator over D}): each exponent vector packs into one int by the
 box's layout, a field a variable and a top field for the total degree,
 and the pair is kept in lowest terms, so it is canonical.  Every operation
 works on that form through one kernel, _sum, a guarded sum of products of
-packed series: combine and mul call it once, and exp, log and pull_back
-solve their recurrences one total degree at a time, each series kept as a
-list of degree slices that _slice builds from lower ones.  pull_back solves
-for the inverse of a coordinate change x_a -> x_a * exp(u_a) together with
-series evaluated along it.  Fractions appear only where values enter
-(MultiSeries.from_dict) or leave (terms, coefficient, constant_term).
+packed series: combine and mul call it once, and exp and pull_back solve
+their recurrences one total degree at a time, each series kept as a list of
+degree slices that _slice builds from lower ones.  pull_back solves for the
+inverse of a coordinate change x_a -> x_a * exp(u_a) together with series
+evaluated along it; both are plain tuples of series.  Fractions appear only
+where values enter (MultiSeries.from_dict) or leave (terms, constant_term).
 """
 
 from __future__ import annotations
@@ -158,28 +158,24 @@ def _join(slices):
     return den, {p: c * (den // d) for d, s in slices for p, c in s.items()}
 
 
-def _exp(s, box, log=False):
-    """exp(s), or log(1 + s) when log is set, of packed s with no constant
-    term, through the box's total degree.
+def _exp(s, box):
+    """exp(s) of packed s with no constant term, through the box's total
+    degree.
 
     Solved as a list of degree slices from the nonzero parts s_k of degree
-    k, read off the top field (Knuth, TAOCP 2, 4.7): exp is E_0 = 1,
-    n E_n = sum_k k s_k E_(n-k), and log is L_0 = 0,
-    n L_n = n s_n - sum_(k<n) (n-k) s_k L_(n-k): the same sum with
-    coefficients k - n for k < n and n for k = n, if 1 stands in for L_0
-    and is dropped at the end.
+    k, read off the top field (Knuth, TAOCP 2, 4.7): E_0 = 1 and
+    n E_n = sum_k k s_k E_(n-k).
     """
     if not s[1]:
-        return _ZERO if log else _ONE
+        return _ONE
     lay, parts = box.layout, {}
     for p, c in s[1].items():
         parts.setdefault(p >> lay[5], {})[p] = c
     parts = [(k, _lowest(s[0], part)) for k, part in sorted(parts.items())]
     out = [_ONE]
     for n in range(1, box.degree + 1):
-        _slice(out, [((k - n or n) if log else k, part, out[n - k])
-                     for k, part in parts if k <= n], lay, n)
-    return _join(out[1:] if log else out)
+        _slice(out, [(k, part, out[n - k]) for k, part in parts if k <= n], lay, n)
+    return _join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -189,13 +185,10 @@ def _exp(s, box, log=False):
 @dataclass(frozen=True)
 class MultiSeries:
     """Sparse exact series: the packed series (D, {packed exponent: numerator})
-    in lowest terms.  Immutable, compared and hashed by that canonical form."""
+    in lowest terms.  Immutable, compared by that canonical form."""
 
     box: TruncationBox
     packed: tuple[int, dict[int, int]]
-
-    def __hash__(self):
-        return hash((self.box, self.packed[0], frozenset(self.packed[1].items())))
 
     @staticmethod
     def from_dict(box, coeffs):
@@ -224,23 +217,12 @@ class MultiSeries:
         d = _unpack(self.packed, self.box.layout)
         return tuple(sorted(d.items(), key=lambda t: (sum(t[0]), t[0])))
 
-    def coefficient(self, exp):
-        exp = tuple(exp)
-        if not self.box.contains(exp):
-            return Fraction(0)
-        return Fraction(self.packed[1].get(_key(exp, self.box.layout), 0),
-                        self.packed[0])
-
     @property
     def constant_term(self):
         return Fraction(self.packed[1].get(0, 0), self.packed[0])
 
     def is_zero(self):
         return not self.packed[1]
-
-    def __neg__(self):
-        den, d = self.packed
-        return MultiSeries(self.box, (den, {p: -n for p, n in d.items()}))
 
 
 def _require_same_box(box, series):
@@ -256,10 +238,6 @@ def combine(box: TruncationBox, pairs) -> MultiSeries:
                                  box.layout))
 
 
-def add(s: MultiSeries, t: MultiSeries) -> MultiSeries:
-    return combine(s.box, [(1, s), (1, t)])
-
-
 def sub(s: MultiSeries, t: MultiSeries) -> MultiSeries:
     return combine(s.box, [(1, s), (-1, t)])
 
@@ -273,42 +251,6 @@ def exp_series(s: MultiSeries) -> MultiSeries:
     if s.constant_term != 0:
         raise SeriesError("exp_series needs zero constant term")
     return MultiSeries(s.box, _exp(s.packed, s.box))
-
-
-def log_series(s: MultiSeries) -> MultiSeries:
-    if s.constant_term != 1:
-        raise SeriesError("log_series needs constant term one")
-    den, d = s.packed
-    u = (den, {p: n for p, n in d.items() if p})
-    return MultiSeries(s.box, _exp(u, s.box, log=True))
-
-
-@dataclass(frozen=True)
-class DiagonalUnitMap:
-    """The substitution x_a -> x_a * exp(u_a(x)); each u_a has zero constant term."""
-
-    components: tuple[MultiSeries, ...]
-
-    def __post_init__(self):
-        comps = tuple(self.components)
-        if comps:
-            box = comps[0].box
-            if len(comps) != box.arity:
-                raise SeriesError("component count must equal the variable count")
-            for u in comps:
-                if u.box != box:
-                    raise SeriesError("components live in different boxes")
-                if u.constant_term != 0:
-                    raise SeriesError("components must have zero constant term")
-        object.__setattr__(self, "components", comps)
-
-    @property
-    def box(self):
-        return self.components[0].box
-
-    @property
-    def arity(self):
-        return len(self.components)
 
 
 def pull_back(gs, rows):
@@ -391,9 +333,8 @@ def pull_back(gs, rows):
     pulled = list(gs)
     for i, g in slices.items():
         pulled[i] = MultiSeries(box, _join(g))
-    inverse = DiagonalUnitMap(tuple(
-        combine(box, [(row[a], g) for row, g in zip(rows, pulled)])
-        for a in range(box.arity)))
+    inverse = tuple(combine(box, [(row[a], g) for row, g in zip(rows, pulled)])
+                    for a in range(box.arity))
     return tuple(pulled), inverse
 
 

@@ -35,10 +35,8 @@ from .series import (
     MultiSeries,
     SeriesError,
     TruncationBox,
-    add,
     combine,
     exp_series,
-    log_series,
     mul,
     sub,
 )
@@ -46,20 +44,21 @@ from .series import (
 
 @dataclass(frozen=True)
 class InvariantSeries:
-    """delta_i: the sum over nonzero classes of disk counts times q-monomials."""
+    """The disk counts of ray i, kept as the pulled-back correction series
+    G_i = log(1 + delta_i); delta_i sums, over nonzero classes, disk counts
+    times q-monomials."""
 
     ray_index: int
-    delta: MultiSeries
+    pulled: MultiSeries
 
     @cached_property
     def one_plus(self):
-        """1 + delta_i, built once per series."""
-        return add(MultiSeries.one(self.delta.box), self.delta)
+        """1 + delta_i = exp(G_i), built once per series."""
+        return exp_series(self.pulled)
 
-
-def delta_series(pulled_g0, i) -> InvariantSeries:
-    s = pulled_g0[i]
-    return InvariantSeries(i, sub(exp_series(s), MultiSeries.one(s.box)))
+    @cached_property
+    def delta(self):
+        return sub(self.one_plus, MultiSeries.one(self.pulled.box))
 
 
 @dataclass(frozen=True)
@@ -151,7 +150,7 @@ def assemble_W_PF(whv: SuperpotentialExpr, mm: MirrorMapPair,
     Each coefficient monomial q^e picks up exp(sum_a e_a w_a), where w is the
     inverse-direction exponent family; negative e_a are fine.
     """
-    inv = mm.inverse.components
+    inv = mm.inverse
     terms = []
     for t in whv.terms:
         unit = mul(t.unit, exp_series(combine(box, zip(t.q_exponent, inv))))
@@ -175,10 +174,11 @@ def normalize_W_LF(expr: SuperpotentialExpr, fan: Fan, deltas) -> Superpotential
     """Rescale coordinates so the cone-ray terms have unit coefficient.
 
     Sending z_j to z_j/(1 + delta of cone ray j) divides term k by the
-    product of (1 + delta) over the cone rays weighted by k's z-exponent.
+    product of (1 + delta) over the cone rays weighted by k's z-exponent,
+    that is multiplies it by exp(-sum_j z_j G_j), G_j = log(1 + delta_j).
     """
     cone = fan.max_cones[expr.cone_index]
-    logs = [log_series(deltas[c].one_plus) for c in cone]
+    logs = [deltas[c].pulled for c in cone]
     terms = []
     for t in expr.terms:
         corr = combine(t.unit.box, [(-e, lg) for e, lg in zip(t.z_exponent, logs)])
@@ -215,15 +215,15 @@ def check_multiplicative_consistency(deltas, mm: MirrorMapPair,
     """For each basis index a: prod_i (1+delta_i)^(pairing i,a) = exp(w_a).
 
     exp is injective on series with zero constant term, so the identity is
-    checked on logarithms: sum_i pairing(i,a) * log(1+delta_i) = w_a.  For
-    an analysis it holds by construction, as `pull_back` reads w off as
-    w_a = sum_i pairing(i,a) * G_i and log(1+delta_i) = G_i; a mirror map
-    built another way can fail it.
+    checked on logarithms: sum_i pairing(i,a) * G_i = w_a, where each delta
+    keeps G_i = log(1+delta_i).  For an analysis it holds by construction,
+    as `pull_back` reads w off as exactly that sum; an inverse built
+    another way can fail it.
     """
     details = []
-    logs = [log_series(d.one_plus) for d in deltas]
-    for a, w in enumerate(mm.inverse.components):
-        acc = combine(w.box, [(lattice.pairing(i, a), lg) for i, lg in enumerate(logs)])
+    for a, w in enumerate(mm.inverse):
+        acc = combine(w.box, [(lattice.pairing(d.ray_index, a), d.pulled)
+                              for d in deltas])
         if acc != w:
             details.append(f"basis class {a + 1}: product identity fails")
     return CheckReport("multiplicative-consistency", not details, tuple(details))
@@ -400,7 +400,7 @@ class ToricAnalysis:
 def analyze(fan: Fan, lattice: CurveLattice, box: TruncationBox) -> ToricAnalysis:
     g0 = compute_g0_family(lattice, box)
     mm = assemble_mirror_map(g0)
-    deltas = tuple(delta_series(mm.pulled, i) for i in range(fan.num_rays))
+    deltas = tuple(InvariantSeries(i, g) for i, g in enumerate(mm.pulled))
     return ToricAnalysis(fan, lattice, box, g0, mm, deltas)
 
 

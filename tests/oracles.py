@@ -12,23 +12,27 @@ tables of x_a * exp(u_a) and the image of each monomial), the inverse is
 the whole-box fixed-point loop that substitution drives, and
 `invert_diagonal_unit` reads the inverse alone off the one pass.  The power
 tables multiply with `_pmul`, a plain truncated product of two packed
-series, not the engine's sum-of-products kernel `series._sum`.  Last come
-the dict and identity views, scaling, composition and single correction
-series that only tests use.
+series, not the engine's sum-of-products kernel `series._sum`.  A
+coordinate change x_a -> x_a * exp(u_a) is the tuple of its u_a, as in
+`semifano.MirrorMapPair`.  The engine needs no log: it keeps each ray's
+pulled-back series G_i = log(1 + delta_i).  `oracle_log` and `oracle_exp`
+are sums of powers over Fraction dicts, so tests can build a G from a
+delta, and check exp, without the engine's recurrences.  Last come the dict
+and identity views, sums, scaling, composition and single correction series
+that only tests use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import factorial, lcm
 
 from semifano import (
     CurveLattice,
-    DiagonalUnitMap,
     MultiSeries,
     SeriesError,
     TruncationBox,
-    add,
+    combine,
     compute_g0_family,
     pull_back,
 )
@@ -105,20 +109,20 @@ def _subst_dict(series, tables, box):
     return out
 
 
-def substitute(s: MultiSeries, m: DiagonalUnitMap) -> MultiSeries:
-    """Evaluate s at x_a := x_a * exp(u_a(x))."""
+def substitute(s: MultiSeries, m) -> MultiSeries:
+    """Evaluate s at x_a := x_a * exp(u_a(x)), m the tuple of the u_a."""
     box = s.box
-    if m.arity != box.arity or (m.components and m.box != box):
+    if len(m) != box.arity or any(u.box != box for u in m):
         raise SeriesError("map arity/box does not match the series")
     sp = [s.packed]
-    tables = _power_tables([u.packed for u in m.components], sp, box)
+    tables = _power_tables([u.packed for u in m], sp, box)
     return MultiSeries(box, _subst_dict(sp, tables, box)[0])
 
 
 def invert_diagonal_unit(m):
     """Inverse of x_a -> x_a*exp(u_a): the one pass with g = -u, rows the identity."""
-    rows = [[int(a == b) for b in range(m.arity)] for a in range(m.arity)]
-    return pull_back([-u for u in m.components], rows)[1]
+    rows = [[int(a == b) for b in range(len(m))] for a in range(len(m))]
+    return pull_back([scale(u, -1) for u in m], rows)[1]
 
 
 def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:
@@ -131,9 +135,13 @@ def to_dict(s):
     return dict(s.terms)
 
 
+def add(s, t):
+    return combine(s.box, [(1, s), (1, t)])
+
+
 def is_identity(m):
-    """Whether a DiagonalUnitMap is x_a -> x_a, every u_a zero."""
-    return all(u.is_zero() for u in m.components)
+    """Whether the coordinate change m is x_a -> x_a, every u_a zero."""
+    return all(u.is_zero() for u in m)
 
 
 def scale(s, k):
@@ -146,10 +154,7 @@ def scale(s, k):
 
 def compose(outer, inner):
     """Map sending x_a to x_a*exp(u_a) followed by x_a to x_a*exp(w_a)."""
-    return DiagonalUnitMap(tuple(
-        add(substitute(u, inner), w)
-        for u, w in zip(outer.components, inner.components)
-    ))
+    return tuple(add(substitute(u, inner), w) for u, w in zip(outer, inner))
 
 
 def oracle_invert_full_box(m):
@@ -161,15 +166,52 @@ def oracle_invert_full_box(m):
     to degree k, and the first round that leaves w unchanged has found the
     unique inverse.  That takes at most sum(caps) + 1 rounds.
     """
-    box, top = m.box, m.box.degree
-    minus_u = [(-u).packed for u in m.components]
+    box = m[0].box
+    top = box.degree
+    minus_u = [scale(u, -1).packed for u in m]
     w = [(1, {}) for _ in minus_u]
     for _ in range(top + 1):
         w2 = _subst_dict(minus_u, _power_tables(w, minus_u, box), box)
         if w2 == w:
             break
         w = w2
-    return DiagonalUnitMap(tuple(MultiSeries(box, c) for c in w))
+    return tuple(MultiSeries(box, c) for c in w)
+
+
+def naive_mul(s, t, caps):
+    r = {}
+    for e1, c1 in s.items():
+        for e2, c2 in t.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            if all(x <= c for x, c in zip(e, caps)):
+                r[e] = r.get(e, 0) + c1 * c2
+    return r
+
+
+def power_sum(s, coeff, caps):
+    """sum over k >= 1 of coeff(k) * s^k, from s^k = s^(k-1) * s."""
+    r = {}
+    p = {(0,) * len(caps): Fraction(1)}
+    for k in range(1, sum(caps) + 1):
+        p = naive_mul(p, s, caps)
+        for e, c in p.items():
+            r[e] = r.get(e, 0) + coeff(k) * c
+    return {e: c for e, c in r.items() if c}
+
+
+def oracle_exp(s):
+    """exp(s) of a series with zero constant term, as a sum of powers."""
+    d = power_sum(to_dict(s), lambda k: Fraction(1, factorial(k)), s.box.caps)
+    d[(0,) * s.box.arity] = Fraction(1)
+    return MultiSeries.from_dict(s.box, d)
+
+
+def oracle_log(s):
+    """log(s) of a series with constant term one, as a sum of powers."""
+    u = to_dict(s)
+    del u[(0,) * s.box.arity]
+    d = power_sum(u, lambda k: Fraction((-1) ** (k + 1), k), s.box.caps)
+    return MultiSeries.from_dict(s.box, d)
 
 
 def left_kernel_basis(V):

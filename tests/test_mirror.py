@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from semifano import (
     CurveClass,
-    DiagonalUnitMap,
     Fan,
     FanError,
     MultiSeries,
@@ -23,18 +22,18 @@ from semifano import (
     enumerate_g0_classes,
     fan_polytope_vertices,
     invariant_table,
-    log_series,
     pull_back,
 )
 from semifano import SeriesError, mirror, series
 from semifano.cli import main, parse_input
-from conftest import fixture_fan, fixture_lattice
+from conftest import fixture_analysis, fixture_fan, fixture_lattice
 from oracles import (
     compose,
     g0_series,
     invert_diagonal_unit,
     is_identity,
     oracle_invert_full_box,
+    oracle_log,
     scale,
     substitute,
     to_dict,
@@ -268,8 +267,8 @@ def test_mirror_map_f2():
     fam = compute_g0_family(lattice, box)
     mm = assemble_mirror_map(fam)
     g4 = fam.series[3]
-    assert mm.forward.components[0] == scale(g4, 2)
-    assert mm.forward.components[1] == scale(g4, -1)
+    assert mm.forward[0] == scale(g4, 2)
+    assert mm.forward[1] == scale(g4, -1)
     ident = compose(mm.forward, mm.inverse)
     assert is_identity(ident)
     assert is_identity(compose(mm.inverse, mm.forward))
@@ -279,7 +278,7 @@ def test_threefold_inverse_at_7777(threefold_lattice):
     # the size and height of the inverse mirror map at the benchmark's box
     _, lattice = threefold_lattice
     mm = assemble_mirror_map(compute_g0_family(lattice, TruncationBox((7,) * 4)))
-    terms = [c for u in mm.inverse.components for _, c in u.terms]
+    terms = [c for u in mm.inverse for _, c in u.terms]
     assert len(terms) == 191
     bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
                for c in terms)
@@ -318,7 +317,7 @@ def test_gapless_inversion_visits_each_degree_once(monkeypatch):
     # u = x^2 at (12,): per degree n, the slices of y = x exp(w) and of y^2
     # (n >= 2; y_1 = x is given, and the image of x^2 is y^2) and of the
     # pulled-back -u, which is w
-    forward = DiagonalUnitMap((MultiSeries.from_dict(TruncationBox((12,)), {(2,): 1}),))
+    forward = (MultiSeries.from_dict(TruncationBox((12,)), {(2,): 1}),)
     built = pass_slices(lambda: invert_diagonal_unit(forward), monkeypatch)
     degrees = [d for _, d in built]
     assert degrees == sorted(degrees) and set(degrees) == set(range(1, 13))
@@ -404,9 +403,27 @@ def test_pullback_f2_is_log():
     mm = assemble_mirror_map(fam)
     pulled = mm.pulled
     one_plus_q1 = MultiSeries.from_dict(box, {(0, 0): 1, (1, 0): 1})
-    assert pulled[3] == log_series(one_plus_q1)
+    assert pulled[3] == oracle_log(one_plus_q1)
     for i in (0, 1, 2):
         assert pulled[i].is_zero()
+
+
+PULLBACK_CAPS = {
+    "f2": (5, 5), "f2-blowup": (4, 4, 4), "f3": (4, 4), "kp2-bundle": (4, 4),
+    "p1cubed": (3, 3, 3), "p1xp1": (4, 4), "p2": (5,),
+    "threefold-example": (7, 7, 7, 7),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PULLBACK_CAPS))
+def test_pulled_series_is_log_of_one_plus_delta(name):
+    # the engine keeps G_i as each ray's disk counts and never takes a log:
+    # a sum of powers of delta_i gives G_i back, on every ray
+    an = fixture_analysis(name, PULLBACK_CAPS[name])
+    assert len(an.deltas) == an.fan.num_rays
+    for d, g in zip(an.deltas, an.mirror.pulled):
+        assert d.pulled is g
+        assert oracle_log(d.one_plus) == g, (name, d.ray_index)
 
 
 def walker_classes(lattice, i, box):

@@ -1,12 +1,13 @@
-"""Every function of a semifano module is used somewhere.
+"""Every function and method of a semifano module is used somewhere.
 
 No linter is part of the toolchain, so this reads syntax trees: a
 module-level function of `src/semifano/*.py` whose name does not start with
 `_` must occur as a name or an attribute in some file under `src/` or
 `bench/`, and one whose name does start with `_` in some file under `src/`.
-A function that only tests use belongs in `tests/`, so `tests/` is not
-searched.  `__init__.py` imports only to re-export, so its imports use
-nothing.
+A method or property of a class there, dunders aside, must occur as an
+attribute in some file under `src/` or `bench/`.  A function that only
+tests use belongs in `tests/`, so `tests/` is not searched.  `__init__.py`
+imports only to re-export, so its imports use nothing.
 """
 
 import ast
@@ -29,11 +30,20 @@ def public_functions(source, private=False):
             and node.name.startswith("_") == private]
 
 
-def referenced_names(sources):
+def methods(source):
+    """(class, name) of each method and property of the classes of source,
+    dunders left out."""
+    return [(node.name, f.name) for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            for f in node.body if isinstance(f, ast.FunctionDef)
+            and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
+def referenced_names(sources, attributes_only=False):
     names = set()
     for source in sources:
         for node in ast.walk(ast.parse(source)):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and not attributes_only:
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -49,6 +59,16 @@ def referenced():
 def test_public_functions_are_referenced(path, referenced):
     assert [f for f in public_functions(path.read_text())
             if f not in referenced] == []
+
+
+@pytest.fixture(scope="module")
+def attributes():
+    return referenced_names((p.read_text() for p in SOURCES), attributes_only=True)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_methods_are_referenced(path, attributes):
+    assert [m for m in methods(path.read_text()) if m[1] not in attributes] == []
 
 
 @pytest.fixture(scope="module")
@@ -103,3 +123,22 @@ def test_test_only_private_function_is_found():
     assert [f for f in public_functions(module, private=True)
             if f not in used] == ["_pmul"]
     assert "_pmul" in referenced_names([module, oracle])
+
+
+def test_test_only_method_is_found():
+    module = ("class MultiSeries:\n"
+              "    def __neg__(self):\n"
+              "        return self\n"
+              "    def coefficient(self, exp):\n"
+              "        return exp\n"
+              "    @property\n"
+              "    def constant_term(self):\n"
+              "        return 0\n")
+    # a test calls s.coefficient; the engine has only a local of that name,
+    # and negates through the exempt dunder
+    engine = "coefficient = s.constant_term\nprint(-s, coefficient)\n"
+    used = referenced_names([module, engine], attributes_only=True)
+    assert methods(module) == [("MultiSeries", "coefficient"),
+                               ("MultiSeries", "constant_term")]
+    assert [m for m in methods(module) if m[1] not in used] == [
+        ("MultiSeries", "coefficient")]

@@ -5,10 +5,8 @@ from itertools import product
 import pytest
 
 from semifano import (
-    DiagonalUnitMap,
     MultiSeries,
     TruncationBox,
-    add,
     assemble_W_HV,
     assemble_W_LF,
     assemble_W_PF,
@@ -24,7 +22,16 @@ from semifano.series import SeriesError
 from semifano.mirror import MirrorMapPair
 from semifano.superpotential import InvariantSeries, InvariantTable
 from conftest import fixture_analysis
-from oracles import to_dict
+from oracles import add, oracle_log, to_dict
+
+
+def invariant(i, box, delta):
+    """The InvariantSeries of ray i whose delta has these terms: it keeps
+    G = log(1 + delta)."""
+    one_plus = MultiSeries.from_dict(box, {**delta, (0,) * box.arity: 1})
+    inv = InvariantSeries(i, oracle_log(one_plus))
+    assert inv.delta == MultiSeries.from_dict(box, delta)
+    return inv
 
 
 def test_f2_delta4_is_q1(f2_analysis):
@@ -46,7 +53,7 @@ def test_f2_invariant_table(f2_analysis):
 
 def test_invariant_table_strict_vs_warn():
     box = TruncationBox((2,))
-    bad = InvariantSeries(0, MultiSeries.from_dict(box, {(1,): Fraction(1, 2)}))
+    bad = invariant(0, box, {(1,): Fraction(1, 2)})
     with pytest.raises(ValueError):
         invariant_table(bad, strict=True)
     table = invariant_table(bad, strict=False)
@@ -55,7 +62,7 @@ def test_invariant_table_strict_vs_warn():
 
 def test_render_table_golden():
     box = TruncationBox((1, 1))
-    inv = InvariantSeries(0, MultiSeries.from_dict(box, {(1, 0): 3}))
+    inv = invariant(0, box, {(1, 0): 3})
     assert render_table(invariant_table(inv)) == (
         "k1\tk2\tn\n0\t0\t1\n0\t1\t0\n1\t0\t3\n1\t1\t0"
     )
@@ -130,7 +137,7 @@ def test_table_matches_oracle_with_fractions():
     box = TruncationBox((3, 3))
     terms = {(1, 0): Fraction(1, 2), (0, 2): Fraction(-1, 3), (2, 1): 4,
              (3, 3): Fraction(5, 2)}
-    inv = InvariantSeries(1, MultiSeries.from_dict(box, terms))
+    inv = invariant(1, box, terms)
     assert_table_matches_oracle(inv)
     assert_table_matches_oracle(inv, TruncationBox((2, 2)))
     table = invariant_table(inv, TruncationBox((2, 2)), strict=False)
@@ -142,17 +149,17 @@ def test_table_matches_oracle_on_odd_caps(caps):
     box = TruncationBox(caps)
     terms = {exp: (-1) ** sum(exp) * 10 ** sum(exp) for exp in
              product(*[range(c + 1) for c in caps]) if sum(exp) % 3 == 1}
-    assert_table_matches_oracle(InvariantSeries(0, MultiSeries.from_dict(box, terms)))
+    assert_table_matches_oracle(invariant(0, box, terms))
 
 
 def test_render_table_arity_zero():
-    inv = InvariantSeries(0, MultiSeries.zero(TruncationBox(())))
+    inv = invariant(0, TruncationBox(()), {})
     assert_table_matches_oracle(inv)
     assert render_table(invariant_table(inv)) == "n\n1"
 
 
 def test_invariant_table_refuses_box_outside_series():
-    inv = InvariantSeries(2, MultiSeries.zero(TruncationBox((2, 2))))
+    inv = invariant(2, TruncationBox((2, 2)), {})
     for caps in ((3, 3), (2,), (2, 2, 0)):
         with pytest.raises(SeriesError, match=rf"table box \({caps[0]}.*series box \(2, 2\)"):
             invariant_table(inv, TruncationBox(caps))
@@ -249,10 +256,9 @@ def test_multiplicative_consistency_fixtures():
 
 def test_multiplicative_consistency_detects_wrong_inverse(f2_analysis):
     an = f2_analysis
-    w = list(an.mirror.inverse.components)
+    w = list(an.mirror.inverse)
     w[1] = add(w[1], MultiSeries.from_dict(an.box, {(2, 1): 1}))
-    wrong = MirrorMapPair(an.mirror.forward, DiagonalUnitMap(tuple(w)),
-                          an.mirror.pulled)
+    wrong = MirrorMapPair(an.mirror.forward, tuple(w), an.mirror.pulled)
     report = check_multiplicative_consistency(an.deltas, wrong, an.lattice)
     assert not report.passed
     assert report.details == ("basis class 2: product identity fails",)
@@ -291,10 +297,10 @@ def test_structural_report_flags_dependent_pairing_rows():
     assert detail not in structural_report(an).details
     # rays 5 and 6 pair with the basis alike
     assert an.lattice.pairing_row(4) == an.lattice.pairing_row(5) == (1, 0, 0, 0)
-    nonzero = an.deltas[0].delta
-    assert not nonzero.is_zero()
+    nonzero = an.deltas[0].pulled
+    assert not an.deltas[0].delta.is_zero()
     wrong = replace(an, deltas=tuple(
-        replace(d, delta=nonzero) if d.ray_index in (4, 5) else d for d in an.deltas))
+        replace(d, pulled=nonzero) if d.ray_index in (4, 5) else d for d in an.deltas))
     assert detail in structural_report(wrong).details
 
 

@@ -4,7 +4,6 @@ from semifano import (
     FanError,
     MultiSeries,
     TruncationBox,
-    add,
     analyze,
     cross_validate_surface,
     surface_admissible_deltas,
@@ -15,7 +14,7 @@ from semifano.superpotential import (
     surface_self_intersections,
 )
 from conftest import fixture_analysis, fixture_fan, fixture_lattice, fixture_path
-from oracles import to_dict
+from oracles import add, to_dict
 
 
 def test_cyclic_order_f2():
