@@ -385,3 +385,22 @@ def test_engine_output_pinned(capsys, command, name, box, fmt, code, digest):
     blob = f"{got}\n{out}\0{err}"
     assert hashlib.sha256(blob.encode()).hexdigest() == digest
 
+
+# the same digests for one threefold ray's table at 7,7,7,7, recorded before
+# the tables were built from the packed series: ray 1 has the most terms,
+# ray 3 only the constant one
+RAY_TABLE_PINS = (
+    ("1", "text", "40ddae6f3c130f0a009c2f50ca3277ae8a61136142184409cf880f67b17619bc"),
+    ("1", "json", "a68c13236d2a8bb607496df7ce06049635309758ab4f5da2f67606d3a0fad282"),
+    ("3", "text", "8e9c5f7471cd5e20c4c02384486d78f553fa148d7ceeeda24de2a228e8f301b2"),
+    ("3", "json", "a8282a8a1b10e5419dacf28b70d1b3cc43dcfd1a4bdbff7b383aab403b78a363"),
+)
+
+
+@pytest.mark.parametrize("ray, fmt, digest", RAY_TABLE_PINS)
+def test_threefold_ray_table_pinned(capsys, ray, fmt, digest):
+    got, out, err = run_cli(capsys, "invariants", fx("threefold-example"),
+                            "--box", "7,7,7,7", "--ray", ray, "--format", fmt)
+    blob = f"{got}\n{out}\0{err}"
+    assert hashlib.sha256(blob.encode()).hexdigest() == digest
+
