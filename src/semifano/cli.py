@@ -36,8 +36,10 @@ from .superpotential import (
 )
 
 SCHEMA_VERSION = 1
-# largest box accepted, in monomials prod(cap + 1); caps 9,9,9,9 have 10,000
+# largest box accepted, in monomials prod(cap + 1) (caps 9,9,9,9 have 10,000)
+# and in total degree sum(cap), which bounds the work (about degree^3.5)
 MAX_BOX_MONOMIALS = 100_000
+MAX_BOX_DEGREE = 120
 
 
 class InputError(ValueError):
@@ -164,6 +166,9 @@ def _check_options(args, fan):
     if size > MAX_BOX_MONOMIALS:
         raise InputError(f"box {box.caps} has {size} monomials, over the limit "
                          f"of {MAX_BOX_MONOMIALS}")
+    if box.degree > MAX_BOX_DEGREE:
+        raise InputError(f"box {box.caps} has degree {box.degree}, over the limit "
+                         f"of {MAX_BOX_DEGREE}")
     return box
 
 

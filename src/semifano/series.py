@@ -16,7 +16,8 @@ their recurrences one total degree at a time, each series kept as a list of
 degree slices that _slice builds from lower ones.  pull_back solves for the
 inverse of a coordinate change x_a -> x_a * exp(u_a) together with series
 evaluated along it; both are plain tuples of series.  Fractions appear only
-where values enter (MultiSeries.from_dict) or leave (terms, constant_term).
+where values enter (MultiSeries.from_dict) or leave (terms, constant_term);
+invariant tables read integers (coefficients) into each box's zero table.
 """
 
 from __future__ import annotations
@@ -78,12 +79,13 @@ class TruncationBox:
 
     @cached_property
     def table_rows(self):
-        """Every exponent vector of the box in graded-lex order, mapped to its
-        tab-terminated table text; built once per box object."""
-        fmt = "%d\t" * len(self.caps)
+        """(line, rows): the all-zero table's rows `e_1<TAB>..e_l<TAB>0` in
+        graded-lex order, and line[e] e's line under a header; built once."""
+        ranges = [range(c + 1) for c in self.caps]
+        texts = map("".join, product(*[["%d\t" % e for e in r] for r in ranges], "0"))
         # product runs in lex order, so a stable sort by degree is graded lex
-        return {e: fmt % e for e in
-                sorted(product(*[range(c + 1) for c in self.caps]), key=sum)}
+        rows = sorted(zip(product(*ranges), texts), key=lambda r: sum(r[0]))
+        return {e: n for n, (e, _) in enumerate(rows, 1)}, [t for _, t in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +104,6 @@ def _pack(d, lay):
     den = lcm(*(c.denominator for c in d.values()))
     return den, {_key(e, lay): c.numerator * (den // c.denominator)
                  for e, c in d.items()}
-
-
-def _unpack(s, lay):
-    return {tuple(p >> k & lay[4] for k in lay[1]): Fraction(n, s[0])
-            for p, n in s[1].items()}
 
 
 def _lowest(den, r, offset=0):
@@ -214,8 +211,14 @@ class MultiSeries:
     @cached_property
     def terms(self):
         """(exponent, reduced Fraction) pairs in graded-lex order."""
-        d = _unpack(self.packed, self.box.layout)
-        return tuple(sorted(d.items(), key=lambda t: (sum(t[0]), t[0])))
+        return tuple(sorted(((e, Fraction(n, d)) for e, n, d in self.coefficients()),
+                            key=lambda t: (sum(t[0]), t[0])))
+
+    def coefficients(self):
+        """Each term as (exponent, numerator, denominator), in lowest terms."""
+        d, (_, shifts, _, _, mask, _) = self.packed[0], self.box.layout
+        return [(tuple(p >> k & mask for k in shifts), n // g, d // g)
+                for p, n in self.packed[1].items() for g in [gcd(n, d)]]
 
     @property
     def constant_term(self):

@@ -65,13 +65,19 @@ class InvariantSeries:
 class InvariantTable:
     ray_index: int
     box: TruncationBox
-    entries: dict[tuple[int, ...], Fraction]
+    terms: tuple[tuple[tuple[int, ...], int, int], ...]
     non_integer: tuple[tuple[int, ...], ...] = ()
+
+    @cached_property
+    def entries(self):
+        """Every in-box coefficient as a Fraction, zeros included; lazy."""
+        return dict.fromkeys(self.box.table_rows[0], Fraction(0)) | {
+            e: Fraction(n, d) for e, n, d in self.terms}
 
 
 def invariant_table(inv: InvariantSeries, box: TruncationBox = None,
                     strict: bool = True) -> InvariantTable:
-    """All in-box coefficients of 1 + delta_i, explicit zeros included.
+    """The nonzero in-box coefficients of 1 + delta_i in graded-lex order.
 
     The table box must lie inside the series' box.  Coefficients are expected
     to be integers; in strict mode a fractional entry raises, otherwise it is
@@ -83,21 +89,21 @@ def invariant_table(inv: InvariantSeries, box: TruncationBox = None,
     elif not series.box.contains(box.caps):
         raise SeriesError(f"table box {box.caps} is not inside the series box "
                           f"{series.box.caps}")
-    terms = [(exp, c) for exp, c in series.terms if box.contains(exp)]
-    entries = dict.fromkeys(box.table_rows, Fraction(0))
-    entries.update(terms)
-    bad = [exp for exp, c in terms if c.denominator != 1]
+    terms = sorted([t for t in series.coefficients() if box.contains(t[0])],
+                   key=lambda t: (sum(t[0]), t[0]))
+    bad = [exp for exp, _, d in terms if d != 1]
     if bad and strict:
         raise ValueError(
             f"non-integer disk count at exponents {bad} for ray {inv.ray_index + 1}"
         )
-    return InvariantTable(inv.ray_index, box, entries, tuple(bad))
+    return InvariantTable(inv.ray_index, box, tuple(terms), tuple(bad))
 
 
 def render_table(table: InvariantTable) -> str:
-    rows = table.box.table_rows
-    lines = ["".join(f"k{a + 1}\t" for a in range(table.box.arity)) + "n"]
-    lines += [rows[exp] + (str(c) if c else "0") for exp, c in table.entries.items()]
+    line, rows = table.box.table_rows
+    lines = ["".join(f"k{a + 1}\t" for a in range(table.box.arity)) + "n", *rows]
+    for exp, n, d in table.terms:
+        lines[line[exp]] = lines[line[exp]][:-1] + (str(n) if d == 1 else f"{n}/{d}")
     return "\n".join(lines)
 
 

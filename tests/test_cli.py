@@ -1,11 +1,14 @@
 import hashlib
 import json
+import shlex
 import time
+from pathlib import Path
 
 import pytest
 
-from semifano import fans
+from semifano import cli, fans
 from semifano.cli import (
+    MAX_BOX_DEGREE,
     MAX_BOX_MONOMIALS,
     InputError,
     main,
@@ -22,6 +25,18 @@ def run_cli(capsys, *argv):
 
 def fx(name):
     return str(fixture_path(f"{name}.json"))
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def readme_commands():
+    """The arguments of each `semifano` line in the README's command-line
+    example block."""
+    section = (ROOT / "README.md").read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("semifano ")]
 
 
 def test_parse_input_fixture():
@@ -233,6 +248,40 @@ def test_box_budget_exit_2(capsys):
             f"box (40, 40, 40, 40) has 2825761 monomials, over the limit of "
             f"{MAX_BOX_MONOMIALS}"
         ), command
+
+
+def test_box_degree_budget_exit_2(capsys, monkeypatch):
+    # 100,000 monomials pass the monomial budget, but the pass along one
+    # variable would not finish: refused before any series work starts
+    def never(*args):
+        raise AssertionError("the engine ran")
+
+    for name in ("analyze", "compute_g0_family"):
+        monkeypatch.setattr(cli, name, never)
+    for command in ("g0", "validate", "invariants"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, command, fx("threefold-example"),
+                                 "--box", "99999,0,0,0")
+        assert time.perf_counter() - start < 1, command
+        assert (code, out) == (2, ""), command
+        assert json.loads(err)["error"] == (
+            f"box (99999, 0, 0, 0) has degree 99999, over the limit of "
+            f"{MAX_BOX_DEGREE}"
+        ), command
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_lines_run(capsys, monkeypatch, argv):
+    # every command checks its box against both budgets before it prints, so
+    # exit 0 with no error means the documented box is within them
+    monkeypatch.chdir(ROOT)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out
+
+
+def test_readme_lists_every_command():
+    assert sorted(argv[0] for argv in readme_commands()) == sorted(cli.COMMANDS)
 
 
 def test_mirror_map_box_default(capsys):

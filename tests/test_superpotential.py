@@ -20,7 +20,7 @@ from semifano import (
 )
 from semifano.series import SeriesError
 from semifano.mirror import MirrorMapPair
-from semifano.superpotential import InvariantSeries, InvariantTable
+from semifano.superpotential import InvariantSeries
 from conftest import fixture_analysis
 from oracles import add, oracle_log, to_dict
 
@@ -69,8 +69,9 @@ def test_render_table_golden():
 
 
 def oracle_invariant_table(inv, box=None, strict=True):
-    """The table code before it moved to shared row text: every entry of the
-    box looked up and tested one at a time."""
+    """The table code before it moved to the packed series: every entry of
+    the box looked up in the Fraction terms and tested one at a time.
+    Returns (box, entries, the non-integer exponents)."""
     series = inv.one_plus
     if box is None:
         box = series.box
@@ -84,13 +85,13 @@ def oracle_invariant_table(inv, box=None, strict=True):
         raise ValueError(
             f"non-integer disk count at exponents {bad} for ray {inv.ray_index + 1}"
         )
-    return InvariantTable(inv.ray_index, box, entries, tuple(bad))
+    return box, entries, tuple(bad)
 
 
-def oracle_render_table(table):
-    l = table.box.arity
+def oracle_render_table(box, entries):
+    l = box.arity
     lines = ["\t".join([f"k{a + 1}" for a in range(l)] + ["n"])]
-    for exp, c in table.entries.items():
+    for exp, c in entries.items():
         val = str(c) if c.denominator != 1 else str(int(c))
         lines.append("\t".join([str(e) for e in exp] + [val]))
     return "\n".join(lines)
@@ -99,17 +100,17 @@ def oracle_render_table(table):
 def assert_table_matches_oracle(inv, box=None):
     for strict in (True, False):
         try:
-            want = oracle_invariant_table(inv, box, strict)
+            want_box, entries, bad = oracle_invariant_table(inv, box, strict)
         except ValueError as exc:
             with pytest.raises(ValueError) as got:
                 invariant_table(inv, box, strict)
             assert str(got.value) == str(exc)
             continue
         table = invariant_table(inv, box, strict)
-        assert list(table.entries.items()) == list(want.entries.items())
-        assert table.non_integer == want.non_integer
-        assert table.box == want.box and table.ray_index == want.ray_index
-        assert render_table(table) == oracle_render_table(want)
+        assert list(table.entries.items()) == list(entries.items())
+        assert table.non_integer == bad
+        assert table.box == want_box and table.ray_index == inv.ray_index
+        assert render_table(table) == oracle_render_table(want_box, entries)
 
 
 # every fixture at a small box of its rank
@@ -131,6 +132,16 @@ def test_table_matches_oracle_on_sub_box():
     an = fixture_analysis("threefold-example", (3, 3, 3, 3))
     for inv in an.deltas:
         assert_table_matches_oracle(inv, TruncationBox((3, 3, 0, 0)))
+
+
+def test_table_matches_oracle_at_the_papers_box():
+    # the paper's tables: every threefold ray at 7^4, and criterion 2's
+    # sub-box of the first two degrees
+    an = fixture_analysis("threefold-example", (7, 7, 7, 7))
+    assert max(len(invariant_table(inv).terms) for inv in an.deltas) == 51
+    for inv in an.deltas:
+        assert_table_matches_oracle(inv)
+        assert_table_matches_oracle(inv, TruncationBox((7, 7, 0, 0)))
 
 
 def test_table_matches_oracle_with_fractions():
@@ -314,18 +325,19 @@ def test_pf_lf_check_reports_discrepancy(f2_analysis):
 
 
 def test_pipeline_stays_packed(monkeypatch):
-    # the series algebra from analysis to both checks runs on packed series;
-    # only reading a series' terms unpacks it
-    import semifano.series
-
-    calls, unpack = [], semifano.series._unpack
+    # the series algebra from analysis to both checks, and every table with
+    # its text, run on packed series; only reading a series' terms builds
+    # its Fractions
+    calls, terms = [], MultiSeries.terms.func
     monkeypatch.setattr(
-        semifano.series, "_unpack", lambda *args: calls.append(1) or unpack(*args)
+        MultiSeries, "terms", property(lambda s: calls.append(1) or terms(s))
     )
     an = fixture_analysis("threefold-example", (3, 3, 3, 3))
     assert compare_superpotentials(an, 0)[3].passed
     assert check_multiplicative_consistency(an.deltas, an.mirror, an.lattice).passed
+    for inv in an.deltas:
+        render_table(invariant_table(inv))
     assert calls == []
-    # the counter is live: a table reads the terms of 1 + delta once
-    invariant_table(an.deltas[0])
+    # the counter is live: reading the terms of 1 + delta counts once
+    an.deltas[0].one_plus.terms
     assert calls == [1]
