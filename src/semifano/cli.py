@@ -12,6 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import cache
 from math import prod
 
 from .fans import (
@@ -255,20 +256,15 @@ def cmd_invariants(args):
     rays = (
         [args.ray - 1] if args.ray else list(range(fan.num_rays))
     )
-    strict = args.integrality == "strict"
     lines = []
     results = {}
-    ok = True
     for i in rays:
-        table = invariant_table(analysis.deltas[i], strict=strict)
-        if table.non_integer:
-            ok = False
-        tsv = render_table(table)
+        tsv = render_table(invariant_table(analysis.deltas[i]))
         if len(rays) > 1:
             lines.append(f"# ray {i + 1}")
         lines.append(tsv)
         results[str(i + 1)] = tsv
-    return _emit(args, "invariants", document, lines, results, ok)
+    return _emit(args, "invariants", document, lines, results, True)
 
 
 def cmd_superpotential(args):
@@ -348,8 +344,9 @@ COMMANDS = {
 }
 
 
+@cache
 def build_parser():
-    """One parser for every command: all of them take the same options."""
+    """One parser for every command, built once: all take the same options."""
     parser = argparse.ArgumentParser(
         prog="semifano",
         description="Exact disk-count generating functions for toric manifolds",
@@ -359,10 +356,7 @@ def build_parser():
     parser.add_argument("--box", help="per-variable degree caps, comma-separated")
     parser.add_argument("--format", choices=["text", "json"], default="text")
     parser.add_argument("--cone", type=int, help="1-based maximal cone index")
-    parser.add_argument("--ray", type=int, help="restrict to one 1-based ray")
-    parser.add_argument(
-        "--integrality", choices=["strict", "warn"], default="strict"
-    )
+    parser.add_argument("--ray", type=int, help="only this 1-based ray")
     return parser
 
 

@@ -15,9 +15,10 @@ packed series: combine and mul call it once, and exp and pull_back solve
 their recurrences one total degree at a time, each series kept as a list of
 degree slices that _slice builds from lower ones.  pull_back solves for the
 inverse of a coordinate change x_a -> x_a * exp(u_a) together with series
-evaluated along it; both are plain tuples of series.  Fractions appear only
-where values enter (MultiSeries.from_dict) or leave (terms, constant_term);
-invariant tables read integers (coefficients) into each box's zero table.
+evaluated along it; both are plain tuples of series.  A series is read
+through one view, MultiSeries.coefficients: its reduced integer (exponent,
+numerator, denominator) triples in graded-lex order.  Fractions appear only
+where values enter (MultiSeries.from_dict) or in constant_term.
 """
 
 from __future__ import annotations
@@ -208,17 +209,13 @@ class MultiSeries:
     def one(box):
         return MultiSeries(box, _ONE)
 
-    @cached_property
-    def terms(self):
-        """(exponent, reduced Fraction) pairs in graded-lex order."""
-        return tuple(sorted(((e, Fraction(n, d)) for e, n, d in self.coefficients()),
-                            key=lambda t: (sum(t[0]), t[0])))
-
     def coefficients(self):
-        """Each term as (exponent, numerator, denominator), in lowest terms."""
+        """Each term as (exponent, numerator, denominator), in lowest terms,
+        in graded-lex order: the one read view of a series."""
         d, (_, shifts, _, _, mask, _) = self.packed[0], self.box.layout
-        return [(tuple(p >> k & mask for k in shifts), n // g, d // g)
-                for p, n in self.packed[1].items() for g in [gcd(n, d)]]
+        return sorted([(tuple(p >> k & mask for k in shifts), n // g, d // g)
+                       for p, n in self.packed[1].items() for g in [gcd(n, d)]],
+                      key=lambda t: (sum(t[0]), t[0]))
 
     @property
     def constant_term(self):
@@ -251,7 +248,7 @@ def mul(s: MultiSeries, t: MultiSeries) -> MultiSeries:
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:
-    if s.constant_term != 0:
+    if 0 in s.packed[1]:
         raise SeriesError("exp_series needs zero constant term")
     return MultiSeries(s.box, _exp(s.packed, s.box))
 
@@ -347,22 +344,22 @@ def _monomial(names, exponents):
 
 
 def render(s: MultiSeries) -> str:
-    """Canonical text form: graded-lex monomials in q1..ql, reduced fractions."""
+    """Canonical text form: graded-lex monomials in q1..ql, coefficients n or n/d."""
     if s.is_zero():
         return "0"
     names = [f"q{a + 1}" for a in range(s.box.arity)]
     pieces = []
-    for e, c in s.terms:
+    for e, n, d in s.coefficients():
         mono = _monomial(names, e)
-        mag = abs(c)
+        mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         if not mono:
-            body = str(mag)
-        elif mag == 1:
+            body = mag
+        elif mag == "1":
             body = mono
         else:
             body = f"{mag}*{mono}"
         if not pieces:
-            pieces.append(body if c > 0 else f"-{body}")
+            pieces.append(body if n > 0 else f"-{body}")
         else:
-            pieces.append(f"+ {body}" if c > 0 else f"- {body}")
+            pieces.append(f"+ {body}" if n > 0 else f"- {body}")
     return " ".join(pieces)

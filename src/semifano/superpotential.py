@@ -12,7 +12,6 @@ the engine, and `cross_validate_surface` compares it with an analysis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, cmp_to_key
 
 from .fans import (
@@ -65,23 +64,20 @@ class InvariantSeries:
 class InvariantTable:
     ray_index: int
     box: TruncationBox
-    terms: tuple[tuple[tuple[int, ...], int, int], ...]
-    non_integer: tuple[tuple[int, ...], ...] = ()
+    terms: tuple[tuple[tuple[int, ...], int], ...]
 
     @cached_property
     def entries(self):
-        """Every in-box coefficient as a Fraction, zeros included; lazy."""
-        return dict.fromkeys(self.box.table_rows[0], Fraction(0)) | {
-            e: Fraction(n, d) for e, n, d in self.terms}
+        """Every in-box disk count, zeros included; lazy."""
+        return dict.fromkeys(self.box.table_rows[0], 0) | dict(self.terms)
 
 
-def invariant_table(inv: InvariantSeries, box: TruncationBox = None,
-                    strict: bool = True) -> InvariantTable:
-    """The nonzero in-box coefficients of 1 + delta_i in graded-lex order.
+def invariant_table(inv: InvariantSeries, box: TruncationBox = None) -> InvariantTable:
+    """The nonzero in-box disk counts of 1 + delta_i as (exponent, n) pairs in
+    graded-lex order.
 
-    The table box must lie inside the series' box.  Coefficients are expected
-    to be integers; in strict mode a fractional entry raises, otherwise it is
-    recorded in the report field.
+    The table box must lie inside the series' box.  Disk counts are integers:
+    a fractional entry raises ValueError.
     """
     series = inv.one_plus
     if box is None:
@@ -89,21 +85,20 @@ def invariant_table(inv: InvariantSeries, box: TruncationBox = None,
     elif not series.box.contains(box.caps):
         raise SeriesError(f"table box {box.caps} is not inside the series box "
                           f"{series.box.caps}")
-    terms = sorted([t for t in series.coefficients() if box.contains(t[0])],
-                   key=lambda t: (sum(t[0]), t[0]))
+    terms = [t for t in series.coefficients() if box.contains(t[0])]
     bad = [exp for exp, _, d in terms if d != 1]
-    if bad and strict:
+    if bad:
         raise ValueError(
             f"non-integer disk count at exponents {bad} for ray {inv.ray_index + 1}"
         )
-    return InvariantTable(inv.ray_index, box, tuple(terms), tuple(bad))
+    return InvariantTable(inv.ray_index, box, tuple((exp, n) for exp, n, _ in terms))
 
 
 def render_table(table: InvariantTable) -> str:
     line, rows = table.box.table_rows
     lines = ["".join(f"k{a + 1}\t" for a in range(table.box.arity)) + "n", *rows]
-    for exp, n, d in table.terms:
-        lines[line[exp]] = lines[line[exp]][:-1] + (str(n) if d == 1 else f"{n}/{d}")
+    for exp, n in table.terms:
+        lines[line[exp]] = lines[line[exp]][:-1] + str(n)
     return "\n".join(lines)
 
 
@@ -209,7 +204,7 @@ def check_PF_equals_LF(wpf: SuperpotentialExpr, wlf: SuperpotentialExpr) -> Chec
             details.append(f"term for ray {tp.ray_index + 1}: monomial mismatch")
         elif tp.unit != tl.unit:
             diff = sub(tp.unit, tl.unit)
-            exps = [e for e, _ in diff.terms][:5]
+            exps = [e for e, _, _ in diff.coefficients()][:5]
             details.append(
                 f"term for ray {tp.ray_index + 1}: coefficients differ at {exps}"
             )
@@ -370,7 +365,7 @@ def _chain_delta(lattice, box, order, classes, i):
                     continue
                 exps = tuple(exps)
                 if box.contains(exps):
-                    coeffs[exps] = coeffs.get(exps, Fraction(0)) + 1
+                    coeffs[exps] = coeffs.get(exps, 0) + 1
         s0 += 1
     return MultiSeries.from_dict(box, coeffs)
 

@@ -130,9 +130,15 @@ def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:
     return compute_g0_family(lattice, box).series[i]
 
 
+def terms(s):
+    """The (exponent, reduced Fraction) pairs of a MultiSeries, in graded-lex
+    order."""
+    return tuple((e, Fraction(n, d)) for e, n, d in s.coefficients())
+
+
 def to_dict(s):
     """The exponent -> Fraction dict of a MultiSeries."""
-    return dict(s.terms)
+    return dict(terms(s))
 
 
 def add(s, t):

@@ -2,11 +2,12 @@ import hashlib
 import json
 import shlex
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from semifano import cli, fans
+from semifano import MultiSeries, cli, fans
 from semifano.cli import (
     MAX_BOX_DEGREE,
     MAX_BOX_MONOMIALS,
@@ -186,6 +187,23 @@ def test_invariants_tsv(capsys):
     assert table[(0, 0)] == 1
     assert table[(1, 0)] == 1
     assert table[(2, 0)] == 0
+
+
+def test_fractional_disk_count_exits_2(capsys, monkeypatch):
+    # disk counts are integers: a fractional one is an error, not a table
+    real = cli.analyze
+
+    def analyze(fan, lattice, box):
+        an = real(fan, lattice, box)
+        an.deltas[3].__dict__["one_plus"] = MultiSeries.from_dict(
+            box, {(0, 0): 1, (1, 0): Fraction(1, 2)})
+        return an
+
+    monkeypatch.setattr(cli, "analyze", analyze)
+    code, out, err = run_cli(capsys, "invariants", fx("f2"), "--box", "2,2")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [json.dumps(
+        {"error": "non-integer disk count at exponents [(1, 0)] for ray 4"})]
 
 
 def test_superpotential_equal(capsys):

@@ -36,6 +36,7 @@ from oracles import (
     oracle_log,
     scale,
     substitute,
+    terms,
     to_dict,
 )
 
@@ -278,10 +279,10 @@ def test_threefold_inverse_at_7777(threefold_lattice):
     # the size and height of the inverse mirror map at the benchmark's box
     _, lattice = threefold_lattice
     mm = assemble_mirror_map(compute_g0_family(lattice, TruncationBox((7,) * 4)))
-    terms = [c for u in mm.inverse for _, c in u.terms]
-    assert len(terms) == 191
+    coeffs = [c for u in mm.inverse for _, c in terms(u)]
+    assert len(coeffs) == 191
     bits = max(max(abs(c.numerator).bit_length(), c.denominator.bit_length())
-               for c in terms)
+               for c in coeffs)
     assert bits == 30
     assert is_identity(compose(mm.forward, mm.inverse))
 

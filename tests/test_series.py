@@ -32,6 +32,7 @@ from oracles import (
     power_sum,
     scale,
     substitute,
+    terms,
     to_dict,
 )
 
@@ -55,7 +56,7 @@ def test_box_caps_must_be_ints(caps):
 
 def test_constructor_drops_zeros():
     s = S((2,), {(1,): 0, (2,): 5})
-    assert s.terms == (((2,), Fraction(5)),)
+    assert terms(s) == (((2,), Fraction(5)),)
 
 
 def test_mul_truncates():
@@ -418,7 +419,7 @@ def test_truncation_monotonicity(data):
     a_big = MultiSeries.from_dict(big_box, coeffs_a)
     b_big = MultiSeries.from_dict(big_box, coeffs_b)
     product = mul(a_big, b_big)
-    in_small = {e: c for e, c in product.terms if small_box.contains(e)}
+    in_small = {e: c for e, c in terms(product) if small_box.contains(e)}
     assert MultiSeries.from_dict(small_box, in_small) == mul(a_small, b_small)
 
 
@@ -552,7 +553,7 @@ def test_degree_field_is_the_total_degree(pair):
     for r in (s, t, mul(s, t), exp_series(u)):
         for p in r.packed[1]:
             assert p >> dk == sum(p >> k & mask for k in shifts)
-    for e, _ in s.terms:
+    for e, _ in terms(s):
         assert MultiSeries.from_dict(s.box, {e: 1}).packed[1].keys() == {
             sum(x << k for x, k in zip(e, shifts)) + (sum(e) << dk)}
 
@@ -597,4 +598,4 @@ def test_packed_form_is_canonical():
     t = add(S((3, 3), {(1, 0): F(1, 3)}), scale(S((3, 3), {(0, 2): F(-3, 4)}), 2))
     t = add(t, mul(S((3, 3), {(1, 0): 4}), S((3, 3), {(0, 1): F(1, 2)})))
     assert s == t and s.packed == t.packed == (6, {x: 2, 2 * y: -9, xy: 12})
-    assert s.terms == (((1, 0), F(1, 3)), ((0, 2), F(-3, 2)), ((1, 1), F(2)))
+    assert terms(s) == (((1, 0), F(1, 3)), ((0, 2), F(-3, 2)), ((1, 1), F(2)))

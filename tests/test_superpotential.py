@@ -18,7 +18,7 @@ from semifano import (
     render_table,
     structural_report,
 )
-from semifano.series import SeriesError
+from semifano.series import SeriesError, render
 from semifano.mirror import MirrorMapPair
 from semifano.superpotential import InvariantSeries
 from conftest import fixture_analysis
@@ -48,16 +48,16 @@ def test_f2_invariant_table(f2_analysis):
     assert all(
         v == 0 for e, v in table.entries.items() if e not in {(0, 0), (1, 0)}
     )
-    assert table.non_integer == ()
 
 
-def test_invariant_table_strict_vs_warn():
+def test_invariant_table_refuses_fractions():
     box = TruncationBox((2,))
     bad = invariant(0, box, {(1,): Fraction(1, 2)})
-    with pytest.raises(ValueError):
-        invariant_table(bad, strict=True)
-    table = invariant_table(bad, strict=False)
-    assert table.non_integer == ((1,),)
+    with pytest.raises(ValueError) as exc:
+        invariant_table(bad)
+    assert str(exc.value) == "non-integer disk count at exponents [(1,)] for ray 1"
+    # a sub-box without the fractional entry tabulates
+    assert invariant_table(bad, TruncationBox((0,))).terms == (((0,), 1),)
 
 
 def test_render_table_golden():
@@ -68,10 +68,10 @@ def test_render_table_golden():
     )
 
 
-def oracle_invariant_table(inv, box=None, strict=True):
+def oracle_invariant_table(inv, box=None):
     """The table code before it moved to the packed series: every entry of
     the box looked up in the Fraction terms and tested one at a time.
-    Returns (box, entries, the non-integer exponents)."""
+    Returns (box, entries as ints)."""
     series = inv.one_plus
     if box is None:
         box = series.box
@@ -81,36 +81,34 @@ def oracle_invariant_table(inv, box=None, strict=True):
         for exp in sorted(product(*[range(c + 1) for c in box.caps]), key=sum)
     }
     bad = [exp for exp, c in entries.items() if c.denominator != 1]
-    if bad and strict:
+    if bad:
         raise ValueError(
             f"non-integer disk count at exponents {bad} for ray {inv.ray_index + 1}"
         )
-    return box, entries, tuple(bad)
+    return box, {exp: int(c) for exp, c in entries.items()}
 
 
 def oracle_render_table(box, entries):
     l = box.arity
     lines = ["\t".join([f"k{a + 1}" for a in range(l)] + ["n"])]
     for exp, c in entries.items():
-        val = str(c) if c.denominator != 1 else str(int(c))
-        lines.append("\t".join([str(e) for e in exp] + [val]))
+        lines.append("\t".join([str(e) for e in exp] + [str(c)]))
     return "\n".join(lines)
 
 
 def assert_table_matches_oracle(inv, box=None):
-    for strict in (True, False):
-        try:
-            want_box, entries, bad = oracle_invariant_table(inv, box, strict)
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                invariant_table(inv, box, strict)
-            assert str(got.value) == str(exc)
-            continue
-        table = invariant_table(inv, box, strict)
-        assert list(table.entries.items()) == list(entries.items())
-        assert table.non_integer == bad
-        assert table.box == want_box and table.ray_index == inv.ray_index
-        assert render_table(table) == oracle_render_table(want_box, entries)
+    try:
+        want_box, entries = oracle_invariant_table(inv, box)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            invariant_table(inv, box)
+        assert str(got.value) == str(exc)
+        return
+    table = invariant_table(inv, box)
+    assert list(table.entries.items()) == list(entries.items())
+    assert all(type(n) is int for n in table.entries.values())
+    assert table.box == want_box and table.ray_index == inv.ray_index
+    assert render_table(table) == oracle_render_table(want_box, entries)
 
 
 # every fixture at a small box of its rank
@@ -151,8 +149,16 @@ def test_table_matches_oracle_with_fractions():
     inv = invariant(1, box, terms)
     assert_table_matches_oracle(inv)
     assert_table_matches_oracle(inv, TruncationBox((2, 2)))
-    table = invariant_table(inv, TruncationBox((2, 2)), strict=False)
-    assert table.non_integer == ((1, 0), (0, 2))
+    for caps, bad in (((3, 3), [(1, 0), (0, 2), (3, 3)]),
+                      ((2, 2), [(1, 0), (0, 2)])):
+        with pytest.raises(ValueError) as exc:
+            invariant_table(inv, TruncationBox(caps))
+        assert str(exc.value) == (
+            f"non-integer disk count at exponents {bad} for ray 2")
+    # the one sub-box of the first row and column without a fraction
+    table = invariant_table(inv, TruncationBox((0, 1)))
+    assert table.terms == (((0, 0), 1),)
+    assert table.entries == {(0, 0): 1, (0, 1): 0}
 
 
 @pytest.mark.parametrize("caps", [(0, 3), (2, 0, 1), (11, 0), (0,), (12,)])
@@ -325,19 +331,29 @@ def test_pf_lf_check_reports_discrepancy(f2_analysis):
 
 
 def test_pipeline_stays_packed(monkeypatch):
-    # the series algebra from analysis to both checks, and every table with
-    # its text, run on packed series; only reading a series' terms builds
-    # its Fractions
-    calls, terms = [], MultiSeries.terms.func
-    monkeypatch.setattr(
-        MultiSeries, "terms", property(lambda s: calls.append(1) or terms(s))
-    )
+    # once the analysis and each 1 + delta are built, the superpotentials and
+    # their check, every table, and the text of every series read the packed
+    # form: neither module builds a Fraction
     an = fixture_analysis("threefold-example", (3, 3, 3, 3))
-    assert compare_superpotentials(an, 0)[3].passed
-    assert check_multiplicative_consistency(an.deltas, an.mirror, an.lattice).passed
     for inv in an.deltas:
-        render_table(invariant_table(inv))
-    assert calls == []
-    # the counter is live: reading the terms of 1 + delta counts once
-    an.deltas[0].one_plus.terms
-    assert calls == [1]
+        inv.one_plus
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built")
+
+    for module in ("series", "superpotential"):
+        # raising=False: a module that does not import Fraction gets the
+        # name too, so that an import added later is caught here
+        monkeypatch.setattr(f"semifano.{module}.Fraction", no_fraction,
+                            raising=False)
+    tables = [render_table(invariant_table(inv)) for inv in an.deltas]
+    assert max(len(t.splitlines()) for t in tables) == 1 + 4 ** 4
+    texts = [render(s) for s in (*an.g0.series, *an.mirror.inverse)]
+    *exprs, report = compare_superpotentials(an, 0)
+    assert report.passed
+    texts += [render(t.unit) for expr in exprs for t in expr.terms]
+    assert check_multiplicative_consistency(an.deltas, an.mirror, an.lattice).passed
+    assert "/" in "".join(texts)
+    # the patch is live: a constant term is read as a Fraction
+    with pytest.raises(AssertionError, match="a Fraction was built"):
+        an.deltas[0].one_plus.constant_term

@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from semifano import (
@@ -6,6 +9,7 @@ from semifano import (
     TruncationBox,
     analyze,
     cross_validate_surface,
+    curve_lattice,
     surface_admissible_deltas,
 )
 from semifano import cli, mirror, superpotential
@@ -15,6 +19,9 @@ from semifano.superpotential import (
 )
 from conftest import fixture_analysis, fixture_fan, fixture_lattice, fixture_path
 from oracles import add, to_dict
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import surfaces  # noqa: E402
 
 
 def test_cyclic_order_f2():
@@ -66,6 +73,33 @@ def test_cross_validation_surfaces():
         oracle = surface_admissible_deltas(fan, lattice, box)
         report = cross_validate_surface(oracle, analyze(fan, lattice, box))
         assert report.passed, (name, report.details)
+
+
+def test_cross_validation_on_the_universe(monkeypatch):
+    # every surface of the benchmark's universe with a nef wall basis, at
+    # each of its caps: the chains of (-2)-curves of length 2 give deltas of
+    # more than one term, such as q3 + q3*q4, which only the oracle's walks
+    # along a chain produce
+    lengths = []
+    walk = superpotential._admissible_side_sequences
+    monkeypatch.setattr(superpotential, "_admissible_side_sequences",
+                        lambda start, length: lengths.append(length) or walk(start, length))
+    pairs = chains = 0
+    for rays, cap in surfaces.universe():
+        fan, _, _ = cli.parse_input(surfaces.document(rays))
+        lattice = curve_lattice(fan)
+        if not lattice.nef_verified:
+            continue
+        box = TruncationBox((cap,) * lattice.rank)
+        oracle = surface_admissible_deltas(fan, lattice, box)
+        report = cross_validate_surface(oracle, analyze(fan, lattice, box))
+        assert report.passed, (rays, cap, report.details)
+        pairs += 1
+        chains += any(len(d.coefficients()) > 1 for d in oracle)
+    assert pairs == 62
+    assert chains >= 6
+    # the walks went past their base case
+    assert max(lengths) > 0
 
 
 @pytest.mark.parametrize("ray", range(5))
