@@ -4,8 +4,9 @@ Rays are primitive integer vectors in Z^n; maximal cones are given as index
 sets and are required input (the fan is never guessed from rays alone).
 Curve classes live in the kernel of Z^m -> Z^n, d |-> sum_i d_i v_i, with the
 i-th coordinate of d equal to the intersection number against the i-th toric
-divisor.  `Fan.wall_classes` builds a fan's wall curve classes once; the
-semi-Fano test and the nef basis search both read them.
+divisor.  `Fan.cone_solutions` solves each maximal cone once against every
+ray, and `Fan.wall_classes` builds a fan's wall curve classes once from
+those solutions; the semi-Fano test and the nef basis search both read them.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from functools import cached_property
 from itertools import combinations
 from math import gcd
 
-from .intlinalg import fraction_free_solve
+from .intlinalg import fraction_free_solve, subset_solves
 
 
 class FanError(ValueError):
@@ -51,6 +52,13 @@ class Fan:
             for wall in combinations(cone, self.dimension - 1):
                 seen.setdefault(wall, []).append(ci)
         return seen
+
+    @cached_property
+    def cone_solutions(self):
+        """`fraction_free_solve` of each maximal cone's rays against every
+        ray; read only once the cones are valid index sets."""
+        return tuple(fraction_free_solve([self.rays[k] for k in cone], self.rays)
+                     for cone in self.max_cones)
 
     @cached_property
     def wall_classes(self):
@@ -150,7 +158,8 @@ def validate_fan(fan: Fan):
 
     Complete: every wall lies in exactly two cones, on opposite sides of it,
     and no closed cone but the first holds the sum of the first's rays, an
-    interior point; so the cones cover each generic point once.
+    interior point; so the cones cover each generic point once.  Both tests
+    read `Fan.cone_solutions`.
     """
     violations = []
     n = fan.dimension
@@ -172,16 +181,13 @@ def validate_fan(fan: Fan):
             violations.append(f"cone {tuple(k + 1 for k in cone)} is not a valid index set")
     if violations:
         return violations
-    inner = [sum(fan.rays[k][j] for k in fan.max_cones[0]) for j in range(n)]
-    dets = []
-    for ci, cone in enumerate(fan.max_cones):
-        d, adj = fraction_free_solve([fan.rays[k] for k in cone], [inner])
-        dets.append(d)
+    first = fan.max_cones[0]
+    for ci, (cone, (d, adj)) in enumerate(zip(fan.max_cones, fan.cone_solutions)):
         if abs(d) != 1:
             violations.append(
                 f"cone {tuple(k + 1 for k in cone)} determinant {d}, non-smooth"
             )
-        elif ci and all(d * x >= 0 for x in adj[0]):
+        elif ci and all(d * sum(adj[k][j] for k in first) >= 0 for j in range(n)):
             violations.append(
                 f"cone {tuple(k + 1 for k in cone)} overlaps the first cone"
             )
@@ -190,7 +196,7 @@ def validate_fan(fan: Fan):
     # per wall, as in `walls`, the sign of det(wall rays, off-wall ray) of
     # each cone on it, up to the common factor (-1)^(n-1)
     sides = {}
-    for cone, d in zip(fan.max_cones, dets):
+    for cone, (d, _) in zip(fan.max_cones, fan.cone_solutions):
         for p in reversed(range(n)):
             sides.setdefault(cone[:p] + cone[p + 1:], []).append(-d if p % 2 else d)
     for wall, signs in sides.items():
@@ -207,11 +213,11 @@ def validate_fan(fan: Fan):
 
 def cone_coordinates(fan: Fan, sigma, k):
     """Integer coordinates of ray k in the unimodular basis given by cone sigma."""
-    cone = fan.max_cones[sigma]
-    d, adj = fraction_free_solve([fan.rays[c] for c in cone], [fan.rays[k]])
+    d, adj = fan.cone_solutions[sigma]
     if abs(d) != 1:
-        raise FanError(f"cone {tuple(c + 1 for c in cone)} determinant {d}, non-smooth")
-    return tuple(d * x for x in adj[0])
+        cone = tuple(c + 1 for c in fan.max_cones[sigma])
+        raise FanError(f"cone {cone} determinant {d}, non-smooth")
+    return tuple(d * x for x in adj[k])
 
 
 def alpha_class(fan: Fan, sigma, k):
@@ -246,19 +252,14 @@ def fan_polytope_vertices(fan: Fan):
     independent other rays have it in their simplex, i.e. the integer Cramer
     numerators of its barycentric coordinates all have the determinant's
     sign.  The rays of a complete fan are affinely full-dimensional, so such
-    a simplex exists for every non-vertex.  Each (n+1)-subset of rays is
-    solved once, against every ray outside it still presumed a vertex.
+    a simplex exists for every non-vertex.  One `subset_solves` walk over the
+    lifted rays solves every affinely independent (n+1)-subset against all
+    rays, sharing the elimination steps of common prefixes.
     """
-    n = fan.dimension
     lifted = [v + (1,) for v in fan.rays]
     out = set(range(fan.num_rays))
-    for sub in combinations(range(fan.num_rays), n + 1):
-        rest = sorted(out.difference(sub))
-        det, adj = fraction_free_solve([lifted[k] for k in sub],
-                                       [lifted[k] for k in rest])
-        if det != 0:
-            out.difference_update(k for k, x in zip(rest, adj)
-                                  if all(det * v >= 0 for v in x))
+    for sub, det, adj in subset_solves(lifted, fan.dimension + 1):
+        out -= {k for k in out.difference(sub) if all(det * v >= 0 for v in adj[k])}
     return out
 
 
@@ -275,32 +276,24 @@ def _free_coordinates(fan: Fan, classes):
     return [[c[i] for i in free] for c in classes]
 
 
-def _nef_verdict(rows, walls):
-    """(basis, k) for basis rows and wall classes in `_free_coordinates`.
-
-    basis says whether the rows are a Z-basis of the curve lattice, that is
-    whether their determinant is +-1.  k is the index of the first wall
-    with a negative coordinate over them, or None when there is none; rows
-    that are no Z-basis fail at the first wall.
-    """
-    det, adj = fraction_free_solve(rows, walls)
-    if abs(det) != 1:
-        return False, 0
-    bad = (k for k, x in enumerate(adj) if any(det * v < 0 for v in x))
-    return True, next(bad, None)
+def _nef_verdict(det, adj):
+    """(basis, nef) from the solve of l classes against the wall classes in
+    `_free_coordinates`: the classes are a Z-basis when det is +-1, and a
+    nef one when moreover no wall has a negative coordinate over them."""
+    basis = abs(det) == 1
+    return basis, basis and all(det * v >= 0 for x in adj for v in x)
 
 
 def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
     """Build a verified curve lattice, choosing a nef basis when possible.
 
     Every class is written once in the integer coordinates of
-    `_free_coordinates`.  l classes form a Z-basis exactly when their l x l
-    coordinate determinant is +-1, and that basis is nef when every wall
-    class has nonnegative coordinates in it; one fraction-free solve
-    (`fraction_free_solve`) decides both.  A supplied basis must be such a
-    Z-basis.  Without one, the first l wall classes in `combinations` order
-    that form a nef Z-basis are chosen, else the dual kernel basis of
-    `_free_coordinates` is kept.
+    `_free_coordinates`, and `_nef_verdict` reads a solve of l classes
+    against the walls there.  A supplied basis is solved once and must be a
+    Z-basis.  Without one, a single `subset_solves` walk over the wall
+    coordinates visits the l-subsets in `combinations` order, and the first
+    nef Z-basis is chosen; else the dual kernel basis of `_free_coordinates`
+    is kept, over which every class's coordinates are its own.
     """
     l = fan.num_rays - fan.dimension
     walls = fan.wall_classes
@@ -311,17 +304,15 @@ def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
             if any(sum(b[i] * fan.rays[i][j] for i in range(fan.num_rays)) != 0
                    for j in range(fan.dimension)):
                 raise FanError(f"supplied basis class {b} is not a curve class")
-        is_basis, bad = (_nef_verdict(_free_coordinates(fan, rows), coords)
-                         if len(rows) == l else (False, 0))
+        det, adj = (fraction_free_solve(_free_coordinates(fan, rows), coords)
+                    if len(rows) == l else (0, None))
+        is_basis, nef = _nef_verdict(det, adj)
         if not is_basis:
             raise FanError("supplied basis does not span the full curve lattice")
-        return CurveLattice(fan, tuple(CurveClass(b) for b in rows),
-                            nef_verified=bad is None)
-    for sub in combinations(range(len(walls)), l):
-        _, bad = _nef_verdict([coords[k] for k in sub], coords)
-        if bad is None:
+        return CurveLattice(fan, tuple(CurveClass(b) for b in rows), nef_verified=nef)
+    for sub, det, adj in subset_solves(coords, l):
+        if _nef_verdict(det, adj)[1]:
             return CurveLattice(fan, tuple(walls[k] for k in sub), nef_verified=True)
     kernel = tuple(alpha_class(fan, 0, k) for k in range(fan.num_rays)
                    if k not in fan.max_cones[0])
-    _, bad = _nef_verdict(_free_coordinates(fan, kernel), coords)
-    return CurveLattice(fan, kernel, nef_verified=bad is None)
+    return CurveLattice(fan, kernel, nef_verified=_nef_verdict(1, coords)[1])

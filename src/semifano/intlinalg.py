@@ -1,11 +1,37 @@
-"""Exact integer linear algebra: one fraction-free solve.
+"""Exact integer linear algebra: one fraction-free elimination step, two drivers.
 
 Everything here works over Z; no fractions and no floating point.
 Matrices are lists of lists (row-major), small enough that cubic algorithms
-with exact arithmetic are fine.
+with exact arithmetic are fine.  `_eliminate` (Bareiss, Math. Comp. 22,
+1968) serves `fraction_free_solve` and `subset_solves`.
 """
 
 from __future__ import annotations
+
+
+def _eliminate(state, t, c):
+    """Pivot column c on row t of state = (rows, sign, previous pivot).
+
+    The first row from t on with a nonzero entry in column c is swapped to
+    row t and column c is cleared from every other row; by Sylvester's
+    identity each division is exact, and each swap flips the determinant's
+    sign.  Returns a new state, or None when there is no such row.
+    """
+    M, sign, prev = state
+    piv = next((i for i in range(t, len(M)) if M[i][c] != 0), None)
+    if piv is None:
+        return None
+    M = list(M)
+    if piv != t:
+        M[t], M[piv] = M[piv], M[t]
+        sign = -sign
+    pivot_row = M[t]
+    p = pivot_row[c]
+    for i, row in enumerate(M):
+        if i != t:
+            f = row[c]
+            M[i] = [(p * v - f * w) // prev for v, w in zip(row, pivot_row)]
+    return M, sign, p
 
 
 def fraction_free_solve(B, Y):
@@ -13,27 +39,37 @@ def fraction_free_solve(B, Y):
 
     B is a square integer matrix and each row of Y an integer vector of the
     same length, so row k of X holds the coordinates of Y[k] over the rows
-    of B.  Fraction-free Gauss-Jordan elimination (Bareiss, Math. Comp. 22,
-    1968) on [B^T | Y^T] keeps every entry an integer, and by Sylvester's
-    identity each division is exact; each row swap flips the sign of the
-    determinant.
-    Returns (0, None) when B is singular.
+    of B.  Fraction-free Gauss-Jordan elimination on [B^T | Y^T], pivoting
+    columns 0..n-1 in turn.  Returns (0, None) when B is singular.
     """
     n = len(B)
-    M = [[B[a][j] for a in range(n)] + [y[j] for y in Y] for j in range(n)]
-    sign, prev = 1, 1
+    state = ([[B[a][j] for a in range(n)] + [y[j] for y in Y] for j in range(n)], 1, 1)
     for c in range(n):
-        piv = next((i for i in range(c, n) if M[i][c] != 0), None)
-        if piv is None:
+        state = _eliminate(state, c, c)
+        if state is None:
             return 0, None
-        if piv != c:
-            M[c], M[piv] = M[piv], M[c]
-            sign = -sign
-        pivot_row = M[c]
-        p = pivot_row[c]
-        for i in range(n):
-            if i != c:
-                f = M[i][c]
-                M[i] = [(p * v - f * w) // prev for v, w in zip(M[i], pivot_row)]
-        prev = p
+    M, sign, prev = state
     return sign * prev, [[sign * M[j][n + k] for j in range(n)] for k in range(len(Y))]
+
+
+def subset_solves(V, r):
+    """(S, *fraction_free_solve([V[s] for s in S], V)) for every index
+    r-subset S, in `combinations` order, of the length-r vectors V that is
+    a basis of Q^r.
+
+    The walk is depth-first on one matrix with V as its columns: each prefix
+    takes one `_eliminate` step from its parent's state, and a dependent
+    prefix ends its whole subtree.
+    """
+    def walk(S, state):
+        t = len(S)
+        if t == r:
+            M, sign, prev = state
+            yield S, sign * prev, [[sign * row[k] for row in M] for k in range(len(V))]
+            return
+        for c in range(S[-1] + 1 if S else 0, len(V) - r + t + 1):
+            child = _eliminate(state, t, c)
+            if child is not None:
+                yield from walk(S + (c,), child)
+
+    yield from walk((), ([[v[j] for v in V] for j in range(r)], 1, 1))

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from semifano import MultiSeries, cli, fans
+from semifano import MultiSeries, cli, fans, superpotential
 from semifano.cli import (
     MAX_BOX_DEGREE,
     MAX_BOX_MONOMIALS,
@@ -116,20 +116,35 @@ def test_cones_that_are_no_fan_are_refused(tmp_path, capsys, rays, cones, messag
     assert message in err
 
 
-@pytest.mark.parametrize("argv, solves", [
-    (("check", "--box", "3,3,3"), 8),
-    (("validate",), 5),
-    (("invariants", "--box", "3,3,3"), 5),
+@pytest.mark.parametrize("argv, gram", [
+    (("check", "--box", "3,3,3"), 1),
+    (("validate",), 0),
+    (("invariants", "--box", "3,3,3"), 0),
 ], ids=["check", "validate", "invariants"])
-def test_wall_classes_are_solved_once_per_job(capsys, monkeypatch, argv, solves):
-    """f2-blowup has 5 walls, one `cone_coordinates` solve each; `check`
-    adds one per ray off the first cone for its superpotentials."""
-    solve = fans.cone_coordinates
-    calls = []
-    monkeypatch.setattr(fans, "cone_coordinates",
-                        lambda *a: calls.append(a) or solve(*a))
+def test_wall_classes_are_solved_once_per_job(capsys, monkeypatch, argv, gram):
+    """Each of f2-blowup's 5 maximal cones is eliminated once, against every
+    ray, and the wall classes and term classes read those solutions.  The
+    nef search and the hull test walk their subsets without a solve of
+    their own, so a job adds one elimination per `coordinates` call and,
+    in `check`, one for the Gram test of `structural_report`."""
+    solve = fans.fraction_free_solve
+    calls, coordinates = [], []
+
+    def counted(B, Y):
+        calls.append(tuple(B))
+        return solve(B, Y)
+
+    for module in (fans, superpotential):
+        monkeypatch.setattr(module, "fraction_free_solve", counted)
+    lattice_coordinates = fans.CurveLattice.coordinates
+    monkeypatch.setattr(fans.CurveLattice, "coordinates",
+                        lambda *a: coordinates.append(a) or lattice_coordinates(*a))
     code, _, _ = run_cli(capsys, argv[0], fx("f2-blowup"), *argv[1:])
-    assert (code, len(calls)) == (0, solves)
+    fan = parse_input(load_fixture("f2-blowup"))[0]
+    cones = sorted(tuple(fan.rays[k] for k in cone) for cone in fan.max_cones)
+    assert code == 0
+    assert sorted(B for B in calls if B in cones) == cones
+    assert len(calls) == len(cones) + len(coordinates) + gram
 
 
 P1 = {"rays": [[1], [-1]], "max_cones": [[1], [2]]}

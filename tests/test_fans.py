@@ -1,6 +1,5 @@
 import sys
 from itertools import combinations
-from math import comb
 from pathlib import Path
 
 import pytest
@@ -17,8 +16,9 @@ from semifano import (
     is_semi_fano,
     validate_fan,
 )
-from semifano import fans
+from semifano import fans, intlinalg
 from semifano.cli import parse_input
+from semifano.intlinalg import fraction_free_solve
 from oracles import lattice_membership, left_kernel_basis, solve_rational
 from conftest import fixture_fan, fixture_lattice, load_fixture
 
@@ -138,15 +138,37 @@ def test_hull_vertices():
     assert fan_polytope_vertices(fan) == {1, 2, 3, 4}
 
 
-def test_hull_test_solves_each_simplex_once(monkeypatch):
-    solve = fans.fraction_free_solve
-    calls = []
-    monkeypatch.setattr(fans, "fraction_free_solve",
-                        lambda B, Y: calls.append(B) or solve(B, Y))
+def test_subset_walks_take_fewer_elimination_steps(monkeypatch):
+    """The hull test and the nef search each walk their subsets once and
+    share the elimination steps of common prefixes, so they take fewer
+    steps than solving every subset on its own, as both once did."""
+    steps = []
+    step = intlinalg._eliminate
+    monkeypatch.setattr(intlinalg, "_eliminate", lambda *a: steps.append(a) or step(*a))
+
+    def counted(f, *args):
+        steps.clear()
+        return f(*args), len(steps)
+
+    def per_subset(vectors, r):
+        return sum(counted(fraction_free_solve, [vectors[k] for k in sub], vectors)[1]
+                   for sub in combinations(range(len(vectors)), r))
+
     fan, _ = fixture_fan("threefold-example")
-    assert fan_polytope_vertices(fan) == {2, 4, 5, 6}
-    assert len(calls) == comb(fan.num_rays, fan.dimension + 1)
-    assert len(set(map(tuple, calls))) == len(calls)
+    vertices, walked = counted(fan_polytope_vertices, fan)
+    assert vertices == {2, 4, 5, 6}
+    assert walked < per_subset([v + (1,) for v in fan.rays], fan.dimension + 1)
+
+    # every 8-ray surface of the universe lacks a nef wall basis, so the
+    # search visits every wall subset; the per-subset search then solved
+    # the kernel fallback too (l steps), which now needs no solve
+    rays = next(rays for rays, _ in surfaces.universe() if len(rays) == 8)
+    fan = parse_input(surfaces.document(rays))[0]
+    walls = fans._free_coordinates(fan, fan.wall_classes)
+    l = fan.num_rays - fan.dimension
+    lattice, walked = counted(curve_lattice, fan)
+    assert not lattice.nef_verified
+    assert walked < per_subset(walls, l) + l
 
 
 def test_cone_coordinates_f2():
@@ -164,6 +186,24 @@ def test_cone_coordinates_refuses_non_unimodular_cone():
         cone_coordinates(fan, 0, 2)
     with pytest.raises(FanError, match=r"^cone \(1, 4\) determinant 0, non-smooth$"):
         cone_coordinates(fan, 3, 1)
+
+
+# the first two rays are opposite, so the first cone is flat: determinant 0
+FLAT = Fan(2, ((1, 0), (-1, 0), (0, 1)), ((0, 1), (1, 2), (2, 0)))
+
+
+def test_flat_cone_is_a_fan_error_from_the_cached_solutions():
+    """A singular cone's cached solution has no adjugate; every reader
+    reports the cone as non-smooth instead of indexing into it."""
+    assert validate_fan(FLAT) == ["cone (1, 2) determinant 0, non-smooth",
+                                  "cone (2, 3) overlaps the first cone",
+                                  "cone (1, 3) overlaps the first cone"]
+    assert FLAT.cone_solutions[0] == (0, None)
+    message = r"^cone \(1, 2\) determinant 0, non-smooth$"
+    with pytest.raises(FanError, match=message):
+        cone_coordinates(FLAT, 0, 2)
+    with pytest.raises(FanError, match=message):
+        FLAT.wall_classes
 
 
 def test_alpha_class_f2():
@@ -355,6 +395,40 @@ def test_coordinates_refuse_classes_off_the_basis_lattice():
                       ((2, 1, 2, -3), [1, 1]), ((0, 3, 0, 3), [0, 3])):
         assert lattice_membership(basis, cls) == exps, cls
         assert index_two.coordinates(CurveClass(cls)) == exps, cls
+
+
+def times_p1(fan):
+    """The product fan of `fan` and P1: rays (v, 0), then (0, ..., 0, +-1);
+    every cone of `fan` with each of those two rays, the +1 side first."""
+    n, m = fan.dimension, fan.num_rays
+    rays = [v + (0,) for v in fan.rays] + [(0,) * n + (1,), (0,) * n + (-1,)]
+    cones = [cone + (t,) for t in (m, m + 1) for cone in fan.max_cones]
+    return Fan(n + 1, tuple(rays), tuple(cones))
+
+
+def test_surface_times_p1_matches_the_oracles(oracle_cases):
+    """Threefolds X x P1 over every fifth distinct surface of the universe
+    (20 of 96, with and without a nef wall basis): the nef
+    verdict, the basis and the hull vertices agree with the rational scans.
+    Without a nef basis the kernel fallback's rows come in another order
+    than the oracle's Hermite kernel, so there the lattices are compared."""
+    surface_fans = [fan for label, fan, _ in oracle_cases if label.startswith("surface")]
+    verdicts = set()
+    for fan in surface_fans[::5]:
+        product = times_p1(fan)
+        assert validate_fan(product) == [], fan.rays
+        lattice = curve_lattice(product)
+        got = [b.coefficients for b in lattice.basis]
+        basis, nef = oracle_nef_basis(product)
+        assert lattice.nef_verified is nef, fan.rays
+        if nef:
+            assert got == basis, fan.rays
+        else:
+            assert oracle_spans(got, basis) and oracle_spans(basis, got), fan.rays
+            assert not oracle_nef(product, got), fan.rays
+        verdicts.add(nef)
+        assert fan_polytope_vertices(product) == oracle_hull_vertices(product), fan.rays
+    assert verdicts == {True, False}
 
 
 def test_wall_classes_are_the_wall_relations(oracle_cases):

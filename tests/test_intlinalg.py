@@ -1,10 +1,10 @@
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semifano.intlinalg import fraction_free_solve
+from semifano.intlinalg import fraction_free_solve, subset_solves
 from oracles import lattice_membership, left_kernel_basis, rational_rank, solve_rational
 
 
@@ -123,3 +123,47 @@ def test_fraction_free_solve_matches_rational(system):
     Bt = [[B[a][j] for a in range(len(B))] for j in range(len(B))]
     for y, x in zip(Y, adj, strict=True):
         assert [Fraction(v, det) for v in x] == solve_rational(Bt, y)
+
+
+@st.composite
+def vector_lists(draw):
+    """(V, r): up to 7 integer vectors of length r (1-4), entries -3..3.
+
+    Some draws make V[0] zero, repeat a vector or add two earlier ones, so
+    that some subsets are dependent and whole subtrees of the walk end.
+    """
+    r = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    V = draw(st.lists(st.lists(entry, min_size=r, max_size=r), max_size=7))
+    shape = draw(st.sampled_from(("plain", "zero", "repeat", "sum")))
+    if V and shape == "zero":
+        V[0] = [0] * r
+    elif len(V) > 1 and shape == "repeat":
+        V[-1] = list(V[draw(st.integers(0, len(V) - 2))])
+    elif len(V) > 2 and shape == "sum":
+        V[-1] = [a + b for a, b in zip(V[0], V[1])]
+    return V, r
+
+
+@settings(max_examples=300, deadline=None)
+@given(vector_lists())
+def test_subset_walk_matches_per_subset_solves(case):
+    """The walk yields exactly the nonsingular r-subsets, in `combinations`
+    order, each with the determinant and adjugate columns that a solve of
+    that subset against every vector gives."""
+    V, r = case
+    expected = []
+    for S in combinations(range(len(V)), r):
+        det, adj = fraction_free_solve([V[s] for s in S], V)
+        if det != 0:
+            expected.append((S, det, adj))
+    assert list(subset_solves(V, r)) == expected
+
+
+def test_subset_walk_edge_cases():
+    # the empty subset is the one basis of Q^0; too few vectors give none
+    assert list(subset_solves([[], []], 0)) == [((), 1, [[], []])]
+    assert list(subset_solves([[1, 0]], 2)) == []
+    # a zero first vector ends its subtree: only (1, 2) is left
+    assert list(subset_solves([[0, 0], [1, 0], [0, 1]], 2)) == [
+        ((1, 2), 1, [[0, 0], [1, 0], [0, 1]])]
