@@ -38,7 +38,8 @@ from .superpotential import (
 
 SCHEMA_VERSION = 1
 # largest box accepted, in monomials prod(cap + 1) (caps 9,9,9,9 have 10,000)
-# and in total degree sum(cap), which bounds the work (about degree^3.5)
+# and in total degree sum(cap), which bounds every series' reach and so the
+# work (about degree^3.5)
 MAX_BOX_MONOMIALS = 100_000
 MAX_BOX_DEGREE = 120
 

@@ -13,21 +13,24 @@ and the pair is kept in lowest terms, so it is canonical.  Every operation
 works on that form through one kernel, _sum, a guarded sum of products of
 packed series: combine and mul call it once, and exp and pull_back solve
 their recurrences one total degree at a time, each series kept as a list of
-degree slices that _slice builds from lower ones.  pull_back solves for the
-inverse of a coordinate change x_a -> x_a * exp(u_a) together with series
-evaluated along it; both are plain tuples of series.  A series is read
-through one view, MultiSeries.coefficients: its reduced integer (exponent,
-numerator, denominator) triples in graded-lex order.  Fractions appear only
-where values enter (MultiSeries.from_dict) or in constant_term.
+degree slices that _slice builds from lower ones only through its reach,
+the sum of its variables' caps, past which it has no in-box term.
+pull_back solves for the inverse of a coordinate change x_a -> x_a *
+exp(u_a) together with series evaluated along it; both are plain tuples of
+series.  A series is read through one view, MultiSeries.coefficients: its
+reduced integer (exponent, numerator, denominator) triples in graded-lex
+order.  Fractions appear only where values enter (MultiSeries.from_dict) or
+in constant_term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import product
 from math import gcd, lcm
+from operator import or_
 
 
 class SeriesError(ValueError):
@@ -156,9 +159,15 @@ def _join(slices):
     return den, {p: c * (den // d) for d, s in slices for p, c in s.items()}
 
 
+def _reach(support, box):
+    """The sum of the caps of the variables whose fields support marks."""
+    _, shifts, _, _, mask, _ = box.layout
+    return sum(c for c, k in zip(box.caps, shifts) if support >> k & mask)
+
+
 def _exp(s, box):
-    """exp(s) of packed s with no constant term, through the box's total
-    degree.
+    """exp(s) of packed s with no constant term, through the reach of the
+    variables of s, past which exp(s) has no in-box term.
 
     Solved as a list of degree slices from the nonzero parts s_k of degree
     k, read off the top field (Knuth, TAOCP 2, 4.7): E_0 = 1 and
@@ -171,7 +180,7 @@ def _exp(s, box):
         parts.setdefault(p >> lay[5], {})[p] = c
     parts = [(k, _lowest(s[0], part)) for k, part in sorted(parts.items())]
     out = [_ONE]
-    for n in range(1, box.degree + 1):
+    for n in range(1, _reach(reduce(or_, s[1]), box) + 1):
         _slice(out, [(k, part, out[n - k]) for k, part in parts if k <= n], lay, n)
     return _join(out)
 
@@ -270,7 +279,9 @@ def pull_back(gs, rows):
     contains it; and the G_i.  Every term of a g_i has total degree at least
     1, so the degree-n slice of an image, and so G_i's, needs the G_j only
     through degree n - 1.  Degree by degree, each slice is one _slice of
-    lower ones: built once, and exact.  Returns (the G_i, the inverse).
+    lower ones: built once, and exact, and only through the series' reach,
+    fixed before the pass; past it, slices are _ZERO.  Returns (the G_i,
+    the inverse).
     """
     box = gs[0].box
     _require_same_box(box, gs)
@@ -278,7 +289,7 @@ def pull_back(gs, rows):
         raise SeriesError("pulled-back series need zero constant term")
     if len(rows) != len(gs) or any(len(row) != box.arity for row in rows):
         raise SeriesError("need one row of pairings per series and variable")
-    lay, top = box.layout, box.degree
+    lay = box.layout
     w_bits, shifts, _, _, mask, dk = lay
     live = [i for i, g in enumerate(gs) if not g.is_zero()]
     slices = {i: [_ZERO] for i in live}
@@ -294,6 +305,21 @@ def pull_back(gs, rows):
     # the series that feed w_a, with their pairings
     feeds = {a: [(rows[i][a], slices[i]) for i in live if rows[i][a]]
              for a in powers}
+    # supports, as ints marking variables' fields: y_a's is x_a's and the
+    # feeding G_i's, a G_i's or an image's its y_a's; a fixpoint of one
+    # round a variable, fixed before the pass, as a variable can enter a
+    # series first at a high degree (through g_i = x_b^7, say)
+    held = {i: reduce(or_, gs[i].packed[1]) for i in live}
+    sup = {a: 1 << shifts[a] for a in powers}
+
+    def spread(m):
+        return reduce(or_, [s for a, s in sup.items() if m >> shifts[a] & mask], 0)
+
+    for _ in sup:
+        for a in sup:
+            sup[a] |= spread(reduce(or_, [held[i] for i in live if rows[i][a]], 0))
+    # (slices, reach) of every series built
+    built = [(p, _reach(sup[a], box)) for a, pw in powers.items() for p in pw[1:]]
     # the image of each prefix of a monomial of the g_i; those past x_a^e
     # alone are (its slices, the parent's slices, the power it multiplies
     # in, that power's exponent) in steps
@@ -313,15 +339,22 @@ def pull_back(gs, rows):
                         else:
                             images[pre] = [_ZERO] * deg
                             steps.append((images[pre], img, powers[a][e], e))
+                            built.append((images[pre], _reach(spread(pre), box)))
                     img = images[pre]
             terms.append((c, img))
         comps.append((slices[i], den, terms))
-    for n in range(1, top + 1):
+        built.append((slices[i], _reach(spread(held[i]), box)))
+    for n in range(1, max([r for _, r in built], default=0) + 1):
+        # past its reach a series' slice is _ZERO, so the builds skip it
+        for out, r in built:
+            if r < n:
+                out.append(_ZERO)
         for a, pw in powers.items():
             y = pw[1]
-            if n > 1:
-                _slice(y, [(r * k, g[k], y[n - k]) for k in range(1, n)
-                           for r, g in feeds[a]], lay, n - 1)
+            if len(y) > n:
+                continue
+            _slice(y, [(r * k, g[k], y[n - k]) for k in range(1, n)
+                       for r, g in feeds[a]], lay, n - 1)
             for k in range(2, min(len(pw) - 1, n) + 1):
                 _slice(pw[k], [(1, y[j], pw[k - 1][n - j])
                                for j in range(1, n - k + 2)], lay)
@@ -329,7 +362,8 @@ def pull_back(gs, rows):
             if len(img) == n:
                 _slice(img, [(1, parent[j], pk[n - j]) for j in range(n - e + 1)], lay)
         for g, den, terms in comps:
-            _slice(g, [(c, _ONE, img[n]) for c, img in terms], lay, den)
+            if len(g) == n:
+                _slice(g, [(c, _ONE, img[n]) for c, img in terms], lay, den)
     pulled = list(gs)
     for i, g in slices.items():
         pulled[i] = MultiSeries(box, _join(g))

@@ -17,15 +17,18 @@ coordinate change x_a -> x_a * exp(u_a) is the tuple of its u_a, as in
 `semifano.MirrorMapPair`.  The engine needs no log: it keeps each ray's
 pulled-back series G_i = log(1 + delta_i).  `oracle_log` and `oracle_exp`
 are sums of powers over Fraction dicts, so tests can build a G from a
-delta, and check exp, without the engine's recurrences.  Last come the dict
-and identity views, sums, scaling, composition and single correction series
-that only tests use.
+delta, and check exp, without the engine's recurrences.  `pass_slices`
+records the degree slices that a call's recurrences build.  Last come the
+dict and identity views, sums, scaling, composition and single correction
+series that only tests use.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial, lcm
+from operator import or_
 
 from semifano import (
     CurveLattice,
@@ -35,6 +38,7 @@ from semifano import (
     combine,
     compute_g0_family,
     pull_back,
+    series,
 )
 from semifano.series import _exp, _lowest
 
@@ -123,6 +127,22 @@ def invert_diagonal_unit(m):
     """Inverse of x_a -> x_a*exp(u_a): the one pass with g = -u, rows the identity."""
     rows = [[int(a == b) for b in range(len(m))] for a in range(len(m))]
     return pull_back([scale(u, -1) for u in m], rows)[1]
+
+
+def pass_slices(call, monkeypatch):
+    """(series, degree, held) of every slice that `series._slice` builds
+    during call(), in order: a series is its list of slices, a slice is
+    appended at index degree, and held is the OR of its packed keys, so a
+    variable's field in it is nonzero just when the slice has that variable."""
+    build, built = series._slice, []
+
+    def counted(out, *args):
+        build(out, *args)
+        built.append((id(out), len(out) - 1, reduce(or_, out[-1][1], 0)))
+
+    monkeypatch.setattr(series, "_slice", counted)
+    call()
+    return built
 
 
 def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:

@@ -257,6 +257,22 @@ def test_nef_check_flags_bad_basis():
     assert oracle_nef_witness(fan, basis) == (0, 1, 0, 1)
 
 
+def test_kernel_fallback_nef_verdict(monkeypatch):
+    # no fixture reaches the kernel fallback, so force it with a walk that
+    # finds no subset: the dual kernel basis is kept, and its verdict must
+    # say whether every wall class has nonnegative coordinates in it
+    monkeypatch.setattr(fans, "subset_solves", lambda *args: iter(()))
+    verdicts = {}
+    for name in FIXTURES:
+        fan, _ = fixture_fan(name)
+        lattice = curve_lattice(fan)
+        verdicts[name] = lattice.nef_verified
+        assert verdicts[name] is all(min(lattice.coordinates(c)) >= 0
+                                     for c in fan.wall_classes), name
+    assert {name for name, nef in verdicts.items() if nef} == {
+        "p2", "p1xp1", "p1cubed", "kp2-bundle"}
+
+
 def test_pairing_rows():
     _, lattice = fixture_lattice("f2")
     assert lattice.pairing_row(3) == (-2, 1)

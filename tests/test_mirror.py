@@ -17,6 +17,7 @@ from semifano import (
     TruncationBox,
     analyze,
     assemble_mirror_map,
+    combine,
     compute_g0_family,
     curve_lattice,
     enumerate_g0_classes,
@@ -34,6 +35,7 @@ from oracles import (
     is_identity,
     oracle_invert_full_box,
     oracle_log,
+    pass_slices,
     scale,
     substitute,
     terms,
@@ -287,31 +289,31 @@ def test_threefold_inverse_at_7777(threefold_lattice):
     assert is_identity(compose(mm.forward, mm.inverse))
 
 
-def pass_slices(call, monkeypatch):
-    """(series, degree) of every slice that the one pass builds during
-    call(), in order: a series is its list of slices, and a slice is
-    appended at index degree."""
-    build, built = series._slice, []
-    monkeypatch.setattr(series, "_slice",
-                        lambda out, *args: built.append((id(out), len(out)))
-                        or build(out, *args))
-    call()
-    return built
-
-
 def test_threefold_inversion_builds_each_slice_once(threefold_lattice, monkeypatch):
-    # one pass over total degree 1..28 at 7^4: every slice of y_a =
+    # one pass over total degree 1..14 at 7^4: every slice of y_a =
     # x_a exp(w_a) and its powers (x1, x2 and x4: no g0_i has x3), of the
     # monomial images and of the 3 nonzero pulled-back g0_i is built once,
-    # in order of degree; the whole-box loop of the oracle takes 15 rounds
-    # at degree 28
+    # in order of degree, and only through the series' reach: the series
+    # split into one block in x1, x2 (no in-box term past degree 7 + 7) and
+    # one in x4 (none past 7); the whole-box loop of the oracle takes 15
+    # rounds at degree 28
     _, lattice = threefold_lattice
-    fam = compute_g0_family(lattice, TruncationBox((7,) * 4))
+    box = TruncationBox((7,) * 4)
+    fam = compute_g0_family(lattice, box)
     assert sum(not s.is_zero() for s in fam.series) == 3
     built = pass_slices(lambda: assemble_mirror_map(fam), monkeypatch)
-    degrees = [d for _, d in built]
-    assert degrees == sorted(degrees) and set(degrees) == set(range(1, 29))
-    assert len(set(built)) == len(built) == 1028
+    degrees = [d for _, d, _ in built]
+    assert degrees == sorted(degrees) and set(degrees) == set(range(1, 15))
+    assert len({(i, d) for i, d, _ in built}) == len(built) == 370
+    held, top = {}, {}
+    for i, d, h in built:
+        held[i], top[i] = held.get(i, 0) | h, max(top.get(i, 0), d)
+    _, shifts, _, _, mask, _ = box.layout
+    blocks = {}
+    for i, h in held.items():
+        block = tuple(a for a, k in enumerate(shifts) if h >> k & mask)
+        blocks[block] = max(blocks.get(block, 0), top[i])
+    assert blocks == {(0, 1): 14, (3,): 7}
 
 
 def test_gapless_inversion_visits_each_degree_once(monkeypatch):
@@ -320,9 +322,9 @@ def test_gapless_inversion_visits_each_degree_once(monkeypatch):
     # pulled-back -u, which is w
     forward = (MultiSeries.from_dict(TruncationBox((12,)), {(2,): 1}),)
     built = pass_slices(lambda: invert_diagonal_unit(forward), monkeypatch)
-    degrees = [d for _, d in built]
+    degrees = [d for _, d, _ in built]
     assert degrees == sorted(degrees) and set(degrees) == set(range(1, 13))
-    assert len(set(built)) == len(built) == 11 + 11 + 12
+    assert len({(i, d) for i, d, _ in built}) == len(built) == 11 + 11 + 12
 
 
 def assert_pass_is_substitution(fam, label=None):
@@ -344,6 +346,44 @@ def test_threefold_inverse_is_the_full_box_inverse(threefold_lattice):
 def test_threefold_inverse_at_9999_is_the_full_box_inverse(threefold_lattice):
     _, lattice = threefold_lattice
     assert_pass_is_substitution(compute_g0_family(lattice, TruncationBox((9,) * 4)))
+
+
+def test_threefold_pass_at_unequal_caps_is_substitution(threefold_lattice):
+    # the reach of a series is the sum of its variables' caps, not a share
+    # of the box's degree
+    _, lattice = threefold_lattice
+    for caps in ((7, 3, 0, 6), (2, 9, 1, 4)):
+        assert_pass_is_substitution(compute_g0_family(lattice, TruncationBox(caps)),
+                                    caps)
+
+
+def test_pass_reach_holds_variables_that_enter_late():
+    # x2 enters y_1 = x1 exp(w_1) only at degree 8, through G_0 = y_2^7 fed
+    # to w_1 alone; in the chain, x3 enters y_1 at degree 7, through y_2^4 fed
+    # to w_1 and y_3^2 fed to w_2, and the image y_1 y_2 of x1 x2 reaches
+    # 4 + 5 + 3, while x4's block stops at degree 2.  A support read off the
+    # slices built so far would cut y_1 at x1's cap
+    F = Fraction
+    cases = (
+        ((6, 8), [{(0, 7): 1}, {(1, 0): 1, (2, 0): F(2, 3)}], [(1, 0), (1, 0)]),
+        ((4, 5, 3, 2),
+         [{(0, 4, 0, 0): 1}, {(0, 0, 2, 0): -1},
+          {(1, 0, 0, 0): 1, (3, 0, 0, 0): 2, (1, 1, 0, 0): -1},
+          {(0, 0, 0, 1): F(1, 2), (0, 0, 0, 2): 1}],
+         [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 0, 1)]),
+    )
+    late = []
+    for caps, gs, rows in cases:
+        box = TruncationBox(caps)
+        gs = [MultiSeries.from_dict(box, g) for g in gs]
+        forward = tuple(combine(box, [(-row[a], g) for row, g in zip(rows, gs)])
+                        for a in range(box.arity))
+        pulled, inverse = pull_back(gs, rows)
+        assert inverse == oracle_invert_full_box(forward), caps
+        assert pulled == tuple(substitute(g, inverse) for g in gs), caps
+        late.append(to_dict(inverse[0]))
+    # the late terms are there: x1 x2^7, and x1 x2^4 x3^2, in w_1
+    assert (1, 7) in late[0] and (1, 4, 2, 0) in late[1]
 
 
 def test_pass_is_substitution_on_fixtures_and_surfaces():

@@ -29,6 +29,7 @@ from oracles import (
     oracle_exp,
     oracle_invert_full_box,
     oracle_log,
+    pass_slices,
     power_sum,
     scale,
     substitute,
@@ -298,15 +299,21 @@ def test_exp_log_past_the_strategies_degree(monkeypatch):
                   (60,): F(-1, 9)})
     assert mul(exp_series(s), exp_series(scale(s, -1))) == MultiSeries.one(s.box)
     # one slice a degree, and none for exp(0)
-    built = []
-    build = series._slice
-    monkeypatch.setattr(series, "_slice",
-                        lambda out, *args: built.append(len(out)) or build(out, *args))
     box = TruncationBox((12,))
-    assert exp_series(MultiSeries.zero(box)) == MultiSeries.one(box)
-    assert built == []
-    exp_series(S((12,), {(3,): F(1, 2)}))
-    assert built == list(range(1, 13))
+    assert pass_slices(lambda: exp_series(MultiSeries.zero(box)), monkeypatch) == []
+    built = pass_slices(lambda: exp_series(S((12,), {(3,): F(1, 2)})), monkeypatch)
+    assert [d for _, d, _ in built] == list(range(1, 13))
+
+
+def test_exp_stops_at_the_reach_of_its_variables(monkeypatch):
+    # s has no x2, so exp(s) has no in-box term past degree 3 + 2, its reach,
+    # though the box's degree is 9: it builds the slices 1..5 and no more
+    F = Fraction
+    s = S((3, 4, 2), {(1, 0, 0): 1, (1, 0, 1): F(-2, 3), (0, 0, 2): F(1, 2)})
+    built = pass_slices(lambda: exp_series(s), monkeypatch)
+    assert [d for _, d, _ in built] == [1, 2, 3, 4, 5]
+    assert exp_series(s) == oracle_exp(s)
+    assert (3, 0, 2) in to_dict(exp_series(s))
 
 
 def test_exp_log_edges():
