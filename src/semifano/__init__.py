@@ -8,7 +8,6 @@ corrected superpotentials.  All arithmetic is exact.
 """
 
 from .fans import (
-    CurveClass,
     CurveLattice,
     Fan,
     FanError,

@@ -215,7 +215,7 @@ def cmd_validate(args):
             results["basis"] = [list(b) for b in lattice.basis]
         else:
             lines.append(
-                f"not semi-Fano, witness c1 pairing {witness.chern_number()} "
+                f"not semi-Fano, witness c1 pairing {sum(witness)} "
                 f"on class {list(witness)}"
             )
             ok = False
@@ -311,7 +311,7 @@ def cmd_check(args):
     ok = True
     if not semi:
         lines.append(
-            f"not semi-Fano, witness c1 pairing {witness.chern_number()}"
+            f"not semi-Fano, witness c1 pairing {sum(witness)}"
         )
         return _emit(args, "check", document, lines, {"semi_fano": False}, False)
     analysis = analyze(fan, lattice, box)

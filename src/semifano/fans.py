@@ -2,18 +2,18 @@
 
 Rays are primitive integer vectors in Z^n; maximal cones are given as index
 sets and are required input (the fan is never guessed from rays alone).
-Curve classes live in the kernel of Z^m -> Z^n, d |-> sum_i d_i v_i, with the
-i-th coordinate of d equal to the intersection number against the i-th toric
-divisor.  `Fan.cone_solutions` solves each maximal cone once against every
-ray, and `Fan.wall_classes` builds a fan's wall curve classes once from
-those solutions; the semi-Fano test and the nef basis search both read them.
+A curve class is a plain integer tuple d in the kernel of Z^m -> Z^n,
+d |-> sum_i d_i v_i, d_i being the intersection number against the i-th
+toric divisor.  `Fan.cone_solutions` solves each maximal cone once against
+every ray, and `Fan.walls` lists each wall once with the cones on it.
+`Fan.wall_classes` builds a fan's wall classes from both; the semi-Fano test
+and the nef basis search read them, and `validate_fan` reads the walls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 from math import gcd
 
 from .intlinalg import fraction_free_solve, subset_solves
@@ -45,12 +45,15 @@ class Fan:
     def num_rays(self):
         return len(self.rays)
 
+    @cached_property
     def walls(self):
-        """Map from (n-1)-subsets of cones to the list of cones containing them."""
-        seen: dict[tuple[int, ...], list[int]] = {}
+        """Map from each (n-1)-subset of a cone to a (cone index, position
+        of the ray off the wall) pair per cone containing it, the walls of
+        each cone in `combinations` order."""
+        seen: dict[tuple[int, ...], list[tuple[int, int]]] = {}
         for ci, cone in enumerate(self.max_cones):
-            for wall in combinations(cone, self.dimension - 1):
-                seen.setdefault(wall, []).append(ci)
+            for p in reversed(range(len(cone))):
+                seen.setdefault(cone[:p] + cone[p + 1:], []).append((ci, p))
         return seen
 
     @cached_property
@@ -70,34 +73,13 @@ class Fan:
         fan object, for a valid fan; a wall not in two cones is a FanError.
         """
         classes = {}
-        for wall, cones in sorted(self.walls().items()):
+        for wall, cones in sorted(self.walls.items()):
             if len(cones) != 2:
                 raise FanError(f"wall {tuple(k + 1 for k in wall)} shared by "
                                f"{len(cones)} cone(s)")
-            c0, c1 = cones
-            y = next(r for r in self.max_cones[c1] if r not in wall)
-            cls = alpha_class(self, c0, y)
-            classes[cls.coefficients] = cls
-        return tuple(classes.values())
-
-
-@dataclass(frozen=True)
-class CurveClass:
-    """Element of H_2: an integer vector of pairings with the toric divisors."""
-
-    coefficients: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", tuple(int(c) for c in self.coefficients))
-
-    def chern_number(self):
-        return sum(self.coefficients)
-
-    def __iter__(self):
-        return iter(self.coefficients)
-
-    def __getitem__(self, i):
-        return self.coefficients[i]
+            (c0, _), (c1, p) = cones
+            classes[alpha_class(self, c0, self.max_cones[c1][p])] = None
+        return tuple(classes)
 
 
 @dataclass(frozen=True)
@@ -111,7 +93,7 @@ class CurveLattice:
     """
 
     fan: Fan
-    basis: tuple[CurveClass, ...]
+    basis: tuple[tuple[int, ...], ...]
     nef_verified: bool = False
 
     @property
@@ -125,8 +107,9 @@ class CurveLattice:
         """All pairings of ray_index's divisor with the basis classes."""
         return tuple(b[ray_index] for b in self.basis)
 
-    def coordinates(self, cls: CurveClass):
-        """Integer coordinates of a kernel class in the chosen basis, or None.
+    def coordinates(self, cls):
+        """Integer coordinates of a kernel class, an integer tuple, in the
+        chosen basis, or None.
 
         One fraction-free solve in the coordinates of `_free_coordinates`.
         The quotients by the determinant stand only if they rebuild `cls`,
@@ -143,14 +126,7 @@ class CurveLattice:
     def class_from_coordinates(self, exps):
         m = self.fan.num_rays
         coeffs = [sum(e * b[i] for e, b in zip(exps, self.basis)) for i in range(m)]
-        return CurveClass(tuple(coeffs))
-
-
-def _is_primitive(v):
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    return g == 1
+        return tuple(coeffs)
 
 
 def validate_fan(fan: Fan):
@@ -159,7 +135,7 @@ def validate_fan(fan: Fan):
     Complete: every wall lies in exactly two cones, on opposite sides of it,
     and no closed cone but the first holds the sum of the first's rays, an
     interior point; so the cones cover each generic point once.  Both tests
-    read `Fan.cone_solutions`.
+    read `Fan.cone_solutions`, the first through `Fan.walls`.
     """
     violations = []
     n = fan.dimension
@@ -170,7 +146,7 @@ def validate_fan(fan: Fan):
             violations.append(f"ray {i + 1} has wrong length")
         elif all(x == 0 for x in v):
             violations.append(f"ray {i + 1} is zero")
-        elif not _is_primitive(v):
+        elif gcd(*v) != 1:
             violations.append(f"ray {i + 1} is not primitive")
     if len(set(fan.rays)) != len(fan.rays):
         violations.append("rays are not pairwise distinct")
@@ -193,13 +169,10 @@ def validate_fan(fan: Fan):
             )
     if violations:
         return violations
-    # per wall, as in `walls`, the sign of det(wall rays, off-wall ray) of
-    # each cone on it, up to the common factor (-1)^(n-1)
-    sides = {}
-    for cone, (d, _) in zip(fan.max_cones, fan.cone_solutions):
-        for p in reversed(range(n)):
-            sides.setdefault(cone[:p] + cone[p + 1:], []).append(-d if p % 2 else d)
-    for wall, signs in sides.items():
+    # the sign of det(wall rays, off-wall ray) of each cone on a wall, up to
+    # the common factor (-1)^(n-1)
+    for wall, cones in fan.walls.items():
+        signs = [(-1) ** p * fan.cone_solutions[c][0] for c, p in cones]
         if len(signs) != 2:
             violations.append(
                 f"wall {tuple(k + 1 for k in wall)} shared by {len(signs)} cone(s)"
@@ -221,7 +194,10 @@ def cone_coordinates(fan: Fan, sigma, k):
 
 
 def alpha_class(fan: Fan, sigma, k):
-    """Curve class of the k-th superpotential term relative to cone sigma."""
+    """Curve class of the k-th superpotential term relative to cone sigma.
+
+    The cone is unimodular, so v_k = sum_j coords_j v_(cone_j) exactly and
+    the class sum_i d_i v_i = 0 by construction."""
     cone = fan.max_cones[sigma]
     if k in cone:
         raise FanError(f"ray {k + 1} belongs to the chosen cone")
@@ -230,17 +206,13 @@ def alpha_class(fan: Fan, sigma, k):
     d[k] = 1
     for j, c in enumerate(cone):
         d[c] -= coords[j]
-    cls = CurveClass(tuple(d))
-    if any(sum(d[i] * fan.rays[i][j] for i in range(fan.num_rays)) != 0
-           for j in range(fan.dimension)):
-        raise FanError("alpha class is not in the curve lattice; inconsistent fan data")
-    return cls
+    return tuple(d)
 
 
 def is_semi_fano(fan: Fan):
     """(flag, witness): anticanonical pairing nonnegative on all wall classes."""
     for c in fan.wall_classes:
-        if c.chern_number() < 0:
+        if sum(c) < 0:
             return False, c
     return True, None
 
@@ -309,7 +281,7 @@ def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
         is_basis, nef = _nef_verdict(det, adj)
         if not is_basis:
             raise FanError("supplied basis does not span the full curve lattice")
-        return CurveLattice(fan, tuple(CurveClass(b) for b in rows), nef_verified=nef)
+        return CurveLattice(fan, tuple(rows), nef_verified=nef)
     for sub, det, adj in subset_solves(coords, l):
         if _nef_verdict(det, adj)[1]:
             return CurveLattice(fan, tuple(walls[k] for k in sub), nef_verified=True)

@@ -16,7 +16,7 @@ from itertools import product
 from math import factorial, prod
 from operator import mul
 
-from .fans import CurveClass, CurveLattice, FanError, fan_polytope_vertices
+from .fans import CurveLattice, FanError, fan_polytope_vertices
 from .series import MultiSeries, TruncationBox, combine, pull_back
 
 
@@ -26,9 +26,8 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
     A correction class has anticanonical pairing sum_a e_a * c1(b_a) = 0 and
     is negative at exactly one ray i.  As every e_a >= 0, when no c1(b_a) is
     negative each e_a with c1(b_a) > 0 is 0, so only that face of the box is
-    scanned; otherwise the whole box is.  Pairings are integer dot products,
-    and a CurveClass is built only for the classes kept.  Returns
-    (i, CurveClass, exponents) triples in graded order.
+    scanned; otherwise the whole box is.  Pairings are integer dot products.
+    Returns (i, class tuple, exponents) triples in graded order.
 
     The scan sees only nonnegative exponents.  It relies on the nef basis to
     give every correction class nonnegative coordinates, so a basis that is
@@ -38,7 +37,7 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
         raise FanError("correction enumeration needs a nef-verified basis")
     if box.arity != lattice.rank:
         raise FanError("box arity must equal the lattice rank")
-    c1 = [b.chern_number() for b in lattice.basis]
+    c1 = [sum(b) for b in lattice.basis]
     caps = box.caps
     if min(c1, default=0) >= 0:
         caps = [0 if c else cap for c, cap in zip(c1, caps)]
@@ -48,7 +47,7 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
         cls = [sum(map(mul, exps, row)) for row in rows]
         negative = [j for j, dj in enumerate(cls) if dj < 0]
         if len(negative) == 1 and sum(cls) == 0:
-            out.append((negative[0], CurveClass(tuple(cls)), exps))
+            out.append((negative[0], tuple(cls), exps))
     out.sort(key=lambda t: (sum(t[2]), t[2]))
     return out
 

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
 
 from .fans import (
-    CurveClass,
     CurveLattice,
     Fan,
     FanError,
@@ -112,7 +111,6 @@ class SuperpotentialTerm:
 
 @dataclass(frozen=True)
 class SuperpotentialExpr:
-    tag: str
     cone_index: int
     terms: tuple[SuperpotentialTerm, ...]
 
@@ -141,7 +139,7 @@ def assemble_W_HV(fan: Fan, lattice: CurveLattice, sigma: int,
                 )
             qe = tuple(coords)
         terms.append(SuperpotentialTerm(k, z, qe, one))
-    return SuperpotentialExpr("HV", sigma, tuple(terms))
+    return SuperpotentialExpr(sigma, tuple(terms))
 
 
 def assemble_W_PF(whv: SuperpotentialExpr, mm: MirrorMapPair,
@@ -156,7 +154,7 @@ def assemble_W_PF(whv: SuperpotentialExpr, mm: MirrorMapPair,
     for t in whv.terms:
         unit = mul(t.unit, exp_series(combine(box, zip(t.q_exponent, inv))))
         terms.append(SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent, unit))
-    return SuperpotentialExpr("PF", whv.cone_index, tuple(terms))
+    return SuperpotentialExpr(whv.cone_index, tuple(terms))
 
 
 def assemble_W_LF(whv: SuperpotentialExpr, deltas) -> SuperpotentialExpr:
@@ -168,7 +166,7 @@ def assemble_W_LF(whv: SuperpotentialExpr, deltas) -> SuperpotentialExpr:
         )
         for t in whv.terms
     )
-    return SuperpotentialExpr("LF-raw", whv.cone_index, terms)
+    return SuperpotentialExpr(whv.cone_index, terms)
 
 
 def normalize_W_LF(expr: SuperpotentialExpr, fan: Fan, deltas) -> SuperpotentialExpr:
@@ -185,7 +183,7 @@ def normalize_W_LF(expr: SuperpotentialExpr, fan: Fan, deltas) -> Superpotential
         corr = combine(t.unit.box, [(-e, lg) for e, lg in zip(t.z_exponent, logs)])
         unit = t.unit if corr.is_zero() else mul(t.unit, exp_series(corr))
         terms.append(SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent, unit))
-    return SuperpotentialExpr("LF", expr.cone_index, tuple(terms))
+    return SuperpotentialExpr(expr.cone_index, tuple(terms))
 
 
 @dataclass(frozen=True)
@@ -311,7 +309,7 @@ def surface_admissible_deltas(fan: Fan, lattice: CurveLattice,
     ok, witness = is_semi_fano(fan)
     if not ok:
         raise FanError(
-            f"fan is not semi-Fano (witness pairing {witness.chern_number()})"
+            f"fan is not semi-Fano (witness pairing {sum(witness)})"
         )
     order = cyclic_ray_order(fan)
     selfints = surface_self_intersections(fan)
@@ -360,7 +358,7 @@ def _chain_delta(lattice, box, order, classes, i):
                 for k, s in [(i, s0)] + list(zip(right, rs)) + list(zip(left, ls)):
                     for j, c in enumerate(classes[k]):
                         total[j] += s * c
-                exps = lattice.coordinates(CurveClass(tuple(total)))
+                exps = lattice.coordinates(tuple(total))
                 if exps is None:
                     continue
                 exps = tuple(exps)

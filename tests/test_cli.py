@@ -457,7 +457,32 @@ INVARIANT_PINS = (
 )
 
 
-@pytest.mark.parametrize("command, name, box, fmt, code, digest", ENGINE_PINS + INVARIANT_PINS)
+# the same digests for validate on every fixture, recorded before curve
+# classes became integer tuples and each fan's walls one table: they cover
+# the wall classes, the semi-Fano witness, the hull vertices and the basis.
+# f3 is not semi-Fano, so validate exits 1 on it.
+VALIDATE_PINS = (
+    ("validate", "f2", None, "text", 0, "400c96e0df61b78f030a8968798e32e49a97459dfce3e8026e7302202af2ec32"),
+    ("validate", "f2", None, "json", 0, "1959328b64267c681c721cf1567de4d332c5653cb36db843021d6f0b3578a62f"),
+    ("validate", "f2-blowup", None, "text", 0, "1260c7fba4b799e220b521d21184fb080997a41d5af731436af47fa3ecda49f5"),
+    ("validate", "f2-blowup", None, "json", 0, "27253b321364efdd8995495f729a36d1e02cc0cab283ec205e6b056ff57a947e"),
+    ("validate", "f3", None, "text", 1, "0844ab4aee10281d02ad8ee2160b0c006bd3b6c6b52f6db2904066ab0f5f8288"),
+    ("validate", "f3", None, "json", 1, "86eaa7836bfb7b2842682b9fb87e4328c848e52478584d08b06e221e43f35608"),
+    ("validate", "kp2-bundle", None, "text", 0, "936d39512ce0b5259f220fc143a09dbff3a693fc5ca945802ec6533e7cf44c13"),
+    ("validate", "kp2-bundle", None, "json", 0, "af1c1a3984259a3fca061d7b8308ed8c61e6408072e7a26b6d92deb6cabddcbe"),
+    ("validate", "p1cubed", None, "text", 0, "2033bdb5dc80733cee6f9076ea3586e9a64a3c3588aac9b100d1f08d06fd5d63"),
+    ("validate", "p1cubed", None, "json", 0, "78f4691431e010889a0c15677fc6e68366385ca9572db936a2a957bbc400e729"),
+    ("validate", "p1xp1", None, "text", 0, "85f93fc7dbfde4c71f40d8e0a00b23621427498883d75af0a1bdbb15b6baa469"),
+    ("validate", "p1xp1", None, "json", 0, "7bdc1e58d98cde978eb7e0ca1b7a92c94a528b3e1b7de3828f410cf7d61893c1"),
+    ("validate", "p2", None, "text", 0, "632c1b088a8fa7c3d2e57515e4f91a8b35b7c5a726e386171a5b14e7a33ca7b7"),
+    ("validate", "p2", None, "json", 0, "56ded43279a21d2c9d3cd6b82fcfc859fe625f332ba966e38280dc6027c25b0a"),
+    ("validate", "threefold-example", None, "text", 0, "24e585105d593eee07e1172f859027ba5d21d54eb571b764a966d6901d98625f"),
+    ("validate", "threefold-example", None, "json", 0, "4143fe3b30e929d51b5cbc5bc92cd5a2d4ebdb7bde7a9a260cb1ce98da42b511"),
+)
+
+
+@pytest.mark.parametrize("command, name, box, fmt, code, digest",
+                         ENGINE_PINS + INVARIANT_PINS + VALIDATE_PINS)
 def test_engine_output_pinned(capsys, command, name, box, fmt, code, digest):
     argv = [command, fx(name), "--format", fmt]
     if box:

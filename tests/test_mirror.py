@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifano import (
-    CurveClass,
     Fan,
     FanError,
     MultiSeries,
@@ -49,7 +48,7 @@ import surfaces  # noqa: E402
 def test_enumerate_f2_section_multiples():
     _, lattice = fixture_lattice("f2")
     found = enumerate_g0_classes(lattice, TruncationBox((3, 3)))
-    assert [(i, c.coefficients, e) for i, c, e in found] == [
+    assert found == [
         (3, (k, 0, k, -2 * k), (k, 0)) for k in (1, 2, 3)
     ]
 
@@ -497,7 +496,7 @@ def walker_classes(lattice, i, box):
             if any(sum(d[j] * fan.rays[j][t] for j in range(m))
                    for t in range(n)):
                 continue
-            exps = lattice.coordinates(CurveClass(tuple(d)))
+            exps = lattice.coordinates(tuple(d))
             if exps is None:
                 continue
             assert all(e >= 0 for e in exps), (d, exps)
@@ -527,19 +526,19 @@ def test_enumeration_matches_cube_scan(data):
     box = TruncationBox(caps)
     scan = enumerate_g0_classes(lattice, box)
     for i in range(lattice.fan.num_rays):
-        assert [(c.coefficients, e) for j, c, e in scan if j == i] == (
+        assert [(c, e) for j, c, e in scan if j == i] == (
             walker_classes(lattice, i, box)
         )
 
 
 def full_box_scan(lattice, box):
     """The correction scan before it moved to the degree-zero face: one
-    CurveClass per point of the whole box."""
+    class per point of the whole box."""
     out = []
     for exps in product(*[range(c + 1) for c in box.caps]):
         cls = lattice.class_from_coordinates(exps)
         negative = [j for j, dj in enumerate(cls) if dj < 0]
-        if len(negative) == 1 and cls.chern_number() == 0:
+        if len(negative) == 1 and sum(cls) == 0:
             out.append((negative[0], cls, exps))
     out.sort(key=lambda t: (sum(t[2]), t[2]))
     return out

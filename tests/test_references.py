@@ -7,7 +7,9 @@ module-level function of `src/semifano/*.py` whose name does not start with
 A method or property of a class there, dunders aside, must occur as an
 attribute in some file under `src/` or `bench/`.  A function that only
 tests use belongs in `tests/`, so `tests/` is not searched.  `__init__.py`
-imports only to re-export, so its imports use nothing.
+imports only to re-export, so its imports use nothing.  A field of a
+dataclass there must be read as an attribute under `src/` or `bench/`, or
+in the acceptance suite, whose criteria read results the engine only builds.
 """
 
 import ast
@@ -21,6 +23,7 @@ MODULES = sorted(p for p in (ROOT / "src" / "semifano").glob("*.py") if p != INI
 SOURCES = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")
                  if p != INIT)
 ENGINE = [p for p in SOURCES if ROOT / "src" in p.parents]
+ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 
 
 def public_functions(source, private=False):
@@ -37,6 +40,17 @@ def methods(source):
             if isinstance(node, ast.ClassDef)
             for f in node.body if isinstance(f, ast.FunctionDef)
             and not (f.name.startswith("__") and f.name.endswith("__"))]
+
+
+def dataclass_fields(source):
+    """(class, name) of each annotated field of the dataclasses of source."""
+    def is_dataclass(d):
+        d = d.func if isinstance(d, ast.Call) else d
+        return "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
+    return [(node.name, f.target.id) for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef)
+            and any(is_dataclass(d) for d in node.decorator_list)
+            for f in node.body if isinstance(f, ast.AnnAssign)]
 
 
 def referenced_names(sources, attributes_only=False):
@@ -69,6 +83,18 @@ def attributes():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_methods_are_referenced(path, attributes):
     assert [m for m in methods(path.read_text()) if m[1] not in attributes] == []
+
+
+@pytest.fixture(scope="module")
+def field_readers():
+    return referenced_names((p.read_text() for p in SOURCES + [ACCEPTANCE]),
+                            attributes_only=True)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_dataclass_fields_are_read(path, field_readers):
+    assert [f for f in dataclass_fields(path.read_text())
+            if f[1] not in field_readers] == []
 
 
 @pytest.fixture(scope="module")
@@ -142,3 +168,24 @@ def test_test_only_method_is_found():
                                ("MultiSeries", "constant_term")]
     assert [m for m in methods(module) if m[1] not in used] == [
         ("MultiSeries", "coefficient")]
+
+
+def test_unread_dataclass_field_is_found():
+    module = ("@dataclass(frozen=True)\n"
+              "class SuperpotentialExpr:\n"
+              "    tag: str\n"
+              "    cone_index: int\n"
+              "    def total(self):\n"
+              "        return self.cone_index\n"
+              "class Plain:\n"
+              "    limit: int = 3\n")
+    # the engine passes a tag when it builds the expression but never reads
+    # it back; a local of that name is no read
+    engine = "tag = 'HV'\ne = SuperpotentialExpr(tag, 0)\nprint(e.cone_index)\n"
+    used = referenced_names([module, engine], attributes_only=True)
+    assert dataclass_fields(module) == [("SuperpotentialExpr", "tag"),
+                                        ("SuperpotentialExpr", "cone_index")]
+    assert [f for f in dataclass_fields(module) if f[1] not in used] == [
+        ("SuperpotentialExpr", "tag")]
+    # criterion 4 reads the analysis's correction family, built only for it
+    assert "g0" in referenced_names([ACCEPTANCE.read_text()], attributes_only=True)
