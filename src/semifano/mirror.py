@@ -11,13 +11,11 @@ one pass over total degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from operator import mul
 
 from .fans import CurveLattice, FanError, fan_polytope_vertices
-from .series import MultiSeries, TruncationBox, combine, pull_back
+from .series import MultiSeries, TruncationBox, _key, _lowest, combine, pull_back
 
 
 def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
@@ -26,8 +24,12 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
     A correction class has anticanonical pairing sum_a e_a * c1(b_a) = 0 and
     is negative at exactly one ray i.  As every e_a >= 0, when no c1(b_a) is
     negative each e_a with c1(b_a) > 0 is 0, so only that face of the box is
-    scanned; otherwise the whole box is.  Pairings are integer dot products.
-    Returns (i, class tuple, exponents) triples in graded order.
+    scanned; otherwise the whole box is.  A point packs into one int: w-bit
+    fields for its exponents, each ray's pairing and c1, the last two offset
+    by 2^(w-1) > every |value| (and cap), so no field borrows, a point is
+    one add from its neighbour and a field is negative just when its top
+    bit is clear.  Only hits are decoded.  Returns (i, class tuple,
+    exponents) triples in graded order.
 
     The scan sees only nonnegative exponents.  It relies on the nef basis to
     give every correction class nonnegative coordinates, so a basis that is
@@ -41,13 +43,23 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
     caps = box.caps
     if min(c1, default=0) >= 0:
         caps = [0 if c else cap for c, cap in zip(c1, caps)]
-    rows = [lattice.pairing_row(j) for j in range(lattice.fan.num_rays)]
+    l, m = lattice.rank, lattice.fan.num_rays
+    rows = [lattice.pairing_row(j) for j in range(m)] + [c1]
+    w = max(sum(map(mul, caps, map(abs, row))) for row in rows).bit_length() + 1
+    off, mask, top = 1 << (w - 1), (1 << w) - 1, w * (l + m)
+    tops = sum(off << w * k for k in range(l, l + m))
+    points = [tops + (off << top)]
+    for a, cap in enumerate(caps):
+        step = (1 << w * a) + sum(row[a] << w * k for k, row in enumerate(rows, l))
+        steps = [k * step for k in range(cap + 1)]
+        points = [p + s for p in points for s in steps]
     out = []
-    for exps in product(*[range(c + 1) for c in caps]):
-        cls = [sum(map(mul, exps, row)) for row in rows]
-        negative = [j for j, dj in enumerate(cls) if dj < 0]
-        if len(negative) == 1 and sum(cls) == 0:
-            out.append((negative[0], tuple(cls), exps))
+    for p in points:
+        neg = tops & ~p
+        if neg and not neg & (neg - 1) and p >> top == off:
+            exps = tuple(p >> w * a & mask for a in range(l))
+            cls = tuple((p >> w * k & mask) - off for k in range(l, l + m))
+            out.append(((neg.bit_length() - 1) // w - l, cls, exps))
     out.sort(key=lambda t: (sum(t[2]), t[2]))
     return out
 
@@ -72,16 +84,19 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox) -> GZeroFamily:
     of the other rays, so a fan whose rays are all hull vertices has none.
     A nef-verified basis is scanned without that test; any other basis is
     refused by `enumerate_g0_classes` unless every ray is a hull vertex.
+    Each series is packed from integer numerators over the lcm of the
+    terms' denominators; `_lowest` gives it the canonical form of `_pack`.
     """
-    fan = lattice.fan
-    coeffs = [{} for _ in range(fan.num_rays)]
+    fan, hits = lattice.fan, []
     if lattice.nef_verified or len(fan_polytope_vertices(fan)) < fan.num_rays:
-        for i, cls, exps in enumerate_g0_classes(lattice, box):
-            b = -cls[i]
-            den = prod(factorial(dj) for j, dj in enumerate(cls) if j != i)
-            coeffs[i][exps] = Fraction((-1) ** b * factorial(b - 1), den)
-    series = tuple(MultiSeries.from_dict(box, c) for c in coeffs)
-    return GZeroFamily(lattice, series)
+        hits = enumerate_g0_classes(lattice, box)
+    dens = [prod(factorial(dj) for j, dj in enumerate(cls) if j != i)
+            for i, cls, _ in hits]
+    den, nums = lcm(*dens), [{} for _ in range(fan.num_rays)]
+    for (i, cls, exps), d in zip(hits, dens):
+        b = -cls[i]
+        nums[i][_key(exps, box.layout)] = (-1) ** b * factorial(b - 1) * (den // d)
+    return GZeroFamily(lattice, tuple(MultiSeries(box, _lowest(den, n)) for n in nums))
 
 
 @dataclass(frozen=True)

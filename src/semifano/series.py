@@ -28,7 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import product
 from math import gcd, lcm
 from operator import or_
 
@@ -83,13 +82,31 @@ class TruncationBox:
 
     @cached_property
     def table_rows(self):
-        """(line, rows): the all-zero table's rows `e_1<TAB>..e_l<TAB>0` in
-        graded-lex order, and line[e] e's line under a header; built once."""
-        ranges = [range(c + 1) for c in self.caps]
-        texts = map("".join, product(*[["%d\t" % e for e in r] for r in ranges], "0"))
-        # product runs in lex order, so a stable sort by degree is graded lex
-        rows = sorted(zip(product(*ranges), texts), key=lambda r: sum(r[0]))
-        return {e: n for n, (e, _) in enumerate(rows, 1)}, [t for _, t in rows]
+        """(counts, rows): the all-zero table's rows `e_1<TAB>..e_l<TAB>0` in
+        graded-lex order, built with no sort from the texts of the suffixes
+        (e_a, .., e_l) of each total r, in lex order, and counts[a][r], the
+        number of those suffixes (counts[0][d] of rows of degree d).  Built
+        once per box object."""
+        top = self.degree
+        suffixes, counts = [["0"]] + [[] for _ in range(top)], [[1] + [0] * top]
+        for c in reversed(self.caps):
+            heads = ["%d\t" % x for x in range(c + 1)]
+            suffixes = [[h + t for x, h in enumerate(heads[:r + 1]) for t in suffixes[r - x]]
+                        for r in range(top + 1)]
+            counts.append([len(s) for s in suffixes])
+        return counts[::-1], [t for s in suffixes for t in s]
+
+    def table_line(self, exp):
+        """The line of in-box exp under its table's header: 1 plus the number
+        of rows of lower degree, plus, for each a, of those of exp's degree
+        that agree with exp before a and are smaller at a."""
+        counts, _ = self.table_rows
+        r = sum(exp)
+        line = 1 + sum(counts[0][:r])
+        for x, count in zip(exp, counts[1:]):
+            line += sum(count[r - x + 1:r + 1])
+            r -= x
+        return line
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,11 @@ the engine, and `cross_validate_surface` compares it with an analysis.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
+from itertools import product
+from math import prod
 
 from .fans import (
     CurveLattice,
@@ -59,6 +62,26 @@ class InvariantSeries:
         return sub(self.one_plus, MultiSeries.one(self.pulled.box))
 
 
+class _Entries(Mapping):
+    """Every in-box disk count of a table, a read-only view over its nonzero
+    terms with the zeros implied, iterated in graded-lex order."""
+
+    def __init__(self, table):
+        self._box, self._terms = table.box, dict(table.terms)
+
+    def __getitem__(self, exp):
+        if not self._box.contains(exp):
+            raise KeyError(exp)
+        return self._terms.get(exp, 0)
+
+    def __iter__(self):
+        # product runs in lex order, so a stable sort by degree is graded lex
+        return iter(sorted(product(*[range(c + 1) for c in self._box.caps]), key=sum))
+
+    def __len__(self):
+        return prod(c + 1 for c in self._box.caps)
+
+
 @dataclass(frozen=True)
 class InvariantTable:
     ray_index: int
@@ -67,8 +90,8 @@ class InvariantTable:
 
     @cached_property
     def entries(self):
-        """Every in-box disk count, zeros included; lazy."""
-        return dict.fromkeys(self.box.table_rows[0], 0) | dict(self.terms)
+        """Every in-box disk count, zeros implied; builds no table row."""
+        return _Entries(self)
 
 
 def invariant_table(inv: InvariantSeries, box: TruncationBox = None) -> InvariantTable:
@@ -94,10 +117,11 @@ def invariant_table(inv: InvariantSeries, box: TruncationBox = None) -> Invarian
 
 
 def render_table(table: InvariantTable) -> str:
-    line, rows = table.box.table_rows
-    lines = ["".join(f"k{a + 1}\t" for a in range(table.box.arity)) + "n", *rows]
+    box = table.box
+    lines = ["".join(f"k{a + 1}\t" for a in range(box.arity)) + "n", *box.table_rows[1]]
     for exp, n in table.terms:
-        lines[line[exp]] = lines[line[exp]][:-1] + str(n)
+        k = box.table_line(exp)
+        lines[k] = lines[k][:-1] + str(n)
     return "\n".join(lines)
 
 

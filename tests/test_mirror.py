@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from semifano import (
+    CurveLattice,
     Fan,
     FanError,
     MultiSeries,
@@ -579,16 +580,56 @@ def test_face_scan_matches_full_box_scan():
     assert found and all(e[0] > 0 for _, _, e in found)
 
 
-def test_face_scan_visits_only_the_face(threefold_lattice, monkeypatch):
+def test_face_scan_visits_only_the_face(threefold_lattice):
     # the threefold's basis has c1 = (0, 0, 1, 0): at 7^4 the scan visits the
-    # 8^3 points with e_3 = 0, not all 8^4
+    # 8^3 points with e_3 = 0, not all 8^4.  The probe reads the scan's
+    # packed points as it returns; each point's low w-bit fields are its
+    # exponents
     _, lattice = threefold_lattice
-    seen = []
-    monkeypatch.setattr(
-        mirror, "product", lambda *r: [seen.append(p) or p for p in product(*r)]
-    )
-    assert len(enumerate_g0_classes(lattice, TruncationBox((7,) * 4))) == 40
-    assert len(seen) == 8 ** 3 and all(p[2] == 0 for p in seen)
+    scan = {}
+
+    def on_return(frame, event, arg):
+        if event == "return":
+            scan.update(frame.f_locals)
+        return on_return
+
+    def probe(frame, event, arg):
+        if frame.f_code is enumerate_g0_classes.__code__:
+            return on_return
+
+    old = sys.gettrace()
+    sys.settrace(probe)
+    try:
+        found = enumerate_g0_classes(lattice, TruncationBox((7,) * 4))
+    finally:
+        sys.settrace(old)
+    assert len(found) == 40
+    w, mask, points = scan["w"], scan["mask"], scan["points"]
+    seen = [tuple(p >> w * a & mask for a in range(4)) for p in points]
+    assert len(seen) == 8 ** 3 and set(seen) == {
+        (a, b, 0, d) for a, b, d in product(range(8), repeat=3)}
+
+
+@pytest.mark.parametrize("name, caps", [
+    ("threefold-example", (10, 10, 0, 0)), ("threefold-example", (0, 0, 0, 40)),
+    ("f2", (60, 60)), ("kp2-bundle", (30, 30)), ("f3", (20, 20)),
+])
+def test_packed_scan_matches_full_box_scan_at_wide_caps(name, caps):
+    # wide caps widen the packed fields; f3's c1 = (2, -1) scans the whole
+    # box, where the c1 field must be tested as well
+    _, lattice = fixture_lattice(name)
+    box = TruncationBox(caps)
+    found = enumerate_g0_classes(lattice, box)
+    assert found and found == full_box_scan(lattice, box)
+
+
+def test_packed_scan_of_a_rank_zero_box():
+    # the fan of the plane: two rays, no curve classes, one empty point
+    fan = Fan(2, ((1, 0), (0, 1)), ((0, 1),))
+    lattice = CurveLattice(fan, (), nef_verified=True)
+    box = TruncationBox(())
+    assert enumerate_g0_classes(lattice, box) == full_box_scan(lattice, box) == []
+    assert all(s.is_zero() for s in compute_g0_family(lattice, box).series)
 
 
 def test_determinism_under_cone_shuffling():

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import comb, factorial, prod
 
 import pytest
@@ -53,6 +54,16 @@ def test_constructor_enforces_box():
 def test_box_caps_must_be_ints(caps):
     with pytest.raises(SeriesError):
         TruncationBox(caps)
+
+
+@pytest.mark.parametrize("caps", [(2, 0, 3, 1), (1, 4, 0, 0), (0,), (12,), ()])
+def test_table_rows_match_sorted_product(caps):
+    # the oracle: every exponent of the box, lex order stably sorted by degree
+    box = TruncationBox(caps)
+    exps = sorted(product(*[range(c + 1) for c in caps]), key=sum)
+    rows = box.table_rows[1]
+    assert rows == ["".join(f"{e}\t" for e in exp) + "0" for exp in exps]
+    assert [box.table_line(exp) for exp in exps] == list(range(1, len(exps) + 1))
 
 
 def test_constructor_drops_zeros():

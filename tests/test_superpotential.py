@@ -175,6 +175,27 @@ def test_render_table_arity_zero():
     assert render_table(invariant_table(inv)) == "n\n1"
 
 
+def test_entries_view_reads_like_the_full_dict():
+    inv = invariant(1, TruncationBox((2, 1)), {(1, 0): 3, (0, 1): -2, (2, 1): 5})
+    entries = invariant_table(inv).entries
+    full = {(0, 0): 1, (0, 1): -2, (1, 0): 3, (1, 1): 0, (2, 0): 0, (2, 1): 5}
+    assert entries == full and full == entries
+    assert entries != {**full, (1, 1): 7} and {**full, (1, 1): 7} != entries
+    assert list(entries.items()) == list(full.items())
+    assert len(entries) == 6 and all(type(v) is int for v in entries.values())
+    for key in [(3, 0), (0, 2), (-1, 0), (1,), (1, 0, 0), ()]:
+        assert key not in entries
+        with pytest.raises(KeyError):
+            entries[key]
+    # one entry of the paper's 7^4 table is read without building its rows
+    an = fixture_analysis("threefold-example", (7,) * 4)
+    box, table = an.box, invariant_table(an.deltas[0])
+    assert table.box is box
+    assert table.entries[(7, 0, 0, 0)] == -454880
+    assert table.entries[(7, 7, 7, 7)] == 0
+    assert "table_rows" not in box.__dict__
+
+
 def test_invariant_table_refuses_box_outside_series():
     inv = invariant(2, TruncationBox((2, 2)), {})
     for caps in ((3, 3), (2,), (2, 2, 0)):
