@@ -8,6 +8,9 @@ toric divisor.  `Fan.cone_solutions` solves each maximal cone once against
 every ray, and `Fan.walls` lists each wall once with the cones on it.
 `Fan.wall_classes` builds a fan's wall classes from both; the semi-Fano test
 and the nef basis search read them, and `validate_fan` reads the walls.
+A lattice solves its basis once for every `coordinates` call, and
+`non_vertices` yields each ray off the hull as soon as it is witnessed, so a
+caller that needs less than `fan_polytope_vertices` stops the walk early.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd
+from operator import mul
 
 from .intlinalg import fraction_free_solve, subset_solves
 
@@ -107,20 +111,28 @@ class CurveLattice:
         """All pairings of ray_index's divisor with the basis classes."""
         return tuple(b[ray_index] for b in self.basis)
 
+    @cached_property
+    def basis_solution(self):
+        """(det B, det B · B^-1), B the basis in `_free_coordinates`: one
+        `fraction_free_solve` against the l×l identity per lattice."""
+        l = self.rank
+        return fraction_free_solve(_free_coordinates(self.fan, self.basis),
+                                   [[int(i == j) for j in range(l)] for i in range(l)])
+
     def coordinates(self, cls):
         """Integer coordinates of a kernel class, an integer tuple, in the
         chosen basis, or None.
 
-        One fraction-free solve in the coordinates of `_free_coordinates`.
+        The class's `_free_coordinates` times the lattice's `basis_solution`.
         The quotients by the determinant stand only if they rebuild `cls`,
         which also holds just when every division is exact; a class outside
         the kernel or off the basis lattice gets None.
         """
-        det, adj = fraction_free_solve(_free_coordinates(self.fan, self.basis),
-                                       _free_coordinates(self.fan, [cls]))
+        det, adj = self.basis_solution
         if det == 0:
             return None
-        exps = [v // det for v in adj[0]]
+        y = _free_coordinates(self.fan, [cls])[0]
+        exps = [sum(map(mul, y, col)) // det for col in zip(*adj)]
         return exps if self.class_from_coordinates(exps) == cls else None
 
     def class_from_coordinates(self, exps):
@@ -217,22 +229,39 @@ def is_semi_fano(fan: Fan):
     return True, None
 
 
-def fan_polytope_vertices(fan: Fan):
-    """Indices of rays that are vertices of the convex hull of all rays.
+def non_vertices(fan: Fan):
+    """Each ray of a complete fan that is not a vertex of the convex hull of
+    all rays, once, as soon as a simplex witnesses it.
 
-    Exact test by Caratheodory: a ray is a non-vertex iff some n+1 affinely
-    independent other rays have it in their simplex, i.e. the integer Cramer
-    numerators of its barycentric coordinates all have the determinant's
-    sign.  The rays of a complete fan are affinely full-dimensional, so such
-    a simplex exists for every non-vertex.  One `subset_solves` walk over the
-    lifted rays solves every affinely independent (n+1)-subset against all
-    rays, sharing the elimination steps of common prefixes.
+    Ray k is no vertex exactly when v_k = sum_j mu_j u_j over n linearly
+    independent other rays u_j, with every mu_j >= 0 and sum_j mu_j <= 1.
+    Completeness puts -sum_v v in a cone, so 0 = sum_v lambda_v v with every
+    lambda_v > 0 and sum_v lambda_v = 1.  If: substituting that sum for the
+    slack (1 - sum mu)·0 writes (1 - (1 - sum mu) lambda_k) v_k, a positive
+    multiple as lambda_k < 1, as a nonnegative combination of the other rays
+    with the same coefficient sum, so v_k lies in their hull.  Only if: that hull is then
+    the whole hull, with 0 inside it; the ray from 0 through v_k leaves it
+    at t v_k, t >= 1, on a facet, and a simplex of a triangulation of that
+    facet holds t v_k; its n vertices are other rays, linearly independent
+    as the facet misses 0, and mu = (barycentric coordinates) / t.  One
+    `subset_solves` walk over the rays solves every independent n-subset
+    against all rays, sharing the elimination steps of common prefixes; a
+    leaf witnesses k when det·adj_k >= 0 entrywise and det·sum(adj_k) <=
+    det^2.  Nothing is walked before the first ray is asked for.
     """
-    lifted = [v + (1,) for v in fan.rays]
-    out = set(range(fan.num_rays))
-    for sub, det, adj in subset_solves(lifted, fan.dimension + 1):
-        out -= {k for k in out.difference(sub) if all(det * v >= 0 for v in adj[k])}
-    return out
+    seen = set()
+    for sub, det, adj in subset_solves(fan.rays, fan.dimension):
+        for k, row in enumerate(adj):
+            if (k not in seen and k not in sub
+                    and all(det * v >= 0 for v in row) and det * sum(row) <= det * det):
+                seen.add(k)
+                yield k
+
+
+def fan_polytope_vertices(fan: Fan):
+    """Indices of the rays of a complete fan that are vertices of the convex
+    hull of all rays: the complement of the whole `non_vertices` walk."""
+    return set(range(fan.num_rays)).difference(non_vertices(fan))
 
 
 def _free_coordinates(fan: Fan, classes):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from math import factorial, lcm, prod
 from operator import mul
 
-from .fans import CurveLattice, FanError, fan_polytope_vertices
+from .fans import CurveLattice, FanError, non_vertices
 from .series import MultiSeries, TruncationBox, _key, _lowest, combine, pull_back
 
 
@@ -83,12 +83,13 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox) -> GZeroFamily:
     A correction class negative at ray i writes v_i as a convex combination
     of the other rays, so a fan whose rays are all hull vertices has none.
     A nef-verified basis is scanned without that test; any other basis is
-    refused by `enumerate_g0_classes` unless every ray is a hull vertex.
+    refused by `enumerate_g0_classes` unless every ray is a hull vertex, so
+    the hull walk stops at its first witness (`non_vertices`).
     Each series is packed from integer numerators over the lcm of the
     terms' denominators; `_lowest` gives it the canonical form of `_pack`.
     """
     fan, hits = lattice.fan, []
-    if lattice.nef_verified or len(fan_polytope_vertices(fan)) < fan.num_rays:
+    if lattice.nef_verified or next(non_vertices(fan), None) is not None:
         hits = enumerate_g0_classes(lattice, box)
     dens = [prod(factorial(dj) for j, dj in enumerate(cls) if j != i)
             for i, cls, _ in hits]

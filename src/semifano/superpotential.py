@@ -22,8 +22,8 @@ from .fans import (
     Fan,
     FanError,
     alpha_class,
-    fan_polytope_vertices,
     is_semi_fano,
+    non_vertices,
 )
 from .intlinalg import fraction_free_solve
 from .mirror import (
@@ -442,16 +442,18 @@ def structural_report(analysis: ToricAnalysis) -> CheckReport:
     """Vanishing pattern checks on the disk generating functions.
 
     Nonzero deltas only at non-vertex rays, at most rank-1 of them, with
-    rationally independent pairing rows, and unit constant disk count.
+    rationally independent pairing rows, and unit constant disk count.  The
+    hull walk (`non_vertices`) stops once every nonzero-delta ray is
+    witnessed off the hull, and does not start when every delta is zero.
     """
-    details = []
-    vertices = fan_polytope_vertices(analysis.fan)
     nonzero = [
         d.ray_index for d in analysis.deltas if not d.delta.is_zero()
     ]
-    for i in nonzero:
-        if i in vertices:
-            details.append(f"ray {i + 1} is a hull vertex but has nonzero delta")
+    vertices, witnesses = set(nonzero), non_vertices(analysis.fan)
+    while vertices and (k := next(witnesses, None)) is not None:
+        vertices.discard(k)
+    details = [f"ray {i + 1} is a hull vertex but has nonzero delta"
+               for i in nonzero if i in vertices]
     l = analysis.lattice.rank
     if l > 0 and len(nonzero) > l - 1:
         details.append(f"{len(nonzero)} nonzero deltas exceeds rank-1 = {l - 1}")

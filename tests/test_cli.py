@@ -125,8 +125,9 @@ def test_wall_classes_are_solved_once_per_job(capsys, monkeypatch, argv, gram):
     """Each of f2-blowup's 5 maximal cones is eliminated once, against every
     ray, and the wall classes and term classes read those solutions.  The
     nef search and the hull test walk their subsets without a solve of
-    their own, so a job adds one elimination per `coordinates` call and,
-    in `check`, one for the Gram test of `structural_report`."""
+    their own, so a job adds one basis solve per lattice that is asked for
+    coordinates (however many `coordinates` calls it serves) and, in
+    `check`, one for the Gram test of `structural_report`."""
     solve = fans.fraction_free_solve
     calls, coordinates = [], []
 
@@ -144,7 +145,8 @@ def test_wall_classes_are_solved_once_per_job(capsys, monkeypatch, argv, gram):
     cones = sorted(tuple(fan.rays[k] for k in cone) for cone in fan.max_cones)
     assert code == 0
     assert sorted(B for B in calls if B in cones) == cones
-    assert len(calls) == len(cones) + len(coordinates) + gram
+    lattices = {id(a[0]) for a in coordinates}
+    assert len(calls) == len(cones) + len(lattices) + gram
 
 
 P1 = {"rays": [[1], [-1]], "max_cones": [[1], [2]]}

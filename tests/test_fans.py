@@ -1,3 +1,4 @@
+import random
 import sys
 from itertools import combinations
 from pathlib import Path
@@ -8,18 +9,21 @@ from semifano import (
     CurveLattice,
     Fan,
     FanError,
+    TruncationBox,
     alpha_class,
+    compute_g0_family,
     cone_coordinates,
     curve_lattice,
     fan_polytope_vertices,
     is_semi_fano,
+    structural_report,
     validate_fan,
 )
 from semifano import fans, intlinalg
 from semifano.cli import parse_input
 from semifano.intlinalg import fraction_free_solve
 from oracles import lattice_membership, left_kernel_basis, solve_rational
-from conftest import fixture_fan, fixture_lattice, load_fixture
+from conftest import fixture_analysis, fixture_fan, fixture_lattice, load_fixture
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import surfaces  # noqa: E402
@@ -143,10 +147,9 @@ def test_hull_vertices():
     assert fan_polytope_vertices(fan) == {1, 2, 3, 4}
 
 
-def test_subset_walks_take_fewer_elimination_steps(monkeypatch):
-    """The hull test and the nef search each walk their subsets once and
-    share the elimination steps of common prefixes, so they take fewer
-    steps than solving every subset on its own, as both once did."""
+@pytest.fixture
+def eliminations(monkeypatch):
+    """counted(f, *args) -> (f(*args), the `_eliminate` steps it took)."""
     steps = []
     step = intlinalg._eliminate
     monkeypatch.setattr(intlinalg, "_eliminate", lambda *a: steps.append(a) or step(*a))
@@ -155,14 +158,22 @@ def test_subset_walks_take_fewer_elimination_steps(monkeypatch):
         steps.clear()
         return f(*args), len(steps)
 
+    return counted
+
+
+def test_subset_walks_take_fewer_elimination_steps(eliminations):
+    """The hull test and the nef search each walk their subsets once and
+    share the elimination steps of common prefixes, so they take fewer
+    steps than solving every subset on its own."""
     def per_subset(vectors, r):
-        return sum(counted(fraction_free_solve, [vectors[k] for k in sub], vectors)[1]
+        return sum(eliminations(fraction_free_solve, [vectors[k] for k in sub],
+                                vectors)[1]
                    for sub in combinations(range(len(vectors)), r))
 
     fan, _ = fixture_fan("threefold-example")
-    vertices, walked = counted(fan_polytope_vertices, fan)
+    vertices, walked = eliminations(fan_polytope_vertices, fan)
     assert vertices == {2, 4, 5, 6}
-    assert walked < per_subset([v + (1,) for v in fan.rays], fan.dimension + 1)
+    assert walked < per_subset(fan.rays, fan.dimension)
 
     # every 8-ray surface of the universe lacks a nef wall basis, so the
     # search visits every wall subset; the per-subset search then solved
@@ -171,9 +182,34 @@ def test_subset_walks_take_fewer_elimination_steps(monkeypatch):
     fan = parse_input(surfaces.document(rays))[0]
     walls = fans._free_coordinates(fan, fan.wall_classes)
     l = fan.num_rays - fan.dimension
-    lattice, walked = counted(curve_lattice, fan)
+    lattice, walked = eliminations(curve_lattice, fan)
     assert not lattice.nef_verified
     assert walked < per_subset(walls, l) + l
+
+
+def test_hull_walk_stops_at_what_its_caller_reads(eliminations, f2_analysis):
+    """A refusal needs one witness off the hull, so it takes fewer steps
+    than the whole walk; a structural report with every delta zero walks
+    nothing, and f2's stops once ray 4 is witnessed."""
+    lattices = (curve_lattice(parse_input(surfaces.document(rays))[0])
+                for rays, _ in surfaces.universe())
+    lattice = next(lat for lat in lattices if not lat.nef_verified)
+    vertices, whole = eliminations(fan_polytope_vertices, lattice.fan)
+    assert len(vertices) < lattice.fan.num_rays
+
+    def refuse():
+        with pytest.raises(FanError, match="nef-verified"):
+            compute_g0_family(lattice, TruncationBox((2,) * lattice.rank))
+
+    assert 0 < eliminations(refuse)[1] < whole
+
+    p2 = fixture_analysis("p2", (3,))
+    assert all(d.delta.is_zero() for d in p2.deltas)
+    report, walked = eliminations(structural_report, p2)
+    assert report.passed and walked == 0
+    report, walked = eliminations(structural_report, f2_analysis)
+    assert report.passed
+    assert walked < eliminations(fan_polytope_vertices, f2_analysis.fan)[1]
 
 
 def test_cone_coordinates_f2():
@@ -469,6 +505,29 @@ def test_surface_times_p1_matches_the_oracles(oracle_cases):
         verdicts.add(nef)
         assert fan_polytope_vertices(product) == oracle_hull_vertices(product), fan.rays
     assert verdicts == {True, False}
+
+
+def test_hull_vertices_beyond_semi_fano():
+    """The n-subset certificate needs only a complete fan.  Seeded toric
+    blow-ups of P2 and P1xP1 with no floor on self-intersections (18 of
+    the 40 are not semi-Fano), and X x P1 over every fourth of them,
+    against the (n+1)-simplex scan."""
+    rng = random.Random(27)
+    semi, off_hull = set(), 0
+    for s in range(40):
+        rays = surfaces.BASES[("p2", "p1xp1")[s % 2]]
+        for _ in range(rng.randint(1, 6)):
+            i = rng.randrange(len(rays))
+            a, b = rays[i], rays[(i + 1) % len(rays)]
+            rays = rays[:i + 1] + ((a[0] + b[0], a[1] + b[1]),) + rays[i + 1:]
+        fan = parse_input(surfaces.document(rays))[0]
+        assert validate_fan(fan) == [], rays
+        semi.add(is_semi_fano(fan)[0])
+        for f in [fan, times_p1(fan)] if s % 4 == 0 else [fan]:
+            vertices = oracle_hull_vertices(f)
+            assert fan_polytope_vertices(f) == vertices, f.rays
+            off_hull += f.num_rays - len(vertices)
+    assert semi == {True, False} and off_hull > 40
 
 
 def test_wall_classes_are_the_wall_relations(oracle_cases):

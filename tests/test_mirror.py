@@ -98,9 +98,9 @@ def test_all_vertex_fan_needs_no_nef_basis(tmp_path, capsys):
 
 def test_nef_basis_is_scanned_without_the_hull_test(monkeypatch):
     def must_not_run(fan):
-        raise AssertionError("hull test run for a nef-verified basis")
+        raise AssertionError("hull walk run for a nef-verified basis")
 
-    monkeypatch.setattr(mirror, "fan_polytope_vertices", must_not_run)
+    monkeypatch.setattr(mirror, "non_vertices", must_not_run)
     _, f2 = fixture_lattice("f2")
     _, p2 = fixture_lattice("p2")
     assert f2.nef_verified and p2.nef_verified

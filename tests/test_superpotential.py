@@ -321,9 +321,10 @@ def test_structural_report_flags_nonzero_delta_at_hull_vertex(f2_analysis,
     import semifano.superpotential
 
     assert structural_report(f2_analysis).passed
-    # the report computes the hull vertices itself; claim ray 4 is one
-    monkeypatch.setattr(semifano.superpotential, "fan_polytope_vertices",
-                        lambda fan: {3})
+    # the report walks the hull witnesses itself; witness every ray but
+    # ray 4, so ray 4 reads as a vertex
+    monkeypatch.setattr(semifano.superpotential, "non_vertices",
+                        lambda fan: iter((0, 1, 2)))
     assert structural_report(f2_analysis).details == (
         "ray 4 is a hull vertex but has nonzero delta",
     )
