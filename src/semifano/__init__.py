@@ -19,7 +19,6 @@ from .fans import (
     validate_fan,
 )
 from .mirror import (
-    GZeroFamily,
     MirrorMapPair,
     assemble_mirror_map,
     compute_g0_family,

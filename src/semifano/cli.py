@@ -1,9 +1,11 @@
 """Command-line driver: parse fan descriptions, run the pipeline, render output.
 
 Commands: validate, g0, mirror-map, invariants, superpotential,
-surface-oracle, check; every command takes the same options.  Output is plain
-text by default or a versioned JSON envelope; invariant tables render as TSV.
-Exit status is 0 exactly when every requested check passed.
+surface-oracle, check; every command takes the same options.  Every command
+but validate is a function (args, analysis) -> (lines, results, ok) on one
+lazy analysis (`analyze`), so it builds only the stages it reads.  Output is
+plain text by default or a versioned JSON envelope; invariant tables render
+as TSV.  Exit status is 0 exactly when every requested check passed.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .fans import (
     is_semi_fano,
     validate_fan,
 )
-from .mirror import assemble_mirror_map, compute_g0_family
 from .series import TruncationBox, _monomial, render
 from .superpotential import (
     analyze,
@@ -110,11 +111,6 @@ def load_document(path):
             raise InputError(f"{path}: JSON nested too deeply") from exc
 
 
-def _digest(document):
-    blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
-
-
 def _parse_box(text, rank):
     if text is None:
         return TruncationBox((5,) * rank)
@@ -142,21 +138,6 @@ def _render_term(term, zray_names):
     return f"{coeff}*{zmono}" if coeff else zmono
 
 
-def _emit(args, command, document, lines, results, ok):
-    if args.format == "json":
-        envelope = {
-            "schema_version": SCHEMA_VERSION,
-            "command": command,
-            "inputs_digest": _digest(document),
-            "results": results,
-        }
-        print(json.dumps(envelope, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
-    return 0 if ok else 1
-
-
 def _check_options(args, fan):
     """The box, once the index, box and budget checks on a valid fan pass."""
     for kind, index, count in (("cone", args.cone, len(fan.max_cones)),
@@ -174,164 +155,109 @@ def _check_options(args, fan):
     return box
 
 
-def _setup(args):
-    document = load_document(args.input)
-    fan, basis, _ = parse_input(document)
-    violations = validate_fan(fan)
+def cmd_validate(args, fan, basis, violations):
     if violations:
-        raise FanError("; ".join(violations))
-    box = _check_options(args, fan)
-    return document, fan, curve_lattice(fan, basis), box
+        return [f"invalid fan: {v}" for v in violations], {"violations": violations}, False
+    _check_options(args, fan)
+    semi, witness = is_semi_fano(fan)
+    verts = sorted(i + 1 for i in fan_polytope_vertices(fan))
+    results = {
+        "violations": violations,
+        "semi_fano": semi,
+        "witness": list(witness) if witness else None,
+        "hull_vertices": verts,
+        "wall_classes": [list(c) for c in fan.wall_classes],
+    }
+    lines = [f"fan: {fan.num_rays} rays, {len(fan.max_cones)} maximal cones, OK",
+             f"hull vertices: {verts}"]
+    if not semi:
+        lines.append(f"not semi-Fano, witness c1 pairing {sum(witness)} "
+                     f"on class {list(witness)}")
+        return lines, results, False
+    lattice = curve_lattice(fan, basis)
+    lines += ["semi-Fano: yes", f"curve lattice rank {lattice.rank}, nef basis "
+              f"{'verified' if lattice.nef_verified else 'NOT verified'}"]
+    results.update(nef_verified=lattice.nef_verified,
+                   basis=[list(b) for b in lattice.basis])
+    return lines, results, True
 
 
-def cmd_validate(args):
-    document = load_document(args.input)
-    fan, basis, _ = parse_input(document)
-    violations = validate_fan(fan)
-    lines = []
-    results = {"violations": violations}
-    ok = not violations
-    if ok:
-        _check_options(args, fan)
-        semi, witness = is_semi_fano(fan)
-        verts = sorted(i + 1 for i in fan_polytope_vertices(fan))
-        walls = [list(c) for c in fan.wall_classes]
-        results.update(
-            semi_fano=semi,
-            witness=list(witness) if witness else None,
-            hull_vertices=verts,
-            wall_classes=walls,
-        )
-        lines.append(f"fan: {fan.num_rays} rays, {len(fan.max_cones)} maximal cones, OK")
-        lines.append(f"hull vertices: {verts}")
-        if semi:
-            lines.append("semi-Fano: yes")
-            lattice = curve_lattice(fan, basis)
-            lines.append(
-                f"curve lattice rank {lattice.rank}, "
-                f"nef basis {'verified' if lattice.nef_verified else 'NOT verified'}"
-            )
-            results["nef_verified"] = lattice.nef_verified
-            results["basis"] = [list(b) for b in lattice.basis]
-        else:
-            lines.append(
-                f"not semi-Fano, witness c1 pairing {sum(witness)} "
-                f"on class {list(witness)}"
-            )
-            ok = False
-    else:
-        lines.extend(f"invalid fan: {v}" for v in violations)
-    return _emit(args, "validate", document, lines, results, ok)
+def _numbered(template, series):
+    """One template line per series, filled with its 1-based index and text,
+    and the index -> text results."""
+    texts = {str(i + 1): render(s) for i, s in enumerate(series)}
+    return [template.format(i, text) for i, text in texts.items()], texts
 
 
-def cmd_g0(args):
-    document, fan, lattice, box = _setup(args)
-    family = compute_g0_family(lattice, box)
-    lines = []
-    results = {}
-    for i, s in enumerate(family.series):
-        text = render(s)
-        lines.append(f"g0[{i + 1}] = {text}")
-        results[str(i + 1)] = text
-    return _emit(args, "g0", document, lines, results, True)
+def cmd_g0(args, analysis):
+    return *_numbered("g0[{}] = {}", analysis.g0), True
 
 
-def cmd_mirror_map(args):
-    document, fan, lattice, box = _setup(args)
-    mm = assemble_mirror_map(compute_g0_family(lattice, box))
-    lines = []
-    results = {"forward": {}, "inverse": {}}
-    for a in range(lattice.rank):
-        fwd = render(mm.forward[a])
-        inv = render(mm.inverse[a])
-        lines.append(f"forward exponent {a + 1}: {fwd}")
-        lines.append(f"inverse exponent {a + 1}: {inv}")
-        results["forward"][str(a + 1)] = fwd
-        results["inverse"][str(a + 1)] = inv
-    return _emit(args, "mirror-map", document, lines, results, True)
+def cmd_mirror_map(args, analysis):
+    mm = analysis.mirror
+    lines, results = [], {"forward": {}, "inverse": {}}
+    for a in range(analysis.lattice.rank):
+        for direction, series in (("forward", mm.forward), ("inverse", mm.inverse)):
+            text = render(series[a])
+            lines.append(f"{direction} exponent {a + 1}: {text}")
+            results[direction][str(a + 1)] = text
+    return lines, results, True
 
 
-def cmd_invariants(args):
-    document, fan, lattice, box = _setup(args)
-    analysis = analyze(fan, lattice, box)
-    rays = (
-        [args.ray - 1] if args.ray else list(range(fan.num_rays))
-    )
-    lines = []
-    results = {}
+def cmd_invariants(args, analysis):
+    rays = [args.ray - 1] if args.ray else range(analysis.fan.num_rays)
+    lines, results = [], {}
     for i in rays:
         tsv = render_table(invariant_table(analysis.deltas[i]))
         if len(rays) > 1:
             lines.append(f"# ray {i + 1}")
         lines.append(tsv)
         results[str(i + 1)] = tsv
-    return _emit(args, "invariants", document, lines, results, True)
+    return lines, results, True
 
 
-def cmd_superpotential(args):
-    document, fan, lattice, box = _setup(args)
-    analysis = analyze(fan, lattice, box)
-    whv, wpf, wlf, report = compare_superpotentials(
-        analysis, (args.cone or 1) - 1
-    )
-    zn = [f"z{j + 1}" for j in range(fan.dimension)]
-    lines = []
-    results = {}
-    for tag, expr in (("plain", whv), ("PF", wpf), ("LF", wlf)):
+def cmd_superpotential(args, analysis):
+    *exprs, report = compare_superpotentials(analysis, (args.cone or 1) - 1)
+    zn = [f"z{j + 1}" for j in range(analysis.fan.dimension)]
+    lines, results = [], {}
+    for tag, expr in zip(("plain", "PF", "LF"), exprs):
         text = " + ".join(_render_term(t, zn) for t in expr.terms)
         lines.append(f"W[{tag}] = {text}")
         results[tag] = text
     lines.append("EQUAL" if report.passed else "DIFFER: " + "; ".join(report.details))
-    results["equal"] = report.passed
-    results["details"] = list(report.details)
-    return _emit(args, "superpotential", document, lines, results, report.passed)
+    results.update(equal=report.passed, details=list(report.details))
+    return lines, results, report.passed
 
 
-def cmd_surface_oracle(args):
-    document, fan, lattice, box = _setup(args)
+def cmd_surface_oracle(args, analysis):
     # the oracle refuses unsuitable fans before the engine runs
-    oracle = surface_admissible_deltas(fan, lattice, box)
-    report = cross_validate_surface(oracle, analyze(fan, lattice, box))
-    lines = []
-    results = {"deltas": {}}
-    for i, s in enumerate(oracle):
-        text = render(s)
-        lines.append(f"delta[{i + 1}] (combinatorial) = {text}")
-        results["deltas"][str(i + 1)] = text
+    oracle = surface_admissible_deltas(analysis.fan, analysis.lattice, analysis.box)
+    report = cross_validate_surface(oracle, analysis)
+    lines, texts = _numbered("delta[{}] (combinatorial) = {}", oracle)
     lines.append("AGREE" if report.passed else "DISAGREE: " + "; ".join(report.details))
-    results["agree"] = report.passed
-    return _emit(args, "surface-oracle", document, lines, results, report.passed)
+    return lines, {"deltas": texts, "agree": report.passed}, report.passed
 
 
-def cmd_check(args):
-    document, fan, lattice, box = _setup(args)
+def cmd_check(args, analysis):
+    fan, lattice = analysis.fan, analysis.lattice
     semi, witness = is_semi_fano(fan)
-    lines = []
-    results = {}
-    ok = True
     if not semi:
-        lines.append(
-            f"not semi-Fano, witness c1 pairing {sum(witness)}"
-        )
-        return _emit(args, "check", document, lines, {"semi_fano": False}, False)
-    analysis = analyze(fan, lattice, box)
+        message = f"not semi-Fano, witness c1 pairing {sum(witness)}"
+        return [message], {"semi_fano": False}, False
     reports = [
-        check_multiplicative_consistency(
-            analysis.deltas, analysis.mirror, lattice
-        ),
+        check_multiplicative_consistency(analysis.deltas, analysis.mirror, lattice),
         structural_report(analysis),
         compare_superpotentials(analysis, (args.cone or 1) - 1)[3],
     ]
     if fan.dimension == 2:
-        oracle = surface_admissible_deltas(fan, lattice, box)
+        oracle = surface_admissible_deltas(fan, lattice, analysis.box)
         reports.append(cross_validate_surface(oracle, analysis))
+    lines, results = [], {}
     for rep in reports:
-        status = "PASS" if rep.passed else "FAIL"
-        lines.append(f"{rep.name}: {status}")
+        lines.append(f"{rep.name}: {'PASS' if rep.passed else 'FAIL'}")
         lines.extend(f"  {d}" for d in rep.details)
         results[rep.name] = rep.passed
-        ok = ok and rep.passed
-    return _emit(args, "check", document, lines, results, ok)
+    return lines, results, all(results.values())
 
 
 COMMANDS = {
@@ -362,12 +288,32 @@ def build_parser():
 
 
 def main(argv=None):
+    """Load, parse and check the input once, run the command on one analysis
+    whose stages it builds as it reads them, and print its report."""
     args = build_parser().parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        document = load_document(args.input)
+        fan, basis, _ = parse_input(document)
+        violations = validate_fan(fan)
+        if args.command == "validate":
+            lines, results, ok = cmd_validate(args, fan, basis, violations)
+        elif violations:
+            raise FanError("; ".join(violations))
+        else:
+            box = _check_options(args, fan)
+            analysis = analyze(fan, curve_lattice(fan, basis), box)
+            lines, results, ok = COMMANDS[args.command](args, analysis)
     except (InputError, FanError, OSError, ValueError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
+    if args.format == "json":
+        blob = json.dumps(document, sort_keys=True, separators=(",", ":"))
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command,
+                          "inputs_digest": hashlib.sha256(blob.encode()).hexdigest(),
+                          "results": results}, indent=2, sort_keys=True))
+    else:
+        print(*lines, sep="\n")
+    return 0 if ok else 1
 
 
 if __name__ == "__main__":

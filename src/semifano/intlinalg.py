@@ -1,9 +1,9 @@
-"""Exact integer linear algebra: one fraction-free elimination step, two drivers.
+"""Exact integer linear algebra: one fraction-free elimination step, one driver.
 
 Everything here works over Z; no fractions and no floating point.
 Matrices are lists of lists (row-major), small enough that cubic algorithms
 with exact arithmetic are fine.  `_eliminate` (Bareiss, Math. Comp. 22,
-1968) serves `fraction_free_solve` and `subset_solves`.
+1968) is driven by `subset_solves`; `fraction_free_solve` is its first leaf.
 """
 
 from __future__ import annotations
@@ -39,23 +39,19 @@ def fraction_free_solve(B, Y):
 
     B is a square integer matrix and each row of Y an integer vector of the
     same length, so row k of X holds the coordinates of Y[k] over the rows
-    of B.  Fraction-free Gauss-Jordan elimination on [B^T | Y^T], pivoting
-    columns 0..n-1 in turn.  Returns (0, None) when B is singular.
+    of B.  The first leaf of `subset_solves` over [B | Y] pivots columns
+    0..n-1 in turn when B is nonsingular; any other leaf, or none, means B
+    is singular, and gives (0, None).
     """
     n = len(B)
-    state = ([[B[a][j] for a in range(n)] + [y[j] for y in Y] for j in range(n)], 1, 1)
-    for c in range(n):
-        state = _eliminate(state, c, c)
-        if state is None:
-            return 0, None
-    M, sign, prev = state
-    return sign * prev, [[sign * M[j][n + k] for j in range(n)] for k in range(len(Y))]
+    S, det, adj = next(subset_solves([*B, *Y], n), (None, 0, None))
+    return (det, adj[n:]) if S == tuple(range(n)) else (0, None)
 
 
 def subset_solves(V, r):
-    """(S, *fraction_free_solve([V[s] for s in S], V)) for every index
-    r-subset S, in `combinations` order, of the length-r vectors V that is
-    a basis of Q^r.
+    """(S, det B, det B · X) with X·B = V, B = [V[s] for s in S], for every
+    index r-subset S, in `combinations` order, of the length-r vectors V
+    that is a basis of Q^r.
 
     The walk is depth-first on one matrix with V as its columns: each prefix
     takes one `_eliminate` step from its parent's state, and a dependent

@@ -64,29 +64,17 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
     return out
 
 
-@dataclass(frozen=True)
-class GZeroFamily:
-    """One correction series per ray, in the pre-change variables; the
-    series of a vertex of the fan polytope is zero."""
-
-    lattice: CurveLattice
-    series: tuple[MultiSeries, ...]
-
-    @property
-    def box(self):
-        return self.series[0].box
-
-
-def compute_g0_family(lattice: CurveLattice, box: TruncationBox) -> GZeroFamily:
-    """Every ray's correction series, from one scan of the box.
+def compute_g0_family(lattice: CurveLattice, box: TruncationBox):
+    """Every ray's correction series, a tuple in ray order, from one box scan.
 
     A correction class negative at ray i writes v_i as a convex combination
-    of the other rays, so a fan whose rays are all hull vertices has none.
-    A nef-verified basis is scanned without that test; any other basis is
-    refused by `enumerate_g0_classes` unless every ray is a hull vertex, so
-    the hull walk stops at its first witness (`non_vertices`).
-    Each series is packed from integer numerators over the lcm of the
-    terms' denominators; `_lowest` gives it the canonical form of `_pack`.
+    of the other rays, so a hull vertex's series is zero, and a fan whose
+    rays are all hull vertices has none.  A nef-verified basis is scanned
+    without that test; any other basis is refused by `enumerate_g0_classes`
+    unless every ray is a hull vertex, so the hull walk stops at its first
+    witness (`non_vertices`).  Each series is packed from integer numerators
+    over the lcm of the terms' denominators; `_lowest` gives it the
+    canonical form of `_pack`.
     """
     fan, hits = lattice.fan, []
     if lattice.nef_verified or next(non_vertices(fan), None) is not None:
@@ -97,7 +85,7 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox) -> GZeroFamily:
     for (i, cls, exps), d in zip(hits, dens):
         b = -cls[i]
         nums[i][_key(exps, box.layout)] = (-1) ** b * factorial(b - 1) * (den // d)
-    return GZeroFamily(lattice, tuple(MultiSeries(box, _lowest(den, n)) for n in nums))
+    return tuple(MultiSeries(box, _lowest(den, n)) for n in nums)
 
 
 @dataclass(frozen=True)
@@ -116,14 +104,12 @@ class MirrorMapPair:
     pulled: tuple[MultiSeries, ...]
 
 
-def assemble_mirror_map(g0: GZeroFamily) -> MirrorMapPair:
-    """Forward component a is -sum_i a(i, a) * g0_i; the inverse and the
-    pulled-back series come from one `pull_back` pass."""
-    lattice = g0.lattice
+def assemble_mirror_map(lattice: CurveLattice, g0) -> MirrorMapPair:
+    """Forward component a is -sum_i a(i, a) * g0_i for the correction
+    series g0 over lattice; the inverse and the pulled-back series come from
+    one `pull_back` pass."""
     rows = [lattice.pairing_row(i) for i in range(lattice.fan.num_rays)]
-    forward = tuple(
-        combine(g0.box, [(-row[a], s) for row, s in zip(rows, g0.series)])
-        for a in range(lattice.rank)
-    )
-    pulled, inverse = pull_back(g0.series, rows)
+    forward = tuple(combine(g0[0].box, [(-row[a], s) for row, s in zip(rows, g0)])
+                    for a in range(lattice.rank))
+    pulled, inverse = pull_back(g0, rows)
     return MirrorMapPair(forward, inverse, pulled)

@@ -26,12 +26,7 @@ from .fans import (
     non_vertices,
 )
 from .intlinalg import fraction_free_solve
-from .mirror import (
-    GZeroFamily,
-    MirrorMapPair,
-    assemble_mirror_map,
-    compute_g0_family,
-)
+from .mirror import MirrorMapPair, assemble_mirror_map, compute_g0_family
 from .series import (
     MultiSeries,
     SeriesError,
@@ -395,8 +390,9 @@ def _chain_delta(lattice, box, order, classes, i):
 def cross_validate_surface(oracle, analysis: ToricAnalysis) -> CheckReport:
     """Compare the combinatorial surface count with an analysis's deltas.
 
-    `oracle` is the tuple `surface_admissible_deltas` returns; computing it
-    before `analyze` lets a fan the oracle refuses fail before the engine runs.
+    `oracle` is the tuple `surface_admissible_deltas` returns.  Reading the
+    deltas here builds the analysis's stages, so computing the oracle first
+    lets a fan the oracle refuses fail before the engine runs.
     """
     details = [
         f"ray {d.ray_index + 1}: oracle and engine disagree"
@@ -412,29 +408,43 @@ def cross_validate_surface(oracle, analysis: ToricAnalysis) -> CheckReport:
 
 @dataclass(frozen=True)
 class ToricAnalysis:
+    """One run of the pipeline on a fan, its curve lattice and a box.
+
+    Each stage is built on its first read and kept: `g0`, the correction
+    series of every ray; `mirror`, the coordinate change and its inverse;
+    `deltas`, the disk generating functions.  A stage reads only the stages
+    before it, so a command builds only what it reads.
+    """
+
     fan: Fan
     lattice: CurveLattice
     box: TruncationBox
-    g0: GZeroFamily
-    mirror: MirrorMapPair
-    deltas: tuple[InvariantSeries, ...]
+
+    @cached_property
+    def g0(self):
+        return compute_g0_family(self.lattice, self.box)
+
+    @cached_property
+    def mirror(self):
+        return assemble_mirror_map(self.lattice, self.g0)
+
+    @cached_property
+    def deltas(self):
+        return tuple(InvariantSeries(i, g) for i, g in enumerate(self.mirror.pulled))
 
 
 def analyze(fan: Fan, lattice: CurveLattice, box: TruncationBox) -> ToricAnalysis:
-    g0 = compute_g0_family(lattice, box)
-    mm = assemble_mirror_map(g0)
-    deltas = tuple(InvariantSeries(i, g) for i, g in enumerate(mm.pulled))
-    return ToricAnalysis(fan, lattice, box, g0, mm, deltas)
+    """The analysis of fan over lattice in box; no stage is built yet."""
+    return ToricAnalysis(fan, lattice, box)
 
 
 def compare_superpotentials(analysis: ToricAnalysis, sigma: int):
     """(W_HV, W_PF, normalized W_LF, PF=LF report) relative to cone sigma."""
     fan, lattice, box = analysis.fan, analysis.lattice, analysis.box
+    mm, deltas = analysis.mirror, analysis.deltas  # first, so a refusal does no W_HV work
     whv = assemble_W_HV(fan, lattice, sigma, box)
-    wpf = assemble_W_PF(whv, analysis.mirror, box)
-    wlf = normalize_W_LF(
-        assemble_W_LF(whv, analysis.deltas), fan, analysis.deltas
-    )
+    wpf = assemble_W_PF(whv, mm, box)
+    wlf = normalize_W_LF(assemble_W_LF(whv, deltas), fan, deltas)
     return whv, wpf, wlf, check_PF_equals_LF(wpf, wlf)
 
 

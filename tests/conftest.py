@@ -38,3 +38,21 @@ def f2_analysis():
 @pytest.fixture(scope="session")
 def threefold_lattice():
     return fixture_lattice("threefold-example")
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """(calls, count): count(module, name) makes calls[name] count the
+    calls of module.name for the rest of the test."""
+    calls = {}
+
+    def count(module, name):
+        inner = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    return calls, count

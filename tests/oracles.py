@@ -147,7 +147,7 @@ def pass_slices(call, monkeypatch):
 
 def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:
     """The correction series of ray i."""
-    return compute_g0_family(lattice, box).series[i]
+    return compute_g0_family(lattice, box)[i]
 
 
 def terms(s):

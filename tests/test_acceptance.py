@@ -143,7 +143,7 @@ def test_criterion_4_fano_degeneration():
     ok = True
     for name, caps in (("p2", (4,)), ("p1xp1", (4, 4)), ("p1cubed", (3, 3, 3))):
         an = fixture_analysis(name, caps)
-        ok = ok and all(s.is_zero() for s in an.g0.series)
+        ok = ok and all(s.is_zero() for s in an.g0)
         ok = ok and is_identity(an.mirror.forward)
         ok = ok and is_identity(an.mirror.inverse)
         ok = ok and all(d.delta.is_zero() for d in an.deltas)

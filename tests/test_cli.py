@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from semifano import MultiSeries, cli, fans, superpotential
+from semifano import MultiSeries, cli, fans, mirror, superpotential
 from semifano.cli import (
     MAX_BOX_DEGREE,
     MAX_BOX_MONOMIALS,
@@ -223,6 +223,28 @@ def test_fractional_disk_count_exits_2(capsys, monkeypatch):
         {"error": "non-integer disk count at exponents [(1, 0)] for ray 4"})]
 
 
+@pytest.mark.parametrize("argv, code, built", [
+    (("g0", "threefold-example", "--box", "10,10,0,0"), 0,
+     {"compute_g0_family": 1}),
+    (("mirror-map", "f2", "--box", "3,3"), 0,
+     {"compute_g0_family": 1, "pull_back": 1}),
+    (("invariants", "threefold-example", "--box", "3", "--ray", "1"), 0,
+     {"compute_g0_family": 1, "pull_back": 1, "exp_series": 1}),
+    (("surface-oracle", "f3"), 2, {}),
+], ids=["g0", "mirror-map", "invariants-ray", "surface-oracle-refused"])
+def test_commands_build_only_the_stages_they_read(capsys, call_counts, argv, code, built):
+    # the analysis builds a stage on its first read: g0 inverts nothing,
+    # mirror-map takes no exp, one ray's table takes one, and a fan the
+    # surface oracle refuses never reaches the engine
+    calls, count = call_counts
+    count(superpotential, "compute_g0_family")
+    count(mirror, "pull_back")
+    count(superpotential, "exp_series")
+    command, name, *options = argv
+    assert run_cli(capsys, command, fx(name), *options)[0] == code
+    assert calls == built
+
+
 def test_superpotential_equal(capsys):
     code, out, _ = run_cli(capsys, "superpotential", fx("f2"), "--box", "5,5")
     assert code == 0
@@ -291,8 +313,8 @@ def test_box_degree_budget_exit_2(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the engine ran")
 
-    for name in ("analyze", "compute_g0_family"):
-        monkeypatch.setattr(cli, name, never)
+    for name in ("compute_g0_family", "assemble_mirror_map"):
+        monkeypatch.setattr(superpotential, name, never)
     for command in ("g0", "validate", "invariants"):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, command, fx("threefold-example"),

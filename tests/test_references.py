@@ -10,6 +10,8 @@ tests use belongs in `tests/`, so `tests/` is not searched.  `__init__.py`
 imports only to re-export, so its imports use nothing.  A field of a
 dataclass there must be read as an attribute under `src/` or `bench/`, or
 in the acceptance suite, whose criteria read results the engine only builds.
+`cli.py` names no stage builder: its commands reach the stages only through
+an analysis, which builds each on its first read.
 """
 
 import ast
@@ -24,6 +26,9 @@ SOURCES = sorted(p for d in ("src", "bench") for p in (ROOT / d).rglob("*.py")
                  if p != INIT)
 ENGINE = [p for p in SOURCES if ROOT / "src" in p.parents]
 ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
+CLI = ROOT / "src" / "semifano" / "cli.py"
+STAGE_BUILDERS = {"compute_g0_family", "assemble_mirror_map", "enumerate_g0_classes",
+                  "pull_back", "exp_series"}
 
 
 def public_functions(source, private=False):
@@ -189,3 +194,30 @@ def test_unread_dataclass_field_is_found():
         ("SuperpotentialExpr", "tag")]
     # criterion 4 reads the analysis's correction family, built only for it
     assert "g0" in referenced_names([ACCEPTANCE.read_text()], attributes_only=True)
+
+
+def named(source):
+    """Every name source uses, reads as an attribute or imports."""
+    imported = {name for node in ast.walk(ast.parse(source))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names for name in (alias.name, alias.asname)}
+    return referenced_names([source]) | imported
+
+
+def test_cli_names_no_stage_builder():
+    assert STAGE_BUILDERS & named(CLI.read_text()) == set()
+
+
+def test_stage_builder_in_cli_is_found():
+    # stages read through the analysis, and a docstring, name no builder
+    clean = ('"""Each command reads the stages pull_back built."""\n'
+             "def cmd_g0(args, analysis):\n"
+             "    return analysis.g0, analysis.mirror, analysis.deltas\n")
+    assert STAGE_BUILDERS & named(clean) == set()
+    # an import alone, an alias and an attribute call each do
+    calls = ("from .mirror import assemble_mirror_map\n"
+             "from .series import exp_series as exp\n"
+             "def cmd_mirror_map(args, analysis):\n"
+             "    return mirror.compute_g0_family(analysis.lattice, analysis.box)\n")
+    assert STAGE_BUILDERS & named(clean + calls) == {
+        "assemble_mirror_map", "exp_series", "compute_g0_family"}

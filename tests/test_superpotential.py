@@ -7,6 +7,7 @@ import pytest
 from semifano import (
     MultiSeries,
     TruncationBox,
+    analyze,
     assemble_W_HV,
     assemble_W_LF,
     assemble_W_PF,
@@ -338,8 +339,10 @@ def test_structural_report_flags_dependent_pairing_rows():
     assert an.lattice.pairing_row(4) == an.lattice.pairing_row(5) == (1, 0, 0, 0)
     nonzero = an.deltas[0].pulled
     assert not an.deltas[0].delta.is_zero()
-    wrong = replace(an, deltas=tuple(
-        replace(d, pulled=nonzero) if d.ray_index in (4, 5) else d for d in an.deltas))
+    # a fresh analysis with a faulty deltas stage
+    wrong = analyze(an.fan, an.lattice, an.box)
+    wrong.__dict__["deltas"] = tuple(
+        replace(d, pulled=nonzero) if d.ray_index in (4, 5) else d for d in an.deltas)
     assert detail in structural_report(wrong).details
 
 
@@ -370,7 +373,7 @@ def test_pipeline_stays_packed(monkeypatch):
                             raising=False)
     tables = [render_table(invariant_table(inv)) for inv in an.deltas]
     assert max(len(t.splitlines()) for t in tables) == 1 + 4 ** 4
-    texts = [render(s) for s in (*an.g0.series, *an.mirror.inverse)]
+    texts = [render(s) for s in (*an.g0, *an.mirror.inverse)]
     *exprs, report = compare_superpotentials(an, 0)
     assert report.passed
     texts += [render(t.unit) for expr in exprs for t in expr.terms]

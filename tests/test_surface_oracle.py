@@ -122,7 +122,8 @@ def test_cross_validation_refuses_before_engine_runs(monkeypatch, capsys):
     def engine_must_not_run(*args):
         raise AssertionError("engine ran on a fan the oracle refuses")
 
-    monkeypatch.setattr(cli, "analyze", engine_must_not_run)
+    for name in ("compute_g0_family", "assemble_mirror_map"):
+        monkeypatch.setattr(superpotential, name, engine_must_not_run)
     for name, message in (
         ("threefold-example", "surface oracle needs a 2-dimensional fan"),
         ("f3", "fan is not semi-Fano"),
@@ -133,18 +134,8 @@ def test_cross_validation_refuses_before_engine_runs(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("command", ("check", "surface-oracle"))
-def test_surface_command_runs_engine_and_oracle_once(monkeypatch, capsys, command):
-    calls = {}
-
-    def count(module, name):
-        inner = getattr(module, name)
-
-        def counted(*args, **kwargs):
-            calls[name] = calls.get(name, 0) + 1
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, counted)
-
+def test_surface_command_runs_engine_and_oracle_once(call_counts, capsys, command):
+    calls, count = call_counts
     count(superpotential, "compute_g0_family")
     count(mirror, "pull_back")
     count(cli, "surface_admissible_deltas")
