@@ -289,16 +289,16 @@ def pull_back(gs, rows):
     nonzero G_i and reads w off them with one combine.  Every series the
     substitution builds is kept as its list of degree slices: y_a =
     x_a*exp(w_a), by (n-1) y_n = sum_(i,k) rows[i][a]*k G_(i,k) y_(n-k) from
-    y_1 = x_a; its powers y_a^k, for k up to the largest exponent of x_a in
-    the g_i, so the factor x_a^k trims exp(w_a)^k to what such a monomial
-    can use; the image of each monomial of the g_i, from the image of its
-    prefix (e_1, .., e_(a-1), 0, .., 0) and built once for every term that
-    contains it; and the G_i.  Every term of a g_i has total degree at least
-    1, so the degree-n slice of an image, and so G_i's, needs the G_j only
-    through degree n - 1.  Degree by degree, each slice is one _slice of
-    lower ones: built once, and exact, and only through the series' reach,
-    fixed before the pass; past it, slices are _ZERO.  Returns (the G_i,
-    the inverse).
+    y_1 = x_a; the image of each monomial of the g_i; and the G_i.  The
+    monomials are taken in packed-key order, which is graded.  The image of
+    x_a is y_a, and any other monomial q is its parent's image times one
+    y_a: a is the first variable of q whose q / x_a already has an image,
+    else the last, and then that parent is built first by the same rule.
+    Every term of a g_i has total degree at least 1, so the degree-n slice
+    of an image, and so G_i's, needs the G_j only through degree n - 1.
+    Degree by degree, each slice is one _slice of lower ones: built once,
+    and exact, and only through the series' reach, fixed before the pass;
+    past it, slices are _ZERO.  Returns (the G_i, the inverse).
     """
     box = gs[0].box
     _require_same_box(box, gs)
@@ -307,27 +307,22 @@ def pull_back(gs, rows):
     if len(rows) != len(gs) or any(len(row) != box.arity for row in rows):
         raise SeriesError("need one row of pairings per series and variable")
     lay = box.layout
-    w_bits, shifts, _, _, mask, dk = lay
+    _, shifts, _, _, mask, dk = lay
     live = [i for i, g in enumerate(gs) if not g.is_zero()]
     slices = {i: [_ZERO] for i in live}
-    # powers[a][k] = y_a^k for each x_a that some g_i contains; the k-th
-    # starts with its k zero slices, and y_a with y_1 = x_a
-    powers = {}
-    for a, k in enumerate(shifts):
-        depth = max((p >> k & mask for i in live for p in gs[i].packed[1]),
-                    default=0)
-        if depth:
-            powers[a] = [[_ONE], [_ZERO, (1, {1 << k | 1 << dk: 1})]] + [
-                [_ZERO] * j for j in range(2, depth + 1)]
+    held = {i: reduce(or_, gs[i].packed[1]) for i in live}
+    # the packed key x[a] of each x_a that some g_i contains, and y_a, whose
+    # slice 1 is x_a
+    x = {a: 1 << k | 1 << dk for a, k in enumerate(shifts)
+         if reduce(or_, held.values(), 0) >> k & mask}
+    ys = {a: [_ZERO, (1, {p: 1})] for a, p in x.items()}
     # the series that feed w_a, with their pairings
-    feeds = {a: [(rows[i][a], slices[i]) for i in live if rows[i][a]]
-             for a in powers}
+    feeds = {a: [(rows[i][a], slices[i]) for i in live if rows[i][a]] for a in ys}
     # supports, as ints marking variables' fields: y_a's is x_a's and the
     # feeding G_i's, a G_i's or an image's its y_a's; a fixpoint of one
     # round a variable, fixed before the pass, as a variable can enter a
     # series first at a high degree (through g_i = x_b^7, say)
-    held = {i: reduce(or_, gs[i].packed[1]) for i in live}
-    sup = {a: 1 << shifts[a] for a in powers}
+    sup = {a: 1 << shifts[a] for a in ys}
 
     def spread(m):
         return reduce(or_, [s for a, s in sup.items() if m >> shifts[a] & mask], 0)
@@ -336,48 +331,40 @@ def pull_back(gs, rows):
         for a in sup:
             sup[a] |= spread(reduce(or_, [held[i] for i in live if rows[i][a]], 0))
     # (slices, reach) of every series built
-    built = [(p, _reach(sup[a], box)) for a, pw in powers.items() for p in pw[1:]]
-    # the image of each prefix of a monomial of the g_i; those past x_a^e
-    # alone are (its slices, the parent's slices, the power it multiplies
-    # in, that power's exponent) in steps
-    images, steps, comps = {0: [_ONE]}, [], []
-    for i in live:
-        den, s = gs[i].packed
-        terms = []
-        for p, c in s.items():
-            img, deg = images[0], 0
-            for a, k in enumerate(shifts):
-                e = p >> k & mask
-                if e:
-                    pre, deg = p & ((1 << k + w_bits) - 1), deg + e
-                    if pre not in images:
-                        if img is images[0]:
-                            images[pre] = powers[a][e]
-                        else:
-                            images[pre] = [_ZERO] * deg
-                            steps.append((images[pre], img, powers[a][e], e))
-                            built.append((images[pre], _reach(spread(pre), box)))
-                    img = images[pre]
-            terms.append((c, img))
-        comps.append((slices[i], den, terms))
-        built.append((slices[i], _reach(spread(held[i]), box)))
+    built = [(y, _reach(sup[a], box)) for a, y in ys.items()]
+    # the image of each monomial; those past the y_a are (its slices, its
+    # parent's, the parent's degree, the y_a it multiplies in) in steps
+    images, steps = {p: ys[a] for a, p in x.items()}, []
+    for q in sorted(set().union(*[gs[i].packed[1] for i in live])):
+        # (monomial, a) from q down to the first parent with an image, built
+        # back up; a loop, as a recursive closure would hold every slice in a
+        # reference cycle after the pass returns
+        chain = []
+        while q not in images:
+            factors = [a for a, k in enumerate(shifts) if q >> k & mask]
+            a = next((a for a in factors if q - x[a] in images), factors[-1])
+            chain.append((q, a))
+            q -= x[a]
+        for q, a in reversed(chain):
+            deg = q >> dk
+            images[q] = [_ZERO] * deg
+            steps.append((images[q], images[q - x[a]], deg - 1, ys[a]))
+            built.append((images[q], _reach(spread(q), box)))
+    comps = [(slices[i], gs[i].packed[0],
+              [(c, images[p]) for p, c in gs[i].packed[1].items()]) for i in live]
+    built += [(slices[i], _reach(spread(held[i]), box)) for i in live]
     for n in range(1, max([r for _, r in built], default=0) + 1):
         # past its reach a series' slice is _ZERO, so the builds skip it
         for out, r in built:
             if r < n:
                 out.append(_ZERO)
-        for a, pw in powers.items():
-            y = pw[1]
-            if len(y) > n:
-                continue
-            _slice(y, [(r * k, g[k], y[n - k]) for k in range(1, n)
-                       for r, g in feeds[a]], lay, n - 1)
-            for k in range(2, min(len(pw) - 1, n) + 1):
-                _slice(pw[k], [(1, y[j], pw[k - 1][n - j])
-                               for j in range(1, n - k + 2)], lay)
-        for img, parent, pk, e in steps:
+        for a, y in ys.items():
+            if len(y) == n:
+                _slice(y, [(r * k, g[k], y[n - k]) for k in range(1, n)
+                           for r, g in feeds[a]], lay, n - 1)
+        for img, parent, d, y in steps:
             if len(img) == n:
-                _slice(img, [(1, parent[j], pk[n - j]) for j in range(n - e + 1)], lay)
+                _slice(img, [(1, parent[j], y[n - j]) for j in range(d, n)], lay)
         for g, den, terms in comps:
             if len(g) == n:
                 _slice(g, [(c, _ONE, img[n]) for c, img in terms], lay, den)

@@ -452,9 +452,10 @@ def structural_report(analysis: ToricAnalysis) -> CheckReport:
     """Vanishing pattern checks on the disk generating functions.
 
     Nonzero deltas only at non-vertex rays, at most rank-1 of them, with
-    rationally independent pairing rows, and unit constant disk count.  The
-    hull walk (`non_vertices`) stops once every nonzero-delta ray is
-    witnessed off the hull, and does not start when every delta is zero.
+    rationally independent pairing rows, a unit constant disk count and
+    integer disk counts.  The hull walk (`non_vertices`) stops once every
+    nonzero-delta ray is witnessed off the hull, and does not start when
+    every delta is zero.
     """
     nonzero = [
         d.ray_index for d in analysis.deltas if not d.delta.is_zero()
@@ -476,4 +477,6 @@ def structural_report(analysis: ToricAnalysis) -> CheckReport:
     for d in analysis.deltas:
         if d.one_plus.constant_term != 1:
             details.append(f"ray {d.ray_index + 1}: constant disk count is not 1")
+        if any(den != 1 for _, _, den in d.one_plus.coefficients()):
+            details.append(f"ray {d.ray_index + 1}: non-integer disk count")
     return CheckReport("structure", not details, tuple(details))

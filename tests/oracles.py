@@ -18,7 +18,8 @@ coordinate change x_a -> x_a * exp(u_a) is the tuple of its u_a, as in
 pulled-back series G_i = log(1 + delta_i).  `oracle_log` and `oracle_exp`
 are sums of powers over Fraction dicts, so tests can build a G from a
 delta, and check exp, without the engine's recurrences.  `pass_slices`
-records the degree slices that a call's recurrences build.  Last come the
+records the degree slices that a call's recurrences build, and
+`pass_products` counts the products its kernel sums form.  Last come the
 dict and identity views, sums, scaling, composition and single correction
 series that only tests use.
 """
@@ -143,6 +144,22 @@ def pass_slices(call, monkeypatch):
     monkeypatch.setattr(series, "_slice", counted)
     call()
     return built
+
+
+def pass_products(call, monkeypatch):
+    """The number of term products that `series._sum` forms during call():
+    len(s) * len(t) for each (k, s, t) it sums with k nonzero, whether the
+    box keeps the product or drops it."""
+    kernel, formed = series._sum, [0]
+
+    def counted(pairs, *args):
+        pairs = list(pairs)
+        formed[0] += sum(len(s[1]) * len(t[1]) for k, s, t in pairs if k)
+        return kernel(pairs, *args)
+
+    monkeypatch.setattr(series, "_sum", counted)
+    call()
+    return formed[0]
 
 
 def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:

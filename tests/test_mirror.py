@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 from fractions import Fraction
@@ -35,6 +36,7 @@ from oracles import (
     is_identity,
     oracle_invert_full_box,
     oracle_log,
+    pass_products,
     pass_slices,
     scale,
     substitute,
@@ -291,12 +293,12 @@ def test_threefold_inverse_at_7777(threefold_lattice):
 
 def test_threefold_inversion_builds_each_slice_once(threefold_lattice, monkeypatch):
     # one pass over total degree 1..14 at 7^4: every slice of y_a =
-    # x_a exp(w_a) and its powers (x1, x2 and x4: no g0_i has x3), of the
-    # monomial images and of the 3 nonzero pulled-back g0_i is built once,
-    # in order of degree, and only through the series' reach: the series
-    # split into one block in x1, x2 (no in-box term past degree 7 + 7) and
-    # one in x4 (none past 7); the whole-box loop of the oracle takes 15
-    # rounds at degree 28
+    # x_a exp(w_a) (x1, x2 and x4: no g0_i has x3), of the monomial images,
+    # each an earlier image times one y_a, and of the 3 nonzero pulled-back
+    # g0_i is built once, in order of degree, and only through the series'
+    # reach: the series split into one block in x1, x2 (no in-box term past
+    # degree 7 + 7) and one in x4 (none past 7); the whole-box loop of the
+    # oracle takes 15 rounds at degree 28
     _, lattice = threefold_lattice
     box = TruncationBox((7,) * 4)
     fam = compute_g0_family(lattice, box)
@@ -317,14 +319,68 @@ def test_threefold_inversion_builds_each_slice_once(threefold_lattice, monkeypat
 
 
 def test_gapless_inversion_visits_each_degree_once(monkeypatch):
-    # u = x^2 at (12,): per degree n, the slices of y = x exp(w) and of y^2
-    # (n >= 2; y_1 = x is given, and the image of x^2 is y^2) and of the
-    # pulled-back -u, which is w
+    # u = x^2 at (12,): per degree n, the slices of y = x exp(w), of the
+    # image of x^2, which is y times y (n >= 2; y_1 = x is given), and of
+    # the pulled-back -u, which is w
     forward = (MultiSeries.from_dict(TruncationBox((12,)), {(2,): 1}),)
     built = pass_slices(lambda: invert_diagonal_unit(forward), monkeypatch)
     degrees = [d for _, d, _ in built]
     assert degrees == sorted(degrees) and set(degrees) == set(range(1, 13))
     assert len({(i, d) for i, d, _ in built}) == len(built) == 11 + 11 + 12
+
+
+def threefold_pass(lattice, box):
+    """(g0, rows): the pass's arguments for the threefold in box."""
+    rows = [lattice.pairing_row(i) for i in range(lattice.fan.num_rays)]
+    return compute_g0_family(lattice, box), rows
+
+
+@pytest.mark.parametrize("cap, count", [(9, 678), (12, 1399)])
+def test_threefold_pass_slice_counts(threefold_lattice, monkeypatch, cap, count):
+    _, lattice = threefold_lattice
+    gs, rows = threefold_pass(lattice, TruncationBox((cap,) * 4))
+    built = pass_slices(lambda: pull_back(gs, rows), monkeypatch)
+    assert len({(i, d) for i, d, _ in built}) == len(built) == count
+
+
+def test_threefold_pass_product_count(threefold_lattice, monkeypatch):
+    # each image is an earlier image times one y_a, its parent the first
+    # q / x_a that already has an image: the choice of parent sets the count
+    _, lattice = threefold_lattice
+    gs, rows = threefold_pass(lattice, TruncationBox((7,) * 4))
+    assert pass_products(lambda: pull_back(gs, rows), monkeypatch) == 18675
+
+
+def test_pass_ignores_term_order(threefold_lattice, monkeypatch):
+    # the g0_i with their terms in reverse insertion order: the monomials
+    # are taken in packed-key order, so the pass builds the same slices, in
+    # the same order, and the same series
+    _, lattice = threefold_lattice
+    gs, rows = threefold_pass(lattice, TruncationBox((7,) * 4))
+    flipped = [MultiSeries(g.box, (g.packed[0], dict(reversed(g.packed[1].items()))))
+               for g in gs]
+    assert [list(g.packed[1]) for g in flipped] != [list(g.packed[1]) for g in gs]
+    runs = []
+    for series_in in (gs, flipped):
+        out = []
+        built = pass_slices(lambda: out.append(pull_back(series_in, rows)), monkeypatch)
+        runs.append(([(d, h) for _, d, h in built], out[0]))
+    assert runs[0] == runs[1]
+
+
+def test_pass_leaves_no_reference_cycle(threefold_lattice):
+    # the slices the pass builds are freed when it returns, not held by a
+    # cycle until the collector runs, which would raise a job's peak memory
+    _, lattice = threefold_lattice
+    gs, rows = threefold_pass(lattice, TruncationBox((7,) * 4))
+    gc.collect()
+    gc.disable()
+    try:
+        pull_back(gs, rows)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def assert_pass_is_substitution(lattice, caps, label=None):

@@ -11,7 +11,9 @@ imports only to re-export, so its imports use nothing.  A field of a
 dataclass there must be read as an attribute under `src/` or `bench/`, or
 in the acceptance suite, whose criteria read results the engine only builds.
 `cli.py` names no stage builder: its commands reach the stages only through
-an analysis, which builds each on its first read.
+an analysis, which builds each on its first read.  The checks name no
+pipeline stage either: a check may read an analysis's stages and do series
+arithmetic, but one that called the code it checks could only restate it.
 """
 
 import ast
@@ -29,6 +31,10 @@ ACCEPTANCE = ROOT / "tests" / "test_acceptance.py"
 CLI = ROOT / "src" / "semifano" / "cli.py"
 STAGE_BUILDERS = {"compute_g0_family", "assemble_mirror_map", "enumerate_g0_classes",
                   "pull_back", "exp_series"}
+CHECKS = {"structural_report", "check_PF_equals_LF", "check_multiplicative_consistency",
+          "cross_validate_surface", "surface_admissible_deltas", "_chain_delta"}
+PIPELINE = {"pull_back", "compute_g0_family", "enumerate_g0_classes",
+            "assemble_mirror_map", "analyze"}
 
 
 def public_functions(source, private=False):
@@ -221,3 +227,43 @@ def test_stage_builder_in_cli_is_found():
              "    return mirror.compute_g0_family(analysis.lattice, analysis.box)\n")
     assert STAGE_BUILDERS & named(clean + calls) == {
         "assemble_mirror_map", "exp_series", "compute_g0_family"}
+
+
+def function_sources(source, names):
+    """name -> source of each module-level function of source named in names."""
+    return {node.name: ast.unparse(node) for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name in names}
+
+
+def pipeline_named(sources):
+    """name -> the pipeline stages that each function's source names."""
+    return {name: PIPELINE & named(source) for name, source in sources.items()}
+
+
+def test_checks_name_no_pipeline_stage():
+    sources = {}
+    for path in MODULES:
+        sources.update(function_sources(path.read_text(), CHECKS))
+    assert set(sources) == CHECKS
+    assert pipeline_named(sources) == {name: set() for name in CHECKS}
+
+
+def test_pipeline_stage_in_a_check_is_found():
+    # a check that reads the stages, and a docstring, name no stage
+    clean = ("def structural_report(analysis):\n"
+             '    """Reads the deltas that pull_back built."""\n'
+             "    return [d.delta for d in analysis.deltas]\n")
+    # an import alone, an alias and an attribute call each do; a function
+    # that is no check is not read
+    calls = ("def check_PF_equals_LF(wpf, wlf):\n"
+             "    from .series import pull_back as substitute\n"
+             "    return analyze(wpf.fan, wpf.lattice, wpf.box)\n"
+             "def cross_validate_surface(oracle, analysis):\n"
+             "    return mirror.compute_g0_family(analysis.lattice, analysis.box)\n"
+             "def render_table(table):\n"
+             "    return analyze(table)\n")
+    assert pipeline_named(function_sources(clean + calls, CHECKS)) == {
+        "structural_report": set(),
+        "check_PF_equals_LF": {"pull_back", "analyze"},
+        "cross_validate_surface": {"compute_g0_family"},
+    }
