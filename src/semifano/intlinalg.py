@@ -3,7 +3,9 @@
 Everything here works over Z; no fractions and no floating point.
 Matrices are lists of lists (row-major), small enough that cubic algorithms
 with exact arithmetic are fine.  `_eliminate` (Bareiss, Math. Comp. 22,
-1968) is driven by `subset_solves`; `fraction_free_solve` is its first leaf.
+1968) is driven by `subset_solves`, one explicit path of states that share
+every row a step leaves unchanged, as no row is ever mutated in place;
+`fraction_free_solve` is its first leaf.
 """
 
 from __future__ import annotations
@@ -15,11 +17,15 @@ def _eliminate(state, t, c):
     The first row from t on with a nonzero entry in column c is swapped to
     row t and column c is cleared from every other row; by Sylvester's
     identity each division is exact, and each swap flips the determinant's
-    sign.  Returns a new state, or None when there is no such row.
+    sign.  Returns a new state, or None when there is no such row.  No row
+    is mutated in place: one the step leaves unchanged (zero in column c,
+    pivot equal to the previous one) is the parent state's own row object.
     """
     M, sign, prev = state
-    piv = next((i for i in range(t, len(M)) if M[i][c] != 0), None)
-    if piv is None:
+    for piv in range(t, len(M)):
+        if M[piv][c] != 0:
+            break
+    else:
         return None
     M = list(M)
     if piv != t:
@@ -28,8 +34,8 @@ def _eliminate(state, t, c):
     pivot_row = M[t]
     p = pivot_row[c]
     for i, row in enumerate(M):
-        if i != t:
-            f = row[c]
+        f = row[c]
+        if i != t and (f or p != prev):
             M[i] = [(p * v - f * w) // prev for v, w in zip(row, pivot_row)]
     return M, sign, p
 
@@ -53,19 +59,28 @@ def subset_solves(V, r):
     index r-subset S, in `combinations` order, of the length-r vectors V
     that is a basis of Q^r.
 
-    The walk is depth-first on one matrix with V as its columns: each prefix
-    takes one `_eliminate` step from its parent's state, and a dependent
-    prefix ends its whole subtree.
+    The walk is depth-first on one matrix with V as its columns, as one
+    explicit path of (prefix, state, columns left) entries in one generator
+    frame: each prefix takes one `_eliminate` step from its parent's state,
+    sharing its unchanged rows, and a dependent prefix ends its whole
+    subtree.  Each adjugate yielded is a fresh list, the caller's to keep.
     """
-    def walk(S, state):
+    if r == 0:
+        yield (), 1, [[] for _ in V]
+        return
+    path = [((), ([[v[j] for v in V] for j in range(r)], 1, 1), iter(range(len(V) - r + 1)))]
+    while path:
+        S, state, columns = path[-1]
         t = len(S)
-        if t == r:
-            M, sign, prev = state
-            yield S, sign * prev, [[sign * row[k] for row in M] for k in range(len(V))]
-            return
-        for c in range(S[-1] + 1 if S else 0, len(V) - r + t + 1):
+        for c in columns:
             child = _eliminate(state, t, c)
-            if child is not None:
-                yield from walk(S + (c,), child)
-
-    yield from walk((), ([[v[j] for v in V] for j in range(r)], 1, 1))
+            if child is None:
+                continue
+            if t + 1 < r:
+                path.append((S + (c,), child, iter(range(c + 1, len(V) - r + t + 2))))
+                break
+            M, sign, prev = child
+            yield S + (c,), sign * prev, (list(map(list, zip(*M))) if sign > 0
+                                          else [[-v for v in col] for col in zip(*M)])
+        else:
+            path.pop()

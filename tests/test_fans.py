@@ -1,6 +1,6 @@
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -185,6 +185,53 @@ def test_subset_walks_take_fewer_elimination_steps(eliminations):
     lattice, walked = eliminations(curve_lattice, fan)
     assert not lattice.nef_verified
     assert walked < per_subset(walls, l) + l
+
+
+def universe_fans():
+    """The fan of each distinct surface of the benchmark's universe, in order."""
+    return [parse_input(surfaces.document(rays))[0]
+            for rays in dict.fromkeys(rays for rays, _ in surfaces.universe())]
+
+
+def test_subset_walks_take_pinned_elimination_steps(eliminations):
+    """Prefix sharing and `combinations` order, held to the exact number of
+    `_eliminate` steps each walk takes: the whole hull walk, and the nef
+    search with no supplied basis."""
+    threefold = fixture_fan("threefold-example")[0]
+    assert eliminations(fan_polytope_vertices, threefold)[1] == 55
+    for name, steps in (("threefold-example", 55), ("kp2-bundle", 20),
+                        ("f2-blowup", 29), ("p1cubed", 27)):
+        assert eliminations(curve_lattice, fixture_fan(name)[0])[1] == steps, name
+    fans_ = universe_fans()
+    assert len(fans_) == 96
+    assert sum(eliminations(fan_polytope_vertices, f)[1] for f in fans_) == 2314
+    assert sum(eliminations(curve_lattice, f)[1] for f in fans_) == 5505
+
+
+# GL(2, Z) maps, as row-major matrices acting on column vectors
+UNIMODULAR = (((1, 1), (0, 1)), ((0, -1), (1, 0)), ((2, 1), (1, 1)), ((1, 0), (3, 1)))
+
+
+def test_fan_verdicts_are_invariant_under_gl_and_reindexing():
+    """Every fan verdict is a property of the fan, not of its coordinates or
+    its ray order: each universe surface mapped by a unimodular matrix and
+    re-indexed by k -> +-k + s mod m keeps its validity, its semi-Fano
+    verdict, its hull vertices (re-indexed) and its nef verdict."""
+    for fan in universe_fans():
+        m = fan.num_rays
+        semi_fano, hull = is_semi_fano(fan)[0], fan_polytope_vertices(fan)
+        nef = curve_lattice(fan).nef_verified
+        for g, sign, s in product(UNIMODULAR, (1, -1), (1, 3)):
+            pi = [(sign * k + s) % m for k in range(m)]
+            rays = [None] * m
+            for k, v in enumerate(fan.rays):
+                rays[pi[k]] = tuple(sum(a * x for a, x in zip(row, v)) for row in g)
+            image = Fan(2, rays, [[pi[k] for k in c] for c in fan.max_cones])
+            label = (fan.rays, g, sign, s)
+            assert validate_fan(image) == [], label
+            assert is_semi_fano(image)[0] == semi_fano, label
+            assert fan_polytope_vertices(image) == {pi[k] for k in hull}, label
+            assert curve_lattice(image).nef_verified == nef, label
 
 
 def test_hull_walk_stops_at_what_its_caller_reads(eliminations, f2_analysis):

@@ -1,10 +1,11 @@
+import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semifano.intlinalg import fraction_free_solve, subset_solves
+from semifano.intlinalg import _eliminate, fraction_free_solve, subset_solves
 from oracles import lattice_membership, left_kernel_basis, rational_rank, solve_rational
 
 
@@ -167,3 +168,52 @@ def test_subset_walk_edge_cases():
     # a zero first vector ends its subtree: only (1, 2) is left
     assert list(subset_solves([[0, 0], [1, 0], [0, 1]], 2)) == [
         ((1, 2), 1, [[0, 0], [1, 0], [0, 1]])]
+
+
+def test_eliminate_shares_the_rows_a_pivot_leaves_unchanged():
+    """A row with a zero in the pivot column, under a pivot equal to the
+    previous one, is the parent's own row object; any other row is built
+    anew, and the parent state is never mutated."""
+    rows = [[1, 0, 2], [0, 1, 3], [0, 2, 5]]
+    state = (rows, 1, 1)
+    child = _eliminate(state, 0, 0)
+    assert child[0][1] is rows[1] and child[0][2] is rows[2]
+    grand = _eliminate(child, 1, 1)
+    assert grand[0][0] is rows[0]
+    # f = 2 in the pivot column: a new row
+    assert grand[0][2] is not rows[2] and grand[0][2] == [0, 0, -1]
+    # p = 2 != prev = 1: a new row even where f = 0
+    rows = [[2, 0, 1], [0, 1, 1]]
+    child = _eliminate((rows, 1, 1), 0, 0)
+    assert child[0][1] is not rows[1] and child[0][1] == [0, 2, 2]
+    assert rows == [[2, 0, 1], [0, 1, 1]]
+
+
+def test_walk_leaves_belong_to_the_caller():
+    """Walking V twice gives equal leaves and leaves V as it was, and a
+    caller that mutates a yielded adjugate changes no later leaf.  The
+    first leaf swaps its first two rows and keeps pivots 1, so its sign and
+    determinant are -1: leaves of either sign are built."""
+    V = [[0, 1, 0], [1, 0, 0], [0, 0, 1], [1, 1, 1], [2, 1, 1], [0, 1, 1]]
+    before = [list(v) for v in V]
+    first = list(subset_solves(V, 3))
+    seen = []
+    for S, det, adj in subset_solves(V, 3):
+        seen.append((S, det, [list(col) for col in adj]))
+        for col in adj:
+            col[:] = [99] * len(col)
+        adj.append([7])
+    assert seen == first == list(subset_solves(V, 3))
+    assert V == before
+    assert first[0][:2] == ((0, 1, 2), -1) and any(det > 0 for _, det, _ in first)
+
+
+def test_walk_is_one_frame_at_any_depth():
+    """The walk keeps its path in one generator frame, so a solve deeper
+    than the recursion limit still returns."""
+    g = subset_solves([[1, 0], [0, 1], [1, 1]], 2)
+    next(g)
+    assert g.gi_yieldfrom is None
+    n = sys.getrecursionlimit() + 10
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    assert fraction_free_solve(identity, []) == (1, [])
