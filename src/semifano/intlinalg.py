@@ -1,11 +1,12 @@
-"""Exact integer linear algebra: one fraction-free elimination step, one driver.
+"""Exact integer linear algebra: one fraction-free elimination step, two drivers.
 
 Everything here works over Z; no fractions and no floating point.
 Matrices are lists of lists (row-major), small enough that cubic algorithms
 with exact arithmetic are fine.  `_eliminate` (Bareiss, Math. Comp. 22,
-1968) is driven by `subset_solves`, one explicit path of states that share
-every row a step leaves unchanged, as no row is ever mutated in place;
-`fraction_free_solve` is its first leaf.
+1968) is the one elimination step.  `fraction_free_solve` pivots B's
+columns in turn and stops at the first with no pivot; `subset_solves`
+walks every r-subset as one explicit path of states that share every row
+a step leaves unchanged, as no row is ever mutated in place.
 """
 
 from __future__ import annotations
@@ -40,18 +41,30 @@ def _eliminate(state, t, c):
     return M, sign, p
 
 
+def _leaf(state):
+    """(det, det · X as fresh column lists) of a fully pivoted state."""
+    M, sign, prev = state
+    return sign * prev, (list(map(list, zip(*M))) if sign > 0
+                         else [[-v for v in col] for col in zip(*M)])
+
+
 def fraction_free_solve(B, Y):
     """(det B, det B · X) for the solution X of X·B = Y over Z.
 
     B is a square integer matrix and each row of Y an integer vector of the
     same length, so row k of X holds the coordinates of Y[k] over the rows
-    of B.  The first leaf of `subset_solves` over [B | Y] pivots columns
-    0..n-1 in turn when B is nonsingular; any other leaf, or none, means B
-    is singular, and gives (0, None).
+    of B.  On one matrix with [B | Y] as its columns, `_eliminate` pivots
+    columns 0..n-1 in turn; the first column with no pivot means B is
+    singular, and gives (0, None).
     """
-    n = len(B)
-    S, det, adj = next(subset_solves([*B, *Y], n), (None, 0, None))
-    return (det, adj[n:]) if S == tuple(range(n)) else (0, None)
+    n, V = len(B), [*B, *Y]
+    state = [[v[j] for v in V] for j in range(n)], 1, 1
+    for c in range(n):
+        state = _eliminate(state, c, c)
+        if state is None:
+            return 0, None
+    det, adj = _leaf(state)
+    return det, adj[n:] if n else [[] for _ in Y]
 
 
 def subset_solves(V, r):
@@ -79,8 +92,6 @@ def subset_solves(V, r):
             if t + 1 < r:
                 path.append((S + (c,), child, iter(range(c + 1, len(V) - r + t + 2))))
                 break
-            M, sign, prev = child
-            yield S + (c,), sign * prev, (list(map(list, zip(*M))) if sign > 0
-                                          else [[-v for v in col] for col in zip(*M)])
+            yield S + (c,), *_leaf(child)
         else:
             path.pop()

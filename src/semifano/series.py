@@ -14,7 +14,8 @@ works on that form through one kernel, _sum, a guarded sum of products of
 packed series: combine and mul call it once, and exp and pull_back solve
 their recurrences one total degree at a time, each series kept as a list of
 degree slices that _slice builds from lower ones only through its reach,
-the sum of its variables' caps, past which it has no in-box term.
+the sum of its variables' caps, past which it has no in-box term.  A box
+exponentiates each distinct series once and keeps packed forms only.
 pull_back solves for the inverse of a coordinate change x_a -> x_a *
 exp(u_a) together with series evaluated along it; both are plain tuples of
 series.  A series is read through one view, MultiSeries.coefficients: its
@@ -38,6 +39,9 @@ class SeriesError(ValueError):
 
 @dataclass(frozen=True)
 class TruncationBox:
+    """Caps on each variable's exponent.  What depends only on them is built
+    once per box object: layout, table_rows and the exps memo."""
+
     caps: tuple[int, ...]
 
     def __post_init__(self):
@@ -95,6 +99,12 @@ class TruncationBox:
                         for r in range(top + 1)]
             counts.append([len(s) for s in suffixes])
         return counts[::-1], [t for s in suffixes for t in s]
+
+    @cached_property
+    def exps(self):
+        """Packed exps keyed by their packed arguments (D, frozenset of terms);
+        a MultiSeries value would hold the box in a reference cycle."""
+        return {}
 
     def table_line(self, exp):
         """The line of in-box exp under its table's header: 1 plus the number
@@ -274,9 +284,13 @@ def mul(s: MultiSeries, t: MultiSeries) -> MultiSeries:
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:
+    """exp(s), s with no constant term; run once per distinct s in s.box."""
     if 0 in s.packed[1]:
         raise SeriesError("exp_series needs zero constant term")
-    return MultiSeries(s.box, _exp(s.packed, s.box))
+    exps, key = s.box.exps, (s.packed[0], frozenset(s.packed[1].items()))
+    if key not in exps:
+        exps[key] = _exp(s.packed, s.box)
+    return MultiSeries(s.box, exps[key])
 
 
 def pull_back(gs, rows):

@@ -5,6 +5,7 @@ from itertools import combinations, permutations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from semifano import intlinalg
 from semifano.intlinalg import _eliminate, fraction_free_solve, subset_solves
 from oracles import lattice_membership, left_kernel_basis, rational_rank, solve_rational
 
@@ -124,6 +125,29 @@ def test_fraction_free_solve_matches_rational(system):
     Bt = [[B[a][j] for a in range(len(B))] for j in range(len(B))]
     for y, x in zip(Y, adj, strict=True):
         assert [Fraction(v, det) for v in x] == solve_rational(Bt, y)
+
+
+def test_solve_pivots_each_column_once_and_stops_at_a_dead_one(monkeypatch):
+    """One `_eliminate` step a column of B, column c on row c: a nonsingular
+    B takes n, and a singular one stops at its first column with no pivot."""
+    steps = []
+    step = intlinalg._eliminate
+    monkeypatch.setattr(intlinalg, "_eliminate",
+                        lambda state, t, c: steps.append((t, c)) or step(state, t, c))
+
+    def identity(n):
+        return [[int(i == j) for j in range(n)] for i in range(n)]
+
+    for B, taken in [([[0] * 4 for _ in range(4)], 1),
+                     ([[1, 0, 0], [0, 1, 0], [1, 1, 0]], 3),
+                     ([[1, 0], [0, 0]], 2)]:
+        steps.clear()
+        assert fraction_free_solve(B, identity(len(B))) == (0, None)
+        assert steps == [(c, c) for c in range(taken)]
+    steps.clear()
+    assert fraction_free_solve([[0, 1, 0], [1, 0, 0], [0, 0, 2]], identity(3)) == (
+        -2, [[0, -2, 0], [-2, 0, 0], [0, 0, -1]])
+    assert steps == [(0, 0), (1, 1), (2, 2)]
 
 
 @st.composite

@@ -377,6 +377,26 @@ def test_exp_log_round_trip(s):
     assert exp_series(oracle_log(s)) == s
 
 
+@settings(max_examples=100, deadline=None)
+@given(zero_constant_pair())
+def test_exp_memo_hit_is_a_fresh_exp(pair):
+    """An exp of a series equal to one already exponentiated in the same
+    box object is a memo hit: it equals a fresh _exp, and still does after
+    the first result has been fed to mul and combine.  The box keeps the
+    packed form only."""
+    s, t = pair
+    box = s.box
+    t = MultiSeries(box, t.packed)
+    fresh = series._exp(s.packed, box)
+    first = exp_series(s)
+    assert first.packed == fresh
+    used = [mul(first, t), mul(first, first), combine(box, [(2, first), (-3, t)])]
+    hit = exp_series(MultiSeries.from_dict(box, to_dict(s)))
+    assert hit.packed == fresh == series._exp(s.packed, box)
+    assert used == [mul(hit, t), mul(hit, hit), combine(box, [(2, hit), (-3, t)])]
+    assert hit.box is box and list(box.exps.values()) == [fresh]
+
+
 @st.composite
 def unit_maps(draw, caps=None):
     if caps is None:

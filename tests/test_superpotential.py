@@ -1,3 +1,4 @@
+import gc
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
@@ -19,6 +20,7 @@ from semifano import (
     render_table,
     structural_report,
 )
+from semifano import series
 from semifano.series import SeriesError, render
 from semifano.mirror import MirrorMapPair
 from semifano.superpotential import InvariantSeries
@@ -353,6 +355,35 @@ def test_pf_lf_check_reports_discrepancy(f2_analysis):
     report = check_PF_equals_LF(wpf, whv)
     assert not report.passed
     assert any("ray 4" in d for d in report.details)
+
+
+def test_each_distinct_series_is_exponentiated_once(monkeypatch):
+    """The threefold job at 7^4 (analyze, the 7 ray tables, W_PF and the
+    normalised W_LF) asks for 13 nonzero exps and runs the 9 distinct ones:
+    W_PF's argument for rays 3, 6 and 7 is W_LF's correction for the same
+    ray, and for ray 7 it is G_1 too, whose exp is 1 + delta_1."""
+    runs = []
+    real = series._exp
+    monkeypatch.setattr(series, "_exp", lambda s, box: runs.append(s) or real(s, box))
+    an = fixture_analysis("threefold-example", (7,) * 4)
+    tables = [invariant_table(inv) for inv in an.deltas]
+    *_, report = compare_superpotentials(an, 0)
+    assert report.passed and len(tables) == 7
+    assert len([s for s in runs if s[1]]) == 9
+
+
+def test_superpotentials_leave_no_reference_cycle():
+    # the exps the box keeps are packed forms, not series that would hold
+    # the box, so a whole comparison is freed without the collector
+    gc.collect()
+    gc.disable()
+    try:
+        for caps in ((3,) * 4, (7,) * 4):
+            compare_superpotentials(fixture_analysis("threefold-example", caps), 0)
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_pipeline_stays_packed(monkeypatch):
