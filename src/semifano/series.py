@@ -70,19 +70,18 @@ class TruncationBox:
     def layout(self):
         """(w, shifts, bias, guard, mask, dk): an exponent vector e packs into
         one int, w bits a variable at shifts and its total degree sum(e) in
-        the top field at dk; mask selects one variable field.  A field of
-        width b and cap c (cap_a, or degree for the top field) holds
-        2^(b-1) - 1 - c in bias, so adding bias to the sum of two in-box keys
-        sets a field's top (guard) bit exactly when the sum passes its cap:
-        one add and one mask a pair.  Built once per box object."""
-        caps, top = self.caps, self.degree
+        the top field at dk; mask selects one variable field.  A variable
+        field of cap c holds 2^(w-1) - 1 - c in bias, so adding bias to the
+        sum of two in-box keys sets a field's top (guard) bit exactly when the
+        sum passes its cap: one add and one mask a pair.  The variable fields
+        bound the degree by sum(caps), so the top field needs neither.  Built
+        once per box object."""
+        caps = self.caps
         w = (2 * max(caps, default=0) + 1).bit_length() + 1
-        dk = w * len(caps)
-        fields = [(c, k, w) for c, k in zip(caps, range(0, dk, w))]
-        fields.append((top, dk, (2 * top + 1).bit_length() + 1))
-        bias = sum(((1 << (b - 1)) - 1 - c) << k for c, k, b in fields)
-        guard = sum(1 << (k + b - 1) for _, k, b in fields)
-        return w, range(0, dk, w), bias, guard, (1 << w) - 1, dk
+        shifts = range(0, w * len(caps), w)
+        bias = sum(((1 << (w - 1)) - 1 - c) << k for c, k in zip(caps, shifts))
+        guard = sum(1 << (k + w - 1) for k in shifts)
+        return w, shifts, bias, guard, (1 << w) - 1, w * len(caps)
 
     @cached_property
     def table_rows(self):

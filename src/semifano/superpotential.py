@@ -14,7 +14,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
-from itertools import product
+from itertools import product, takewhile
 from math import prod
 
 from .fans import (
@@ -166,23 +166,22 @@ def assemble_W_PF(whv: SuperpotentialExpr, mm: MirrorMapPair,
     """Compose the plain superpotential with the inverse coordinate change.
 
     Each coefficient monomial q^e picks up exp(sum_a e_a w_a), where w is the
-    inverse-direction exponent family; negative e_a are fine.
+    inverse-direction exponent family; negative e_a are fine.  A plain term's
+    unit is 1, so that exp is the term's unit.
     """
-    inv = mm.inverse
-    terms = []
-    for t in whv.terms:
-        unit = mul(t.unit, exp_series(combine(box, zip(t.q_exponent, inv))))
-        terms.append(SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent, unit))
-    return SuperpotentialExpr(whv.cone_index, tuple(terms))
+    terms = tuple(
+        SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent,
+                           exp_series(combine(box, zip(t.q_exponent, mm.inverse))))
+        for t in whv.terms
+    )
+    return SuperpotentialExpr(whv.cone_index, terms)
 
 
 def assemble_W_LF(whv: SuperpotentialExpr, deltas) -> SuperpotentialExpr:
-    """Multiply each term by 1 + delta of its ray (raw, unnormalized form)."""
+    """Each plain term, of unit 1, with unit 1 + delta of its ray (raw form)."""
     terms = tuple(
-        SuperpotentialTerm(
-            t.ray_index, t.z_exponent, t.q_exponent,
-            mul(t.unit, deltas[t.ray_index].one_plus),
-        )
+        SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent,
+                           deltas[t.ray_index].one_plus)
         for t in whv.terms
     )
     return SuperpotentialExpr(whv.cone_index, terms)
@@ -273,29 +272,18 @@ def cyclic_ray_order(fan: Fan):
 
 
 def surface_self_intersections(fan: Fan):
-    """Self-intersection of each boundary divisor, from adjacent ray relations.
+    """Self-intersection of each boundary divisor, D_k^2 = -det(v_prev, v_next).
 
-    In cyclic order the neighbors satisfy v_prev + v_next = -(D_k^2) v_k for a
-    smooth complete surface fan.  Returns a dict ray index -> integer.
+    Cyclic neighbours of a smooth complete surface fan span its cones, so
+    det(v_prev, v_k) = 1 and v_prev + v_next = -(D_k^2) v_k; the determinant
+    of that relation with v_prev gives D_k^2.  Returns a dict ray index ->
+    integer.
     """
     order = cyclic_ray_order(fan)
-    m = len(order)
     out = {}
-    for pos, k in enumerate(order):
-        prev = order[pos - 1]
-        nxt = order[(pos + 1) % m]
-        s = tuple(a + b for a, b in zip(fan.rays[prev], fan.rays[nxt]))
-        vx, vy = fan.rays[k]
-        # s must be an integer multiple of v_k
-        if vx != 0:
-            if s[0] % vx or s[1] * vx != s[0] * vy:
-                raise FanError(f"rays around {k + 1} are not in a smooth fan")
-            c = s[0] // vx
-        else:
-            if s[0] != 0 or s[1] % vy:
-                raise FanError(f"rays around {k + 1} are not in a smooth fan")
-            c = s[1] // vy
-        out[k] = -c
+    for prev, k, nxt in zip(order[-1:] + order[:-1], order, order[1:] + order[:1]):
+        (a, b), (c, d) = fan.rays[prev], fan.rays[nxt]
+        out[k] = b * c - a * d
     return out
 
 
@@ -350,27 +338,19 @@ def surface_admissible_deltas(fan: Fan, lattice: CurveLattice,
 
 
 def _chain_delta(lattice, box, order, classes, i):
-    """delta_i of a (-2)-divisor i; `classes` maps every (-2)-divisor to its class."""
-    m = len(order)
+    """delta_i of a (-2)-divisor i; `classes` maps every (-2)-divisor to its class.
+
+    The maximal chain of (-2)-divisors through i is read off the rays after i
+    in cyclic order, each side the run of (-2)-divisors next to i.  The sides
+    never meet: a closed cycle of (-2)-divisors would need v_(k+1) = 2 v_k -
+    v_(k-1) all round, putting every ray on one line, as no complete fan has.
+    """
     pos = order.index(i)
-    # maximal chain of (-2)-divisors through i, walked in both directions
-    right = []
-    p = pos
-    while len(right) < m - 1:
-        p = (p + 1) % m
-        if order[p] not in classes or order[p] == i:
-            break
-        right.append(order[p])
-    left = []
-    p = pos
-    while len(left) < m - 1 - len(right):
-        p = (p - 1) % m
-        if order[p] not in classes or order[p] == i or order[p] in right:
-            break
-        left.append(order[p])
+    after = order[pos + 1:] + order[:pos]
+    right = list(takewhile(classes.__contains__, after))
+    left = list(takewhile(classes.__contains__, reversed(after)))
     coeffs = {}
-    s0 = 1
-    while s0 <= min(len(left), len(right)) + 1:
+    for s0 in range(1, min(len(left), len(right)) + 2):
         for rs in _admissible_side_sequences(s0, len(right)):
             for ls in _admissible_side_sequences(s0, len(left)):
                 total = [0] * len(classes[i])
@@ -378,12 +358,8 @@ def _chain_delta(lattice, box, order, classes, i):
                     for j, c in enumerate(classes[k]):
                         total[j] += s * c
                 exps = lattice.coordinates(tuple(total))
-                if exps is None:
-                    continue
-                exps = tuple(exps)
-                if box.contains(exps):
-                    coeffs[exps] = coeffs.get(exps, 0) + 1
-        s0 += 1
+                if exps is not None and box.contains(exps):
+                    coeffs[tuple(exps)] = coeffs.get(tuple(exps), 0) + 1
     return MultiSeries.from_dict(box, coeffs)
 
 

@@ -20,19 +20,22 @@ are sums of powers over Fraction dicts, so tests can build a G from a
 delta, and check exp, without the engine's recurrences.  `pass_slices`
 records the degree slices that a call's recurrences build, and
 `pass_products` counts the products its kernel sums form.  Last come the
-dict and identity views, sums, scaling, composition and single correction
-series that only tests use.
+dict, identity and class-keyed views, sums, scaling, composition and single
+correction series that only tests use, and `variants`, a fan under
+unimodular maps and re-indexings.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
+from itertools import product
 from math import factorial, lcm
 from operator import or_
 
 from semifano import (
     CurveLattice,
+    Fan,
     MultiSeries,
     SeriesError,
     TruncationBox,
@@ -176,6 +179,35 @@ def terms(s):
 def to_dict(s):
     """The exponent -> Fraction dict of a MultiSeries."""
     return dict(terms(s))
+
+
+def class_keyed(analysis):
+    """Every nonzero in-box disk count of each 1 + delta_i, the constant 1
+    too, keyed by (ray index, curve class): the class that
+    `CurveLattice.class_from_coordinates` reads off the exponent, so the
+    keys name no basis."""
+    lattice = analysis.lattice
+    return {(d.ray_index, lattice.class_from_coordinates(e)): Fraction(n, den)
+            for d in analysis.deltas for e, n, den in d.one_plus.coefficients()}
+
+
+# unimodular maps of Z^2 and Z^3, as row-major matrices acting on column vectors
+GL2 = (((1, 1), (0, 1)), ((0, -1), (1, 0)), ((2, 1), (1, 1)), ((1, 0), (3, 1)))
+GL3 = (((1, 1, 0), (0, 1, 0), (0, 0, 1)), ((0, -1, 0), (1, 0, 0), (0, 0, 1)),
+       ((1, 0, 0), (0, 0, 1), (0, 1, 0)), ((1, 0, 2), (0, 1, -1), (0, 0, 1)))
+
+
+def variants(fan, maps):
+    """(pi, image) for each unimodular map g in maps and each re-indexing
+    k -> sign * k + s mod m, sign +-1 and s in {1, 3}: ray k of fan is ray
+    pi[k] of image, with vector g v_k."""
+    m = fan.num_rays
+    for g, sign, s in product(maps, (1, -1), (1, 3)):
+        pi = [(sign * k + s) % m for k in range(m)]
+        rays = [None] * m
+        for k, v in enumerate(fan.rays):
+            rays[pi[k]] = tuple(sum(a * x for a, x in zip(row, v)) for row in g)
+        yield pi, Fan(fan.dimension, rays, [[pi[k] for k in c] for c in fan.max_cones])
 
 
 def add(s, t):

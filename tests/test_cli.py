@@ -382,6 +382,47 @@ def test_bad_indices_exit_2(capsys, argv):
 
 
 
+# (document text, the error of every command, whether the document parses
+# to a fan that breaks validate_fan, which validate reports with exit 1)
+@pytest.mark.parametrize("text, error, invalid_fan", [
+    ("[1, 2]", "top level must be a mapping", False),
+    (json.dumps({**P2, "rays": []}), "field 'rays' must be a nonempty list", False),
+    (json.dumps({**P2, "max_cones": []}),
+     "field 'max_cones' must be a nonempty list", False),
+    (json.dumps({**P2, "curve_class_basis": {"a": 1}}),
+     "field 'curve_class_basis' must be a list", False),
+    ('{"dimension": 2,', "{path}: not valid JSON (Expecting property name "
+     "enclosed in double quotes: line 1 column 17 (char 16))", False),
+    (json.dumps({**P2, "rays": [[1, 0], [0, 0], [-1, -1]]}), "ray 2 is zero", True),
+    (json.dumps({**P2, "max_cones": [[1], [2, 3], [3, 1]]}),
+     "cone (1,) is not a valid index set", True),
+], ids=["top-level-list", "empty-rays", "empty-cones", "basis-not-list",
+        "invalid-json", "zero-ray", "one-ray-cone"])
+def test_bad_documents_are_reported(tmp_path, capsys, text, error, invalid_fan):
+    # an uncaught exception would fail the test with its traceback
+    p = tmp_path / "bad.json"
+    p.write_text(text)
+    error = error.format(path=p)
+    code, out, err = run_cli(capsys, "validate", str(p))
+    if invalid_fan:
+        assert (code, out, err) == (1, f"invalid fan: {error}\n", "")
+    else:
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": error}
+    for command in ("g0", "check"):
+        code, out, err = run_cli(capsys, command, str(p))
+        assert (code, out) == (2, ""), command
+        assert json.loads(err) == {"error": error}, command
+
+
+def test_box_of_the_wrong_arity_exit_2(capsys):
+    for command in ("validate", "g0", "check"):
+        code, out, err = run_cli(capsys, command, fx("f2"), "--box", "1,2,3")
+        assert (code, out) == (2, ""), command
+        assert json.loads(err) == {
+            "error": "box has 3 entries but the curve lattice has rank 2"}, command
+
+
 # sha256 of f"{exit code}\n{stdout}\0{stderr}" for surface-oracle runs,
 # recorded before the oracle and the cross-check were restructured
 SURFACE_ORACLE_PINS = (

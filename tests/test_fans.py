@@ -22,7 +22,7 @@ from semifano import (
 from semifano import fans, intlinalg
 from semifano.cli import parse_input
 from semifano.intlinalg import fraction_free_solve
-from oracles import lattice_membership, left_kernel_basis, solve_rational
+from oracles import GL2, lattice_membership, left_kernel_basis, solve_rational, variants
 from conftest import fixture_analysis, fixture_fan, fixture_lattice, load_fixture
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
@@ -208,26 +208,16 @@ def test_subset_walks_take_pinned_elimination_steps(eliminations):
     assert sum(eliminations(curve_lattice, f)[1] for f in fans_) == 5505
 
 
-# GL(2, Z) maps, as row-major matrices acting on column vectors
-UNIMODULAR = (((1, 1), (0, 1)), ((0, -1), (1, 0)), ((2, 1), (1, 1)), ((1, 0), (3, 1)))
-
-
 def test_fan_verdicts_are_invariant_under_gl_and_reindexing():
     """Every fan verdict is a property of the fan, not of its coordinates or
     its ray order: each universe surface mapped by a unimodular matrix and
     re-indexed by k -> +-k + s mod m keeps its validity, its semi-Fano
     verdict, its hull vertices (re-indexed) and its nef verdict."""
     for fan in universe_fans():
-        m = fan.num_rays
         semi_fano, hull = is_semi_fano(fan)[0], fan_polytope_vertices(fan)
         nef = curve_lattice(fan).nef_verified
-        for g, sign, s in product(UNIMODULAR, (1, -1), (1, 3)):
-            pi = [(sign * k + s) % m for k in range(m)]
-            rays = [None] * m
-            for k, v in enumerate(fan.rays):
-                rays[pi[k]] = tuple(sum(a * x for a, x in zip(row, v)) for row in g)
-            image = Fan(2, rays, [[pi[k] for k in c] for c in fan.max_cones])
-            label = (fan.rays, g, sign, s)
+        for pi, image in variants(fan, GL2):
+            label = (fan.rays, image.rays)
             assert validate_fan(image) == [], label
             assert is_semi_fano(image)[0] == semi_fano, label
             assert fan_polytope_vertices(image) == {pi[k] for k in hull}, label
