@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from semifano import (
+    Fan,
     FanError,
     MultiSeries,
     TruncationBox,
@@ -21,7 +22,8 @@ from semifano.superpotential import (
     surface_self_intersections,
 )
 from conftest import fixture_analysis, fixture_fan, fixture_lattice, fixture_path
-from oracles import add, to_dict
+from oracles import GL2, add, to_dict, variants
+from test_invariance import nef_universe
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import surfaces  # noqa: E402
@@ -52,6 +54,36 @@ def test_self_intersections_on_the_universe():
         fan, _, _ = cli.parse_input(surfaces.document(rays))
         assert surface_self_intersections(fan) == dict(
             enumerate(surfaces.self_intersections(rays))), rays
+
+
+# GL2 and two maps of determinant -1, which reverse the rays' cyclic order
+MAPS = GL2 + (((0, 1), (1, 0)), ((-1, 0), (0, 1)))
+
+
+def test_self_intersections_are_carried_along_by_maps_and_re_indexings():
+    surfaces_seen = 0
+    for rays in dict.fromkeys(rays for rays, _ in surfaces.universe()):
+        fan, _, _ = cli.parse_input(surfaces.document(rays))
+        selfints = surface_self_intersections(fan)
+        for pi, image in variants(fan, MAPS):
+            assert surface_self_intersections(image) == {
+                pi[k]: d for k, d in selfints.items()}, (rays, pi, image.rays)
+        surfaces_seen += 1
+    assert surfaces_seen == 96
+
+
+def test_oracle_agrees_with_the_engine_under_maps_and_re_indexings():
+    # each variant is read afresh, over the basis its own nef search picks
+    cases = 0
+    for fan, cap in nef_universe():
+        for _, image in variants(fan, MAPS):
+            lattice = curve_lattice(image)
+            box = TruncationBox((cap,) * lattice.rank)
+            oracle = surface_admissible_deltas(image, lattice, box)
+            report = cross_validate_surface(oracle, analyze(image, lattice, box))
+            assert report.passed, (image.rays, report.details)
+            cases += 1
+    assert cases == 840
 
 
 def test_admissible_delta_f2():
@@ -128,6 +160,20 @@ def test_oracle_rejects_threefold():
     fan, lattice = fixture_lattice("threefold-example")
     with pytest.raises(FanError):
         surface_admissible_deltas(fan, lattice, TruncationBox((2, 2, 2, 2)))
+
+
+def test_self_intersections_reject_threefold():
+    fan, _ = fixture_fan("threefold-example")
+    with pytest.raises(FanError):
+        surface_self_intersections(fan)
+
+
+def test_oracle_rejects_a_ray_outside_two_cones():
+    # P^2's fan without its third cone: rays 1 and 3 lie in one cone each
+    fan, lattice = fixture_lattice("p2")
+    open_fan = Fan(2, fan.rays, fan.max_cones[:2])
+    with pytest.raises(FanError):
+        surface_admissible_deltas(open_fan, lattice, TruncationBox((2,)))
 
 
 def test_cross_validation_refuses_before_engine_runs(monkeypatch, capsys):
