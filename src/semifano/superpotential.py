@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
-from itertools import product, takewhile
+from functools import cached_property
+from itertools import product
 from math import prod
 
 from .fans import (
@@ -29,7 +29,6 @@ from .intlinalg import fraction_free_solve
 from .mirror import MirrorMapPair, assemble_mirror_map, compute_g0_family
 from .series import (
     MultiSeries,
-    SeriesError,
     TruncationBox,
     combine,
     exp_series,
@@ -89,26 +88,20 @@ class InvariantTable:
         return _Entries(self)
 
 
-def invariant_table(inv: InvariantSeries, box: TruncationBox = None) -> InvariantTable:
-    """The nonzero in-box disk counts of 1 + delta_i as (exponent, n) pairs in
-    graded-lex order.
+def invariant_table(inv: InvariantSeries) -> InvariantTable:
+    """The nonzero disk counts of 1 + delta_i over its series' box, as
+    (exponent, n) pairs in graded-lex order.
 
-    The table box must lie inside the series' box.  Disk counts are integers:
-    a fractional entry raises ValueError.
+    Disk counts are integers: a fractional entry raises ValueError.
     """
     series = inv.one_plus
-    if box is None:
-        box = series.box
-    elif not series.box.contains(box.caps):
-        raise SeriesError(f"table box {box.caps} is not inside the series box "
-                          f"{series.box.caps}")
-    terms = [t for t in series.coefficients() if box.contains(t[0])]
+    terms = series.coefficients()
     bad = [exp for exp, _, d in terms if d != 1]
     if bad:
         raise ValueError(
             f"non-integer disk count at exponents {bad} for ray {inv.ray_index + 1}"
         )
-    return InvariantTable(inv.ray_index, box, tuple((exp, n) for exp, n, _ in terms))
+    return InvariantTable(inv.ray_index, series.box, tuple((exp, n) for exp, n, _ in terms))
 
 
 def render_table(table: InvariantTable) -> str:
@@ -250,41 +243,30 @@ def check_multiplicative_consistency(deltas, mm: MirrorMapPair,
 # surface oracle
 
 
-def cyclic_ray_order(fan: Fan):
-    """Ray indices sorted counterclockwise by angle (exact, integer-only)."""
-    if fan.dimension != 2:
-        raise FanError("cyclic order is defined for surfaces only")
-
-    def half(i):
-        x, y = fan.rays[i]
-        return 0 if (y > 0 or (y == 0 and x > 0)) else 1
-
-    def cmp(i, j):
-        hi, hj = half(i), half(j)
-        if hi != hj:
-            return -1 if hi < hj else 1
-        xi, yi = fan.rays[i]
-        xj, yj = fan.rays[j]
-        cross = xi * yj - xj * yi
-        return -1 if cross > 0 else (1 if cross < 0 else 0)
-
-    return sorted(range(fan.num_rays), key=cmp_to_key(cmp))
-
-
 def surface_self_intersections(fan: Fan):
-    """Self-intersection of each boundary divisor, D_k^2 = -det(v_prev, v_next).
+    """Self-intersection of each boundary divisor, D_k^2 = -det(v_p, v_n) det(v_p, v_k).
 
-    Cyclic neighbours of a smooth complete surface fan span its cones, so
-    det(v_prev, v_k) = 1 and v_prev + v_next = -(D_k^2) v_k; the determinant
-    of that relation with v_prev gives D_k^2.  Returns a dict ray index ->
-    integer.
+    Ray k of a surface fan is the wall (k,) of two cones, and the rays p and
+    n off it in those cones are k's neighbours.  The cones are unimodular, so
+    v_p + v_n = -(D_k^2) v_k and det(v_p, v_k) = +-1; the determinant of the
+    relation with v_p gives D_k^2, whichever neighbour is p.  Returns a dict
+    ray index -> integer.
     """
-    order = cyclic_ray_order(fan)
+    if fan.dimension != 2:
+        raise FanError("surface oracle needs a 2-dimensional fan")
     out = {}
-    for prev, k, nxt in zip(order[-1:] + order[:-1], order, order[1:] + order[:1]):
-        (a, b), (c, d) = fan.rays[prev], fan.rays[nxt]
-        out[k] = b * c - a * d
+    for k, (e, f) in enumerate(fan.rays):
+        (a, b), (c, d) = (fan.rays[j] for j in _neighbours(fan, k))
+        out[k] = (b * c - a * d) * (a * f - b * e)
     return out
+
+
+def _neighbours(fan, k):
+    """The two rays next to ray k of a surface fan, off the wall (k,)."""
+    cones = fan.walls.get((k,), ())
+    if len(cones) != 2:
+        raise FanError(f"ray {k + 1} lies in {len(cones)} cone(s), not 2")
+    return [fan.max_cones[c][p] for c, p in cones]
 
 
 def _admissible_side_sequences(start, length):
@@ -309,54 +291,55 @@ def surface_admissible_deltas(fan: Fan, lattice: CurveLattice,
     combination sum_k s_k [D_k] supported on the maximal chain of
     self-intersection-(-2) divisors through i, with both halves of s
     nonincreasing away from i in unit steps and ending at most 1.  Each such
-    class contributes exactly 1.  Rays off every (-2)-chain get zero.
+    class contributes exactly 1.  Rays off every (-2)-chain get zero.  The
+    chains are read off each ray's neighbours in its two cones, as for
+    `surface_self_intersections`; nothing is sorted.
     """
-    if fan.dimension != 2:
-        raise FanError("surface oracle needs a 2-dimensional fan")
+    selfints = surface_self_intersections(fan)
     ok, witness = is_semi_fano(fan)
     if not ok:
         raise FanError(
             f"fan is not semi-Fano (witness pairing {sum(witness)})"
         )
-    order = cyclic_ray_order(fan)
-    selfints = surface_self_intersections(fan)
-    m = len(order)
-    # class of each (-2)-divisor: its neighbors once each, itself -2 times
-    classes = {}
-    for pos, k in enumerate(order):
-        if selfints[k] == -2:
-            d = [0] * fan.num_rays
-            d[order[pos - 1]] += 1
-            d[order[(pos + 1) % m]] += 1
-            d[k] -= 2
-            classes[k] = d
+    near = {k: _neighbours(fan, k) for k, d2 in selfints.items() if d2 == -2}
     return tuple(
-        _chain_delta(lattice, box, order, classes, i) if i in classes
+        _chain_delta(lattice, box, near, i, fan.num_rays) if i in near
         else MultiSeries.zero(box)
         for i in range(fan.num_rays)
     )
 
 
-def _chain_delta(lattice, box, order, classes, i):
-    """delta_i of a (-2)-divisor i; `classes` maps every (-2)-divisor to its class.
+def _chain_delta(lattice, box, near, i, m):
+    """delta_i of a (-2)-divisor i of a fan of m rays; `near` maps every
+    (-2)-divisor to its two neighbours, so its class is 1 at each of them
+    and -2 at itself.
 
-    The maximal chain of (-2)-divisors through i is read off the rays after i
-    in cyclic order, each side the run of (-2)-divisors next to i.  The sides
-    never meet: a closed cycle of (-2)-divisors would need v_(k+1) = 2 v_k -
-    v_(k-1) all round, putting every ray on one line, as no complete fan has.
+    The maximal chain of (-2)-divisors through i has a side from each
+    neighbour of i: the walk on to the neighbour it did not come from, while
+    that is a (-2)-divisor.  The sides never meet: a closed cycle of
+    (-2)-divisors would need v_(k+1) = 2 v_k - v_(k-1) all round, putting
+    every ray on one line, as no complete fan has.  A walk stops at i all
+    the same, so a fan that is not smooth cannot make it run on.
     """
-    pos = order.index(i)
-    after = order[pos + 1:] + order[:pos]
-    right = list(takewhile(classes.__contains__, after))
-    left = list(takewhile(classes.__contains__, reversed(after)))
+    sides = []
+    for k in near[i]:
+        side, prev = [], i
+        while k in near and k != i:
+            side.append(k)
+            p, n = near[k]
+            prev, k = k, (n if p == prev else p)
+        sides.append(side)
+    right, left = sides
     coeffs = {}
     for s0 in range(1, min(len(left), len(right)) + 2):
         for rs in _admissible_side_sequences(s0, len(right)):
             for ls in _admissible_side_sequences(s0, len(left)):
-                total = [0] * len(classes[i])
+                total = [0] * m
                 for k, s in [(i, s0)] + list(zip(right, rs)) + list(zip(left, ls)):
-                    for j, c in enumerate(classes[k]):
-                        total[j] += s * c
+                    p, n = near[k]
+                    total[p] += s
+                    total[n] += s
+                    total[k] -= 2 * s
                 exps = lattice.coordinates(tuple(total))
                 if exps is not None and box.contains(exps):
                     coeffs[tuple(exps)] = coeffs.get(tuple(exps), 0) + 1

@@ -85,9 +85,7 @@ def test_criterion_2_threefold_tables():
     anchors_ok = True
     mismatches = []
     for ray, reference in ((0, REFERENCE_TABLE_RAY1), (1, REFERENCE_TABLE_RAY2)):
-        table = invariant_table(
-            an.deltas[ray], TruncationBox((7, 7, 0, 0))
-        ).entries
+        table = invariant_table(an.deltas[ray]).entries
         for k1 in range(8):
             for k2 in range(8):
                 got = table[(k1, k2, 0, 0)]

@@ -21,7 +21,7 @@ from semifano import (
     structural_report,
 )
 from semifano import series
-from semifano.series import SeriesError, render
+from semifano.series import render
 from semifano.mirror import MirrorMapPair
 from semifano.superpotential import InvariantSeries
 from conftest import fixture_analysis
@@ -59,8 +59,6 @@ def test_invariant_table_refuses_fractions():
     with pytest.raises(ValueError) as exc:
         invariant_table(bad)
     assert str(exc.value) == "non-integer disk count at exponents [(1,)] for ray 1"
-    # a sub-box without the fractional entry tabulates
-    assert invariant_table(bad, TruncationBox((0,))).terms == (((0,), 1),)
 
 
 def test_render_table_golden():
@@ -71,13 +69,12 @@ def test_render_table_golden():
     )
 
 
-def oracle_invariant_table(inv, box=None):
+def oracle_invariant_table(inv):
     """The table code before it moved to the packed series: every entry of
-    the box looked up in the Fraction terms and tested one at a time.
-    Returns (box, entries as ints)."""
+    the series' box looked up in the Fraction terms and tested one at a
+    time.  Returns (box, entries as ints)."""
     series = inv.one_plus
-    if box is None:
-        box = series.box
+    box = series.box
     coeffs = to_dict(series)
     entries = {
         exp: coeffs.get(exp, Fraction(0))
@@ -99,15 +96,15 @@ def oracle_render_table(box, entries):
     return "\n".join(lines)
 
 
-def assert_table_matches_oracle(inv, box=None):
+def assert_table_matches_oracle(inv):
     try:
-        want_box, entries = oracle_invariant_table(inv, box)
+        want_box, entries = oracle_invariant_table(inv)
     except ValueError as exc:
         with pytest.raises(ValueError) as got:
-            invariant_table(inv, box)
+            invariant_table(inv)
         assert str(got.value) == str(exc)
         return
-    table = invariant_table(inv, box)
+    table = invariant_table(inv)
     assert list(table.entries.items()) == list(entries.items())
     assert all(type(n) is int for n in table.entries.values())
     assert table.box == want_box and table.ray_index == inv.ray_index
@@ -128,21 +125,12 @@ def test_table_matches_oracle_on_fixtures(name):
         assert_table_matches_oracle(inv)
 
 
-def test_table_matches_oracle_on_sub_box():
-    # criterion 2's shape: a full series tabulated on the first two degrees
-    an = fixture_analysis("threefold-example", (3, 3, 3, 3))
-    for inv in an.deltas:
-        assert_table_matches_oracle(inv, TruncationBox((3, 3, 0, 0)))
-
-
 def test_table_matches_oracle_at_the_papers_box():
-    # the paper's tables: every threefold ray at 7^4, and criterion 2's
-    # sub-box of the first two degrees
+    # the paper's tables: every threefold ray at 7^4
     an = fixture_analysis("threefold-example", (7, 7, 7, 7))
     assert max(len(invariant_table(inv).terms) for inv in an.deltas) == 51
     for inv in an.deltas:
         assert_table_matches_oracle(inv)
-        assert_table_matches_oracle(inv, TruncationBox((7, 7, 0, 0)))
 
 
 def test_table_matches_oracle_with_fractions():
@@ -151,17 +139,10 @@ def test_table_matches_oracle_with_fractions():
              (3, 3): Fraction(5, 2)}
     inv = invariant(1, box, terms)
     assert_table_matches_oracle(inv)
-    assert_table_matches_oracle(inv, TruncationBox((2, 2)))
-    for caps, bad in (((3, 3), [(1, 0), (0, 2), (3, 3)]),
-                      ((2, 2), [(1, 0), (0, 2)])):
-        with pytest.raises(ValueError) as exc:
-            invariant_table(inv, TruncationBox(caps))
-        assert str(exc.value) == (
-            f"non-integer disk count at exponents {bad} for ray 2")
-    # the one sub-box of the first row and column without a fraction
-    table = invariant_table(inv, TruncationBox((0, 1)))
-    assert table.terms == (((0, 0), 1),)
-    assert table.entries == {(0, 0): 1, (0, 1): 0}
+    with pytest.raises(ValueError) as exc:
+        invariant_table(inv)
+    assert str(exc.value) == (
+        "non-integer disk count at exponents [(1, 0), (0, 2), (3, 3)] for ray 2")
 
 
 @pytest.mark.parametrize("caps", [(0, 3), (2, 0, 1), (11, 0), (0,), (12,)])
@@ -197,15 +178,6 @@ def test_entries_view_reads_like_the_full_dict():
     assert table.entries[(7, 0, 0, 0)] == -454880
     assert table.entries[(7, 7, 7, 7)] == 0
     assert "table_rows" not in box.__dict__
-
-
-def test_invariant_table_refuses_box_outside_series():
-    inv = invariant(2, TruncationBox((2, 2)), {})
-    for caps in ((3, 3), (2,), (2, 2, 0)):
-        with pytest.raises(SeriesError, match=rf"table box \({caps[0]}.*series box \(2, 2\)"):
-            invariant_table(inv, TruncationBox(caps))
-    assert invariant_table(inv, TruncationBox((2, 0))).entries == {
-        (0, 0): 1, (1, 0): 0, (2, 0): 0}
 
 
 def test_w_hv_f2(f2_analysis):

@@ -18,7 +18,6 @@ from semifano import (
 from semifano import cli, mirror, superpotential
 from semifano.superpotential import (
     _admissible_side_sequences,
-    cyclic_ray_order,
     surface_self_intersections,
 )
 from conftest import fixture_analysis, fixture_fan, fixture_lattice, fixture_path
@@ -27,14 +26,6 @@ from test_invariance import nef_universe
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import surfaces  # noqa: E402
-
-
-def test_cyclic_order_f2():
-    fan, _ = fixture_fan("f2")
-    order = cyclic_ray_order(fan)
-    start = order.index(0)
-    rotated = order[start:] + order[:start]
-    assert rotated == [0, 1, 2, 3]
 
 
 def test_self_intersections_f2():
@@ -160,10 +151,6 @@ def test_oracle_rejects_threefold():
     fan, lattice = fixture_lattice("threefold-example")
     with pytest.raises(FanError):
         surface_admissible_deltas(fan, lattice, TruncationBox((2, 2, 2, 2)))
-
-
-def test_self_intersections_reject_threefold():
-    fan, _ = fixture_fan("threefold-example")
     with pytest.raises(FanError):
         surface_self_intersections(fan)
 
@@ -174,6 +161,15 @@ def test_oracle_rejects_a_ray_outside_two_cones():
     open_fan = Fan(2, fan.rays, fan.max_cones[:2])
     with pytest.raises(FanError):
         surface_admissible_deltas(open_fan, lattice, TruncationBox((2,)))
+
+
+def test_self_intersections_reject_a_ray_in_no_cone():
+    # validate_fan passes P^2's fan with a stray ray (1, 1), but the ray has
+    # no neighbours to read
+    fan, _ = fixture_fan("p2")
+    stray = Fan(2, fan.rays + ((1, 1),), fan.max_cones)
+    with pytest.raises(FanError, match="ray 4 lies in 0 cone"):
+        surface_self_intersections(stray)
 
 
 def test_cross_validation_refuses_before_engine_runs(monkeypatch, capsys):
