@@ -147,7 +147,8 @@ def validate_fan(fan: Fan):
     Complete: every wall lies in exactly two cones, on opposite sides of it,
     and no closed cone but the first holds the sum of the first's rays, an
     interior point; so the cones cover each generic point once.  Both tests
-    read `Fan.cone_solutions`, the first through `Fan.walls`.
+    read `Fan.cone_solutions`, the first through `Fan.walls`.  Last, every
+    ray must lie in some maximal cone.
     """
     violations = []
     n = fan.dimension
@@ -193,6 +194,9 @@ def validate_fan(fan: Fan):
             violations.append(
                 f"wall {tuple(k + 1 for k in wall)} has both its cones on one side"
             )
+    used = set().union(*fan.max_cones)
+    violations += [f"ray {k + 1} lies in no maximal cone"
+                   for k in range(fan.num_rays) if k not in used]
     return violations
 
 

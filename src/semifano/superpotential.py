@@ -11,11 +11,9 @@ the engine, and `cross_validate_surface` compares it with an analysis.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
-from math import prod
+from types import MappingProxyType
 
 from .fans import (
     CurveLattice,
@@ -56,26 +54,6 @@ class InvariantSeries:
         return sub(self.one_plus, MultiSeries.one(self.pulled.box))
 
 
-class _Entries(Mapping):
-    """Every in-box disk count of a table, a read-only view over its nonzero
-    terms with the zeros implied, iterated in graded-lex order."""
-
-    def __init__(self, table):
-        self._box, self._terms = table.box, dict(table.terms)
-
-    def __getitem__(self, exp):
-        if not self._box.contains(exp):
-            raise KeyError(exp)
-        return self._terms.get(exp, 0)
-
-    def __iter__(self):
-        # product runs in lex order, so a stable sort by degree is graded lex
-        return iter(sorted(product(*[range(c + 1) for c in self._box.caps]), key=sum))
-
-    def __len__(self):
-        return prod(c + 1 for c in self._box.caps)
-
-
 @dataclass(frozen=True)
 class InvariantTable:
     ray_index: int
@@ -84,8 +62,9 @@ class InvariantTable:
 
     @cached_property
     def entries(self):
-        """Every in-box disk count, zeros implied; builds no table row."""
-        return _Entries(self)
+        """The nonzero disk counts, a read-only map from exponent to count in
+        graded-lex order: a zero count is an absent key, read `.get(exp, 0)`."""
+        return MappingProxyType(dict(self.terms))
 
 
 def invariant_table(inv: InvariantSeries) -> InvariantTable:

@@ -22,7 +22,8 @@ records the degree slices that a call's recurrences build, and
 `pass_products` counts the products its kernel sums form.  Last come the
 dict, identity and class-keyed views, sums, scaling, composition and single
 correction series that only tests use, and `variants`, a fan under
-unimodular maps and re-indexings.
+unimodular maps and re-indexings.  `gkz_violations` checks the forward map
+against the GKZ recurrence, reading only the pairings and its coefficients.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from itertools import product
-from math import factorial, lcm
-from operator import or_
+from math import factorial, lcm, prod
+from operator import mul, or_
 
 from semifano import (
     CurveLattice,
@@ -189,6 +190,63 @@ def class_keyed(analysis):
     lattice = analysis.lattice
     return {(d.ray_index, lattice.class_from_coordinates(e)): Fraction(n, den)
             for d in analysis.deltas for e, n, den in d.one_plus.coefficients()}
+
+
+def falling(n, r):
+    """The falling factorial n (n - 1) ... (n - r + 1)."""
+    return prod(n - k for k in range(r))
+
+
+def gkz_violations(analysis):
+    """The (basis index c, variable a, exponent e) at which the forward map
+    breaks the GKZ recurrence of the toric I-function (Givental,
+    alg-geom/9701016).
+
+    tau_a = log x_a + forward_a is the p_a part of the I-function at order
+    1/z.  For a basis class beta = b_c with c1(beta) = 0 it satisfies
+    P_+(theta) tau_a = x^beta P_-(theta) tau_a, where
+    P_+- = prod over +-beta_i > 0 of falling(theta_{D_i}, |beta_i|) and
+    theta_{D_i} x^e = kappa(e)_i x^e, kappa(e)_i = sum_b pairing(i, b) e_b.
+    On log x_a only the linear part of P_+- acts, theta_{D_i} log x_a =
+    pairing(i, a), and it is nonzero only when a single ray has an entry of
+    that sign.  So at each exponent e of the box the coefficient of x^e is
+    checked on both sides; the right side's comes from e - u_c, and is 0
+    when e_c = 0.  Only e in forward's support, its shifts by u_c, 0 and u_c
+    can have a nonzero side.
+    """
+    lattice, box = analysis.lattice, analysis.box
+    rows = [lattice.pairing_row(i) for i in range(lattice.fan.num_rays)]
+    zero = (0,) * lattice.rank
+    out = []
+    for c, beta in enumerate(lattice.basis):
+        if sum(beta):
+            continue
+
+        def shift(e, k):
+            return e[:c] + (e[c] + k,) + e[c + 1:]
+
+        u = shift(zero, 1)
+
+        def side(sign, e):
+            return prod(falling(sum(map(mul, rows[i], e)), sign * x)
+                        for i, x in enumerate(beta) if sign * x > 0)
+
+        def log_term(sign, a):
+            # d/dt falling(t, r) at t = 0 is (-1)(-2)..(1 - r) = falling(-1, r - 1)
+            (r, i), *more = [(sign * x, i) for i, x in enumerate(beta) if sign * x > 0]
+            return 0 if more else falling(-1, r - 1) * rows[i][a]
+
+        for a, s in enumerate(analysis.mirror.forward):
+            f = {e: Fraction(n, d) for e, n, d in s.coefficients()}
+            for e in sorted({zero, u, *f, *(shift(e, 1) for e in f)}):
+                if not box.contains(e):
+                    continue
+                prev = shift(e, -1)
+                lhs = side(1, e) * f.get(e, 0) + (e == zero) * log_term(1, a)
+                rhs = side(-1, prev) * f.get(prev, 0) + (e == u) * log_term(-1, a)
+                if lhs != rhs:
+                    out.append((c, a, e))
+    return out
 
 
 # unimodular maps of Z^2 and Z^3, as row-major matrices acting on column vectors

@@ -88,7 +88,7 @@ def test_criterion_2_threefold_tables():
         table = invariant_table(an.deltas[ray]).entries
         for k1 in range(8):
             for k2 in range(8):
-                got = table[(k1, k2, 0, 0)]
+                got = table.get((k1, k2, 0, 0), 0)
                 want = reference[k1][k2]
                 if got != want:
                     mismatches.append(

@@ -164,6 +164,20 @@ def test_validate_checks_options_only_on_a_valid_fan(tmp_path, capsys):
     assert "invalid fan: rays are not pairwise distinct" in out
 
 
+def test_a_ray_in_no_cone_is_refused(tmp_path, capsys):
+    # P^2's fan with a stray ray (1, 1): no maximal cone holds it, so it
+    # would add a curve class and a term but no divisor of the variety
+    p = tmp_path / "stray.json"
+    p.write_text(json.dumps({**P2, "rays": P2["rays"] + [[1, 1]]}))
+    code, out, err = run_cli(capsys, "validate", str(p))
+    assert (code, out, err) == (1, "invalid fan: ray 4 lies in no maximal cone\n", "")
+    for command in ("g0", "mirror-map", "invariants", "superpotential",
+                    "surface-oracle", "check"):
+        code, out, err = run_cli(capsys, command, str(p))
+        assert (code, out) == (2, ""), command
+        assert json.loads(err) == {"error": "ray 4 lies in no maximal cone"}, command
+
+
 # JSON true and false load as bool, which isinstance counts as int
 @pytest.mark.parametrize("document, message", [
     ({**P1, "dimension": True},

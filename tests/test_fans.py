@@ -53,11 +53,12 @@ def test_validate_rejects_incomplete_fan():
     fan = Fan(2, ((1, 0), (0, 1), (-1, -1)), ((0, 1), (1, 2)))
     assert validate_fan(fan) == ["wall (1,) shared by 1 cone(s)",
                                  "wall (3,) shared by 1 cone(s)"]
-    # one cone alone: its walls in `combinations` order
+    # one cone alone: its walls in `combinations` order, then the ray it leaves out
     fan = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)), ((0, 1, 2),))
     assert validate_fan(fan) == ["wall (1, 2) shared by 1 cone(s)",
                                  "wall (1, 3) shared by 1 cone(s)",
-                                 "wall (2, 3) shared by 1 cone(s)"]
+                                 "wall (2, 3) shared by 1 cone(s)",
+                                 "ray 4 lies in no maximal cone"]
 
 
 def test_validate_rejects_duplicate_rays():

@@ -1,7 +1,9 @@
 import gc
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +29,9 @@ from semifano.superpotential import InvariantSeries
 from conftest import fixture_analysis
 from oracles import add, oracle_log, to_dict
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+import run as bench_run  # noqa: E402
+
 
 def invariant(i, box, delta):
     """The InvariantSeries of ray i whose delta has these terms: it keeps
@@ -46,11 +51,7 @@ def test_f2_delta4_is_q1(f2_analysis):
 
 def test_f2_invariant_table(f2_analysis):
     table = invariant_table(f2_analysis.deltas[3])
-    assert table.entries[(0, 0)] == 1
-    assert table.entries[(1, 0)] == 1
-    assert all(
-        v == 0 for e, v in table.entries.items() if e not in {(0, 0), (1, 0)}
-    )
+    assert table.entries == {(0, 0): 1, (1, 0): 1}
 
 
 def test_invariant_table_refuses_fractions():
@@ -105,7 +106,7 @@ def assert_table_matches_oracle(inv):
         assert str(got.value) == str(exc)
         return
     table = invariant_table(inv)
-    assert list(table.entries.items()) == list(entries.items())
+    assert list(table.entries.items()) == [(e, n) for e, n in entries.items() if n]
     assert all(type(n) is int for n in table.entries.values())
     assert table.box == want_box and table.ray_index == inv.ray_index
     assert render_table(table) == oracle_render_table(want_box, entries)
@@ -159,25 +160,45 @@ def test_render_table_arity_zero():
     assert render_table(invariant_table(inv)) == "n\n1"
 
 
-def test_entries_view_reads_like_the_full_dict():
+def test_entries_are_the_nonzero_counts():
     inv = invariant(1, TruncationBox((2, 1)), {(1, 0): 3, (0, 1): -2, (2, 1): 5})
-    entries = invariant_table(inv).entries
-    full = {(0, 0): 1, (0, 1): -2, (1, 0): 3, (1, 1): 0, (2, 0): 0, (2, 1): 5}
-    assert entries == full and full == entries
-    assert entries != {**full, (1, 1): 7} and {**full, (1, 1): 7} != entries
-    assert list(entries.items()) == list(full.items())
-    assert len(entries) == 6 and all(type(v) is int for v in entries.values())
-    for key in [(3, 0), (0, 2), (-1, 0), (1,), (1, 0, 0), ()]:
+    table = invariant_table(inv)
+    entries = table.entries
+    nonzero = {(0, 0): 1, (0, 1): -2, (1, 0): 3, (2, 1): 5}
+    assert entries == nonzero and nonzero == entries
+    assert list(entries.items()) == list(table.terms) == list(nonzero.items())
+    assert all(type(v) is int for v in entries.values())
+    # a zero count inside the box is an absent key, as is a key outside it
+    assert entries.get((1, 1), 0) == 0 and entries.get((2, 0), 0) == 0
+    for key in [(1, 1), (2, 0), (3, 0), (0, 2), (-1, 0), (1,), (1, 0, 0), ()]:
         assert key not in entries
         with pytest.raises(KeyError):
             entries[key]
+    with pytest.raises(TypeError):
+        entries[(1, 1)] = 7
+    assert entries == nonzero
     # one entry of the paper's 7^4 table is read without building its rows
     an = fixture_analysis("threefold-example", (7,) * 4)
     box, table = an.box, invariant_table(an.deltas[0])
     assert table.box is box
     assert table.entries[(7, 0, 0, 0)] == -454880
-    assert table.entries[(7, 7, 7, 7)] == 0
+    assert (7, 7, 7, 7) not in table.entries
     assert "table_rows" not in box.__dict__
+
+
+def test_bench_anchors_are_nonzero_entries():
+    # the benchmark's tables_job reads each in-box anchor as entries[exp],
+    # a KeyError for a zero count: at both of its boxes every anchor in the
+    # box must be a key, with its pinned value
+    read = []
+    for caps in bench_run.TABLE_BOX.values():
+        an = fixture_analysis("threefold-example", caps)
+        for ray, exp, want in bench_run.ANCHORS:
+            if an.box.contains(exp):
+                assert invariant_table(an.deltas[ray]).entries[exp] == want
+                read.append((caps, exp))
+    # all three at 7^4, and (2, 2, 0, 0) alone at the smoke box 3^4
+    assert len(read) == 4
 
 
 def test_w_hv_f2(f2_analysis):

@@ -164,8 +164,8 @@ def test_oracle_rejects_a_ray_outside_two_cones():
 
 
 def test_self_intersections_reject_a_ray_in_no_cone():
-    # validate_fan passes P^2's fan with a stray ray (1, 1), but the ray has
-    # no neighbours to read
+    # P^2's fan with a stray ray (1, 1), which validate_fan refuses: the
+    # oracle refuses it too, as the ray has no neighbours to read
     fan, _ = fixture_fan("p2")
     stray = Fan(2, fan.rays + ((1, 1),), fan.max_cones)
     with pytest.raises(FanError, match="ray 4 lies in 0 cone"):
