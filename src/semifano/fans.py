@@ -15,7 +15,7 @@ caller that needs less than `fan_polytope_vertices` stops the walk early.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from math import gcd
 from operator import mul
@@ -27,23 +27,17 @@ class FanError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Fan:
-    """A simplicial fan: dimension, primitive ray generators, maximal cones.
+class Fan(namedtuple("Fan", "dimension rays max_cones")):
+    """A simplicial fan: dimension, primitive ray generators (integer
+    tuples), maximal cones (sorted tuples of ray indices).
 
     Ray and cone indices are 0-based internally; the JSON input layer uses
     1-based cone entries.
     """
 
-    dimension: int
-    rays: tuple[tuple[int, ...], ...]
-    max_cones: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "rays", tuple(tuple(v) for v in self.rays))
-        object.__setattr__(
-            self, "max_cones", tuple(tuple(sorted(c)) for c in self.max_cones)
-        )
+    def __new__(cls, dimension, rays, max_cones):
+        return super().__new__(cls, dimension, tuple(tuple(v) for v in rays),
+                               tuple(tuple(sorted(c)) for c in max_cones))
 
     @property
     def num_rays(self):
@@ -86,19 +80,16 @@ class Fan:
         return tuple(classes)
 
 
-@dataclass(frozen=True)
-class CurveLattice:
+class CurveLattice(namedtuple("CurveLattice", "fan basis nef_verified",
+                              defaults=(False,))):
     """A chosen Z-basis of the curve-class lattice of a fan.
 
-    `basis[a]` is the a-th basis class; the pairing matrix entry a(i, a) is
-    simply coordinate i of basis class a.  `nef_verified` records whether
-    every wall curve class has nonnegative coordinates in this basis, which
-    downstream series code relies on for nonnegative exponents.
+    `basis[a]` is the a-th basis class, an integer tuple; the pairing matrix
+    entry a(i, a) is simply coordinate i of basis class a.  `nef_verified`
+    records whether every wall curve class has nonnegative coordinates in
+    this basis, which downstream series code relies on for nonnegative
+    exponents.
     """
-
-    fan: Fan
-    basis: tuple[tuple[int, ...], ...]
-    nef_verified: bool = False
 
     @property
     def rank(self):

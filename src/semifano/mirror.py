@@ -10,7 +10,7 @@ one pass over total degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import factorial, lcm, prod
 from operator import mul
 
@@ -88,10 +88,9 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox):
     return tuple(MultiSeries(box, _lowest(den, n)) for n in nums)
 
 
-@dataclass(frozen=True)
-class MirrorMapPair:
+class MirrorMapPair(namedtuple("MirrorMapPair", "forward inverse pulled")):
     """Both directions of the coordinate change, one exponent series a
-    variable.
+    variable, each a tuple of MultiSeries.
 
     `forward` expresses the corrected variables in terms of the raw ones
     (q_a = x_a * exp(forward[a])); `inverse` goes back, and the composition
@@ -99,9 +98,7 @@ class MirrorMapPair:
     series composed with the inverse.
     """
 
-    forward: tuple[MultiSeries, ...]
-    inverse: tuple[MultiSeries, ...]
-    pulled: tuple[MultiSeries, ...]
+    __slots__ = ()
 
 
 def assemble_mirror_map(lattice: CurveLattice, g0) -> MirrorMapPair:

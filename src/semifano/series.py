@@ -26,7 +26,7 @@ in constant_term.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
@@ -37,20 +37,18 @@ class SeriesError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class TruncationBox:
-    """Caps on each variable's exponent.  What depends only on them is built
-    once per box object: layout, table_rows and the exps memo."""
+class TruncationBox(namedtuple("TruncationBox", "caps")):
+    """Caps on each variable's exponent, a tuple of nonnegative ints.  What
+    depends only on them is built once per box object: layout, table_rows
+    and the exps memo."""
 
-    caps: tuple[int, ...]
-
-    def __post_init__(self):
-        caps = tuple(self.caps)
+    def __new__(cls, caps):
+        caps = tuple(caps)
         if not all(isinstance(c, int) and not isinstance(c, bool) for c in caps):
             raise SeriesError("truncation caps must be integers")
         if any(c < 0 for c in caps):
             raise SeriesError("truncation caps must be nonnegative")
-        object.__setattr__(self, "caps", caps)
+        return super().__new__(cls, caps)
 
     @property
     def arity(self):
@@ -215,13 +213,12 @@ def _exp(s, box):
 # public immutable wrappers
 
 
-@dataclass(frozen=True)
-class MultiSeries:
-    """Sparse exact series: the packed series (D, {packed exponent: numerator})
-    in lowest terms.  Immutable, compared by that canonical form."""
+class MultiSeries(namedtuple("MultiSeries", "box packed")):
+    """Sparse exact series in a TruncationBox: the packed series (D, {packed
+    exponent: numerator}) in lowest terms.  Immutable, compared by that
+    canonical form; unhashable, as the form holds a dict."""
 
-    box: TruncationBox
-    packed: tuple[int, dict[int, int]]
+    __slots__ = ()
 
     @staticmethod
     def from_dict(box, coeffs):

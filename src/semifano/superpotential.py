@@ -11,7 +11,7 @@ the engine, and `cross_validate_surface` compares it with an analysis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import cached_property
 from types import MappingProxyType
 
@@ -35,14 +35,10 @@ from .series import (
 )
 
 
-@dataclass(frozen=True)
-class InvariantSeries:
+class InvariantSeries(namedtuple("InvariantSeries", "ray_index pulled")):
     """The disk counts of ray i, kept as the pulled-back correction series
     G_i = log(1 + delta_i); delta_i sums, over nonzero classes, disk counts
     times q-monomials."""
-
-    ray_index: int
-    pulled: MultiSeries
 
     @cached_property
     def one_plus(self):
@@ -54,11 +50,9 @@ class InvariantSeries:
         return sub(self.one_plus, MultiSeries.one(self.pulled.box))
 
 
-@dataclass(frozen=True)
-class InvariantTable:
-    ray_index: int
-    box: TruncationBox
-    terms: tuple[tuple[tuple[int, ...], int], ...]
+class InvariantTable(namedtuple("InvariantTable", "ray_index box terms")):
+    """The nonzero disk counts of ray i over a box: `terms` holds
+    (exponent, n) pairs in graded-lex order."""
 
     @cached_property
     def entries(self):
@@ -92,18 +86,16 @@ def render_table(table: InvariantTable) -> str:
     return "\n".join(lines)
 
 
-@dataclass(frozen=True)
-class SuperpotentialTerm:
-    ray_index: int
-    z_exponent: tuple[int, ...]
-    q_exponent: tuple[int, ...]
-    unit: MultiSeries  # constant term 1
+class SuperpotentialTerm(namedtuple("SuperpotentialTerm",
+                                    "ray_index z_exponent q_exponent unit")):
+    """The term of ray k: unit times q^(q_exponent) z^(z_exponent), the unit
+    a series of constant term 1."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SuperpotentialExpr:
-    cone_index: int
-    terms: tuple[SuperpotentialTerm, ...]
+class SuperpotentialExpr(namedtuple("SuperpotentialExpr", "cone_index terms")):
+    __slots__ = ()
 
 
 def assemble_W_HV(fan: Fan, lattice: CurveLattice, sigma: int,
@@ -176,11 +168,8 @@ def normalize_W_LF(expr: SuperpotentialExpr, fan: Fan, deltas) -> Superpotential
     return SuperpotentialExpr(expr.cone_index, tuple(terms))
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    name: str
-    passed: bool
-    details: tuple[str, ...] = ()
+class CheckReport(namedtuple("CheckReport", "name passed details", defaults=((),))):
+    __slots__ = ()
 
 
 def check_PF_equals_LF(wpf: SuperpotentialExpr, wlf: SuperpotentialExpr) -> CheckReport:
@@ -344,8 +333,7 @@ def cross_validate_surface(oracle, analysis: ToricAnalysis) -> CheckReport:
 # whole-pipeline convenience
 
 
-@dataclass(frozen=True)
-class ToricAnalysis:
+class ToricAnalysis(namedtuple("ToricAnalysis", "fan lattice box")):
     """One run of the pipeline on a fan, its curve lattice and a box.
 
     Each stage is built on its first read and kept: `g0`, the correction
@@ -353,10 +341,6 @@ class ToricAnalysis:
     `deltas`, the disk generating functions.  A stage reads only the stages
     before it, so a command builds only what it reads.
     """
-
-    fan: Fan
-    lattice: CurveLattice
-    box: TruncationBox
 
     @cached_property
     def g0(self):

@@ -8,8 +8,10 @@ A method or property of a class there, dunders aside, must occur as an
 attribute in some file under `src/` or `bench/`.  A function that only
 tests use belongs in `tests/`, so `tests/` is not searched.  `__init__.py`
 imports only to re-export, so its imports use nothing.  A field of a
-dataclass there must be read as an attribute under `src/` or `bench/`, or
-in the acceptance suite, whose criteria read results the engine only builds.
+record there, a dataclass's annotated field or a name in the field string
+of a `namedtuple(...)` base, must be read as an attribute under `src/` or
+`bench/`, or in the acceptance suite, whose criteria read results the engine
+only builds.
 `cli.py` names no stage builder: its commands reach the stages only through
 an analysis, which builds each on its first read.  The checks name no
 pipeline stage either: a check may read an analysis's stages and do series
@@ -54,14 +56,25 @@ def methods(source):
 
 
 def dataclass_fields(source):
-    """(class, name) of each annotated field of the dataclasses of source."""
-    def is_dataclass(d):
+    """(class, name) of each field of the records of source: the annotated
+    fields of a dataclass, and the field names of a `namedtuple(...)` base."""
+    def called(d, name):
         d = d.func if isinstance(d, ast.Call) else d
-        return "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None))
-    return [(node.name, f.target.id) for node in ast.parse(source).body
-            if isinstance(node, ast.ClassDef)
-            and any(is_dataclass(d) for d in node.decorator_list)
-            for f in node.body if isinstance(f, ast.AnnAssign)]
+        return name in (getattr(d, "id", None), getattr(d, "attr", None))
+    fields = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        if any(called(d, "dataclass") for d in node.decorator_list):
+            fields += [(node.name, f.target.id) for f in node.body
+                       if isinstance(f, ast.AnnAssign)]
+        for base in node.bases:
+            if isinstance(base, ast.Call) and called(base, "namedtuple"):
+                names = ast.literal_eval(base.args[1])
+                if isinstance(names, str):
+                    names = names.replace(",", " ").split()
+                fields += [(node.name, f) for f in names]
+    return fields
 
 
 def referenced_names(sources, attributes_only=False):
@@ -106,6 +119,25 @@ def field_readers():
 def test_dataclass_fields_are_read(path, field_readers):
     assert [f for f in dataclass_fields(path.read_text())
             if f[1] not in field_readers] == []
+
+
+def test_every_record_field_is_seen():
+    assert [f for path in MODULES for f in dataclass_fields(path.read_text())] == [
+        ("Fan", "dimension"), ("Fan", "rays"), ("Fan", "max_cones"),
+        ("CurveLattice", "fan"), ("CurveLattice", "basis"),
+        ("CurveLattice", "nef_verified"),
+        ("MirrorMapPair", "forward"), ("MirrorMapPair", "inverse"),
+        ("MirrorMapPair", "pulled"),
+        ("TruncationBox", "caps"), ("MultiSeries", "box"), ("MultiSeries", "packed"),
+        ("InvariantSeries", "ray_index"), ("InvariantSeries", "pulled"),
+        ("InvariantTable", "ray_index"), ("InvariantTable", "box"),
+        ("InvariantTable", "terms"),
+        ("SuperpotentialTerm", "ray_index"), ("SuperpotentialTerm", "z_exponent"),
+        ("SuperpotentialTerm", "q_exponent"), ("SuperpotentialTerm", "unit"),
+        ("SuperpotentialExpr", "cone_index"), ("SuperpotentialExpr", "terms"),
+        ("CheckReport", "name"), ("CheckReport", "passed"), ("CheckReport", "details"),
+        ("ToricAnalysis", "fan"), ("ToricAnalysis", "lattice"), ("ToricAnalysis", "box"),
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +232,30 @@ def test_unread_dataclass_field_is_found():
         ("SuperpotentialExpr", "tag")]
     # criterion 4 reads the analysis's correction family, built only for it
     assert "g0" in referenced_names([ACCEPTANCE.read_text()], attributes_only=True)
+
+
+def test_unread_namedtuple_field_is_found():
+    module = ("from collections import namedtuple\n"
+              "import collections\n"
+              "class SuperpotentialExpr(namedtuple('SuperpotentialExpr', 'tag cone_index')):\n"
+              "    __slots__ = ()\n"
+              "    def total(self):\n"
+              "        return self.cone_index\n"
+              "class CheckReport(collections.namedtuple('CheckReport', 'name, passed',\n"
+              "                                         defaults=(True,))):\n"
+              "    pass\n"
+              "class Plain(tuple):\n"
+              "    limit: int = 3\n")
+    # the engine passes a tag when it builds the expression but never reads
+    # it back; a local of that name is no read
+    engine = ("tag = 'HV'\ne = SuperpotentialExpr(tag, 0)\nprint(e.cone_index)\n"
+              "r = CheckReport('PF=LF')\nprint(r.name, r.passed)\n")
+    used = referenced_names([module, engine], attributes_only=True)
+    assert dataclass_fields(module) == [
+        ("SuperpotentialExpr", "tag"), ("SuperpotentialExpr", "cone_index"),
+        ("CheckReport", "name"), ("CheckReport", "passed")]
+    assert [f for f in dataclass_fields(module) if f[1] not in used] == [
+        ("SuperpotentialExpr", "tag")]
 
 
 def named(source):

@@ -1,6 +1,5 @@
 import gc
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -337,7 +336,7 @@ def test_structural_report_flags_dependent_pairing_rows():
     # a fresh analysis with a faulty deltas stage
     wrong = analyze(an.fan, an.lattice, an.box)
     wrong.__dict__["deltas"] = tuple(
-        replace(d, pulled=nonzero) if d.ray_index in (4, 5) else d for d in an.deltas)
+        d._replace(pulled=nonzero) if d.ray_index in (4, 5) else d for d in an.deltas)
     assert detail in structural_report(wrong).details
 
 
