@@ -11,14 +11,24 @@ and the nef basis search read them, and `validate_fan` reads the walls.
 A lattice solves its basis once for every `coordinates` call, and
 `non_vertices` yields each ray off the hull as soon as it is witnessed, so a
 caller that needs less than `fan_polytope_vertices` stops the walk early.
+
+A nef wall basis B is unique when there is one: two such bases are
+nonnegative integer combinations of each other, so one is a permutation of
+the other.  Two exact certificates bound it before any subset is walked.
+A sure wall, the only one negative at some ray, is in B, as no nonnegative
+combination of the other walls reaches it; a wall that is the sum of two
+others is not, as its unit coordinates would split into two nonzero
+nonnegative parts.  So `curve_lattice` walks only the subsets of the
+remaining candidates that hold every sure wall.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from functools import cached_property
+from itertools import combinations
 from math import gcd
-from operator import mul
+from operator import add, mul
 
 from .intlinalg import fraction_free_solve, subset_solves
 
@@ -38,6 +48,11 @@ class Fan(namedtuple("Fan", "dimension rays max_cones")):
     def __new__(cls, dimension, rays, max_cones):
         return super().__new__(cls, dimension, tuple(tuple(v) for v in rays),
                                tuple(tuple(sorted(c)) for c in max_cones))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Through `__new__`, so `_replace` keeps tuples and sorted cones."""
+        return cls(*iterable)
 
     @property
     def num_rays(self):
@@ -286,10 +301,16 @@ def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
     Every class is written once in the integer coordinates of
     `_free_coordinates`, and `_nef_verdict` reads a solve of l classes
     against the walls there.  A supplied basis is solved once and must be a
-    Z-basis.  Without one, a single `subset_solves` walk over the wall
-    coordinates visits the l-subsets in `combinations` order, and the first
-    nef Z-basis is chosen; else the dual kernel basis of `_free_coordinates`
-    is kept, over which every class's coordinates are its own.
+    Z-basis.  Without one, the nef wall basis is sought; it is unique if it
+    exists, and holds every sure wall and no sum of two walls (see the
+    module docstring), so more than l sure walls settle that there is none.
+    The wall coordinates are ordered sure walls, other candidates, sums, and
+    one `subset_solves` walk pivots on the candidates only, in
+    `combinations` order, up to the first subset that misses a sure wall;
+    each leaf still solves every wall for `_nef_verdict`, and the basis
+    found is listed in wall order.  Else the dual kernel basis of
+    `_free_coordinates` is kept, over which every class's coordinates are
+    its own.
     """
     l = fan.num_rays - fan.dimension
     walls = fan.wall_classes
@@ -306,9 +327,19 @@ def curve_lattice(fan: Fan, basis=None) -> CurveLattice:
         if not is_basis:
             raise FanError("supplied basis does not span the full curve lattice")
         return CurveLattice(fan, tuple(rows), nef_verified=nef)
-    for sub, det, adj in subset_solves(coords, l):
-        if _nef_verdict(det, adj)[1]:
-            return CurveLattice(fan, tuple(walls[k] for k in sub), nef_verified=True)
+    negative = ([k for k, x in enumerate(col) if x < 0] for col in zip(*walls))
+    sure = {ks[0] for ks in negative if len(ks) == 1}
+    if len(sure) <= l:
+        sums = {tuple(map(add, u, v)) for u, v in combinations(walls, 2)}
+        order = sorted(range(len(walls)), key=lambda k: (k not in sure, walls[k] in sums))
+        candidates = sum(w not in sums for w in walls)
+        head = tuple(range(len(sure)))
+        for sub, det, adj in subset_solves([coords[k] for k in order], l, candidates):
+            if sub[:len(head)] != head:
+                break
+            if _nef_verdict(det, adj)[1]:
+                return CurveLattice(fan, tuple(walls[k] for k in sorted(order[j] for j in sub)),
+                                    nef_verified=True)
     kernel = tuple(alpha_class(fan, 0, k) for k in range(fan.num_rays)
                    if k not in fan.max_cones[0])
     return CurveLattice(fan, kernel, nef_verified=_nef_verdict(1, coords)[1])

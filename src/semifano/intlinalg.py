@@ -6,7 +6,12 @@ with exact arithmetic are fine.  `_eliminate` (Bareiss, Math. Comp. 22,
 1968) is the one elimination step.  `fraction_free_solve` pivots B's
 columns in turn and stops at the first with no pivot; `subset_solves`
 walks every r-subset as one explicit path of states that share every row
-a step leaves unchanged, as no row is ever mutated in place.
+a step leaves unchanged, as no row is ever mutated in place.  The walk can
+take its pivots from a prefix of the columns only: it then visits just the
+subsets of that prefix, while every other column is still eliminated
+alongside, so each leaf solves every vector over the subset as before.
+A caller that has ruled the other columns out of every answer orders them
+last and passes the prefix's length.
 """
 
 from __future__ import annotations
@@ -67,21 +72,25 @@ def fraction_free_solve(B, Y):
     return det, adj[n:] if n else [[] for _ in Y]
 
 
-def subset_solves(V, r):
+def subset_solves(V, r, k=None):
     """(S, det B, det B · X) with X·B = V, B = [V[s] for s in S], for every
-    index r-subset S, in `combinations` order, of the length-r vectors V
-    that is a basis of Q^r.
+    r-subset S of range(k) (k = len(V) when None), in `combinations` order,
+    whose vectors, of length r, are a basis of Q^r.
 
-    The walk is depth-first on one matrix with V as its columns, as one
-    explicit path of (prefix, state, columns left) entries in one generator
-    frame: each prefix takes one `_eliminate` step from its parent's state,
-    sharing its unchanged rows, and a dependent prefix ends its whole
-    subtree.  Each adjugate yielded is a fresh list, the caller's to keep.
+    The walk is depth-first on one matrix with all of V as its columns, as
+    one explicit path of (prefix, state, columns left) entries in one
+    generator frame: each prefix takes one `_eliminate` step from its
+    parent's state, sharing its unchanged rows, and a dependent prefix ends
+    its whole subtree.  Pivots come from the first k columns only, and the
+    columns past k are eliminated alongside, so X still has a row for every
+    vector of V; with k < r nothing is walked.  Each adjugate yielded is a
+    fresh list, the caller's to keep.
     """
     if r == 0:
         yield (), 1, [[] for _ in V]
         return
-    path = [((), ([[v[j] for v in V] for j in range(r)], 1, 1), iter(range(len(V) - r + 1)))]
+    k = len(V) if k is None else k
+    path = [((), ([[v[j] for v in V] for j in range(r)], 1, 1), iter(range(k - r + 1)))]
     while path:
         S, state, columns = path[-1]
         t = len(S)
@@ -90,7 +99,7 @@ def subset_solves(V, r):
             if child is None:
                 continue
             if t + 1 < r:
-                path.append((S + (c,), child, iter(range(c + 1, len(V) - r + t + 2))))
+                path.append((S + (c,), child, iter(range(c + 1, k - r + t + 2))))
                 break
             yield S + (c,), *_leaf(child)
         else:

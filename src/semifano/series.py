@@ -50,6 +50,11 @@ class TruncationBox(namedtuple("TruncationBox", "caps")):
             raise SeriesError("truncation caps must be nonnegative")
         return super().__new__(cls, caps)
 
+    @classmethod
+    def _make(cls, iterable):
+        """Through `__new__`, so `_replace` refuses what the constructor does."""
+        return cls(*iterable)
+
     @property
     def arity(self):
         return len(self.caps)

@@ -24,6 +24,7 @@ from semifano.cli import parse_input
 from semifano.intlinalg import fraction_free_solve
 from oracles import GL2, lattice_membership, left_kernel_basis, solve_rational, variants
 from conftest import fixture_analysis, fixture_fan, fixture_lattice, load_fixture
+import threefolds
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import surfaces  # noqa: E402
@@ -163,9 +164,9 @@ def eliminations(monkeypatch):
 
 
 def test_subset_walks_take_fewer_elimination_steps(eliminations):
-    """The hull test and the nef search each walk their subsets once and
-    share the elimination steps of common prefixes, so they take fewer
-    steps than solving every subset on its own."""
+    """The hull test walks its subsets once and shares the elimination
+    steps of common prefixes, so it takes fewer steps than solving every
+    subset on its own."""
     def per_subset(vectors, r):
         return sum(eliminations(fraction_free_solve, [vectors[k] for k in sub],
                                 vectors)[1]
@@ -176,16 +177,19 @@ def test_subset_walks_take_fewer_elimination_steps(eliminations):
     assert vertices == {2, 4, 5, 6}
     assert walked < per_subset(fan.rays, fan.dimension)
 
-    # every 8-ray surface of the universe lacks a nef wall basis, so the
-    # search visits every wall subset; the per-subset search then solved
-    # the kernel fallback too (l steps), which now needs no solve
-    rays = next(rays for rays, _ in surfaces.universe() if len(rays) == 8)
-    fan = parse_input(surfaces.document(rays))[0]
-    walls = fans._free_coordinates(fan, fan.wall_classes)
-    l = fan.num_rays - fan.dimension
-    lattice, walked = eliminations(curve_lattice, fan)
-    assert not lattice.nef_verified
-    assert walked < per_subset(walls, l) + l
+
+def test_surfaces_without_a_nef_wall_basis_are_refused_unwalked(eliminations):
+    """Each of the 61 universe surfaces with no nef wall basis has more
+    sure walls (the only wall negative at some ray) than its rank, so the
+    nef search takes no `_eliminate` step once the wall classes are built."""
+    refused = 0
+    for fan in universe_fans():
+        assert fan.wall_classes
+        lattice, walked = eliminations(curve_lattice, fan)
+        if not lattice.nef_verified:
+            refused += 1
+            assert walked == 0, fan.rays
+    assert refused == 61
 
 
 def universe_fans():
@@ -197,32 +201,78 @@ def universe_fans():
 def test_subset_walks_take_pinned_elimination_steps(eliminations):
     """Prefix sharing and `combinations` order, held to the exact number of
     `_eliminate` steps each walk takes: the whole hull walk, and the nef
-    search with no supplied basis."""
+    search with no supplied basis, the cone solves of the wall classes
+    included."""
     threefold = fixture_fan("threefold-example")[0]
     assert eliminations(fan_polytope_vertices, threefold)[1] == 55
-    for name, steps in (("threefold-example", 55), ("kp2-bundle", 20),
-                        ("f2-blowup", 29), ("p1cubed", 27)):
+    for name, steps in (("threefold-example", 41), ("kp2-bundle", 20),
+                        ("f2-blowup", 13), ("p1cubed", 27)):
         assert eliminations(curve_lattice, fixture_fan(name)[0])[1] == steps, name
     fans_ = universe_fans()
     assert len(fans_) == 96
     assert sum(eliminations(fan_polytope_vertices, f)[1] for f in fans_) == 2314
-    assert sum(eliminations(curve_lattice, f)[1] for f in fans_) == 5505
+    assert sum(eliminations(curve_lattice, f)[1] for f in fans_) == 1367
 
 
 def test_fan_verdicts_are_invariant_under_gl_and_reindexing():
     """Every fan verdict is a property of the fan, not of its coordinates or
     its ray order: each universe surface mapped by a unimodular matrix and
     re-indexed by k -> +-k + s mod m keeps its validity, its semi-Fano
-    verdict, its hull vertices (re-indexed) and its nef verdict."""
+    verdict, its hull vertices (re-indexed) and its nef verdict.  A nef wall
+    basis is unique, so where there is one the image's basis is the same
+    set of classes, each entry moved from ray k to ray pi[k]."""
+    nefs = 0
     for fan in universe_fans():
         semi_fano, hull = is_semi_fano(fan)[0], fan_polytope_vertices(fan)
-        nef = curve_lattice(fan).nef_verified
+        lattice = curve_lattice(fan)
         for pi, image in variants(fan, GL2):
             label = (fan.rays, image.rays)
             assert validate_fan(image) == [], label
             assert is_semi_fano(image)[0] == semi_fano, label
             assert fan_polytope_vertices(image) == {pi[k] for k in hull}, label
-            assert curve_lattice(image).nef_verified == nef, label
+            moved = curve_lattice(image)
+            assert moved.nef_verified == lattice.nef_verified, label
+            if lattice.nef_verified:
+                inverse = sorted(range(fan.num_rays), key=pi.__getitem__)
+                assert set(moved.basis) == {tuple(b[k] for k in inverse)
+                                            for b in lattice.basis}, label
+        nefs += lattice.nef_verified
+    assert nefs == 35
+
+
+def test_nef_basis_of_p3_blowups_matches_rational_scan():
+    """Seeded point and curve blow-ups of P3 with at most 8 rays: the basis
+    and verdict of the nef search equal the rational subset scan's.  With
+    no nef wall basis the kernel fallback's rows may come in another order
+    than the oracle's Hermite kernel, so there the lattices are compared."""
+    verdicts = set()
+    for fan in threefolds.p3_blowups(1, 16):
+        lattice = curve_lattice(fan)
+        basis, nef = oracle_nef_basis(fan)
+        assert lattice.nef_verified is nef, fan
+        if nef:
+            assert list(lattice.basis) == basis, fan
+        else:
+            got = list(lattice.basis)
+            assert oracle_spans(got, basis) and oracle_spans(basis, got), fan
+        verdicts.add(nef)
+    assert verdicts == {True, False}
+
+
+def test_twelve_ray_threefold_has_no_nef_wall_basis(eliminations):
+    """A 12-ray blow-up of P3 (rank 9, 26 wall classes) has no nef wall
+    basis: the kernel fallback runs, and is not nef.  A walk over every
+    9-subset of the wall classes takes 2,816,159 steps to say so; after
+    the certificates, the nef search takes 3,564 once the wall classes
+    are built."""
+    fan = threefolds.TWELVE_RAYS
+    assert validate_fan(fan) == [] and is_semi_fano(fan)[0]
+    assert len(fan.wall_classes) == 26
+    lattice, walked = eliminations(curve_lattice, fan)
+    assert not lattice.nef_verified
+    assert lattice.basis == tuple(alpha_class(fan, 0, k) for k in range(fan.num_rays)
+                                  if k not in fan.max_cones[0])
+    assert walked == 3564
 
 
 def test_hull_walk_stops_at_what_its_caller_reads(eliminations, f2_analysis):

@@ -175,7 +175,9 @@ def vector_lists(draw):
 def test_subset_walk_matches_per_subset_solves(case):
     """The walk yields exactly the nonsingular r-subsets, in `combinations`
     order, each with the determinant and adjugate columns that a solve of
-    that subset against every vector gives."""
+    that subset against every vector gives.  With pivots from the first k
+    vectors only, it yields just the subsets of those, each leaf still
+    solving every vector."""
     V, r = case
     expected = []
     for S in combinations(range(len(V)), r):
@@ -183,6 +185,9 @@ def test_subset_walk_matches_per_subset_solves(case):
         if det != 0:
             expected.append((S, det, adj))
     assert list(subset_solves(V, r)) == expected
+    for k in range(len(V) + 1):
+        assert list(subset_solves(V, r, k)) == [e for e in expected
+                                                if all(s < k for s in e[0])], k
 
 
 def test_subset_walk_edge_cases():

@@ -9,9 +9,10 @@ unhashable, as a series holds a dict.  Importing the CLI loads neither
 """
 
 import json
+import pickle
 import subprocess
 import sys
-from copy import deepcopy
+from copy import copy, deepcopy
 from pathlib import Path
 
 import pytest
@@ -113,6 +114,30 @@ def test_fan_sorts_cones_and_keeps_tuples():
     assert fan.rays == ((1, 0), (0, 1), (-1, -1))
     assert fan.max_cones == ((0, 1), (1, 2), (0, 2))
     assert fan == Fan(2, fan.rays, ((0, 1), (1, 2), (0, 2)))
+
+
+def test_replace_and_make_go_through_the_constructor():
+    """namedtuple's `_replace` builds through `_make`, which both records
+    route to `__new__`: a box refuses a bad cap, a fan sorts its cones,
+    and pickling and copying still round-trip."""
+    box = TruncationBox((2,))
+    assert box._replace(caps=[3, 1]) == TruncationBox((3, 1))
+    for caps in ((-1, True), [2, -1]):
+        with pytest.raises(SeriesError):
+            box._replace(caps=caps)
+        with pytest.raises(SeriesError):
+            TruncationBox._make([caps])
+    fan = Fan(1, [[1], [-1]], [[0], [1]])
+    moved = fan._replace(dimension=2, rays=[[1, 0], [0, 1], [-1, -1]],
+                         max_cones=[[1, 0], [2, 1], [0, 2]])
+    assert moved.rays == ((1, 0), (0, 1), (-1, -1))
+    assert moved.max_cones == ((0, 1), (1, 2), (0, 2))
+    assert fan._replace(max_cones=[[1, 0]]).max_cones == ((0, 1),)
+    assert Fan._make([2, [[0, 1]], [[1, 0]]]) == Fan(2, ((0, 1),), ((0, 1),))
+    for record in (box, fan, moved, RECORDS["Fan"][0], RECORDS["TruncationBox"][0]):
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert copy(record) == record and deepcopy(record) == record
+        assert type(deepcopy(record)) is type(record)
 
 
 def test_defaults():

@@ -5,7 +5,9 @@ module-level function of `src/semifano/*.py` whose name does not start with
 `_` must occur as a name or an attribute in some file under `src/` or
 `bench/`, and one whose name does start with `_` in some file under `src/`.
 A method or property of a class there, dunders aside, must occur as an
-attribute in some file under `src/` or `bench/`.  A function that only
+attribute in some file under `src/` or `bench/`; so must `_make`, unless
+it overrides a record's `namedtuple` hook, which the record's `_replace`
+calls as Python calls a dunder.  A function that only
 tests use belongs in `tests/`, so `tests/` is not searched.  `__init__.py`
 imports only to re-export, so its imports use nothing.  A field of a
 record there, a dataclass's annotated field or a name in the field string
@@ -48,11 +50,14 @@ def public_functions(source, private=False):
 
 def methods(source):
     """(class, name) of each method and property of the classes of source,
-    dunders left out."""
+    dunders and the `_make` of a `namedtuple(...)` record left out."""
     return [(node.name, f.name) for node in ast.parse(source).body
             if isinstance(node, ast.ClassDef)
             for f in node.body if isinstance(f, ast.FunctionDef)
-            and not (f.name.startswith("__") and f.name.endswith("__"))]
+            and not (f.name.startswith("__") and f.name.endswith("__"))
+            and not (f.name == "_make" and any(
+                isinstance(b, ast.Call) and getattr(b.func, "id", None) == "namedtuple"
+                for b in node.bases))]
 
 
 def dataclass_fields(source):
