@@ -4,8 +4,14 @@ Rays are primitive integer vectors in Z^n; maximal cones are given as index
 sets and are required input (the fan is never guessed from rays alone).
 A curve class is a plain integer tuple d in the kernel of Z^m -> Z^n,
 d |-> sum_i d_i v_i, d_i being the intersection number against the i-th
-toric divisor.  `Fan.cone_solutions` solves each maximal cone once against
-every ray, and `Fan.walls` lists each wall once with the cones on it.
+toric divisor.  `Fan.walls` lists each wall once with the cones on it, and
+`Fan.cone_solutions` solves each maximal cone against every ray: the first
+cone of each connected piece directly, and every other one by one Bareiss
+exchange from a nonsingular cone across a wall that lies in just those two
+cones, swapping the first cone's ray off the wall for the second's.  The
+exchange divides exactly, as the solved entries are Cramer numerators and
+obey the three-term Grassmann–Plücker relation; a singular cone gets
+(0, None), whichever way it is reached, and no cone is reached through it.
 `Fan.wall_classes` builds a fan's wall classes from both; the semi-Fano test
 and the nef basis search read them, and `validate_fan` reads the walls.
 A lattice solves its basis once for every `coordinates` call, and
@@ -30,7 +36,7 @@ from itertools import combinations
 from math import gcd
 from operator import add, mul
 
-from .intlinalg import fraction_free_solve, subset_solves
+from .intlinalg import exchange, fraction_free_solve, subset_solves
 
 
 class FanError(ValueError):
@@ -72,9 +78,35 @@ class Fan(namedtuple("Fan", "dimension rays max_cones")):
     @cached_property
     def cone_solutions(self):
         """`fraction_free_solve` of each maximal cone's rays against every
-        ray; read only once the cones are valid index sets."""
-        return tuple(fraction_free_solve([self.rays[k] for k in cone], self.rays)
-                     for cone in self.max_cones)
+        ray; read only once the cones are valid index sets.
+
+        Two cones on a wall share its n - 1 rays, and a cone is the wall
+        with its ray off the wall put in at that ray's position, so one
+        `exchange` step takes either cone's solution to the other's.  The
+        cones are walked in index order: a cone not yet reached is solved
+        directly, and then every cone reachable from it across walls that
+        lie in exactly two cones is reached by exchange, breadth first.  A
+        singular cone, reached either way, gets (0, None) and passes
+        nothing on.  Every tuple equals the cone's direct solve, whichever
+        way it was reached, and a wall on more cones, which only an invalid
+        fan has, links none of them, so the links stay linear in the walls.
+        """
+        links = [[] for _ in self.max_cones]
+        for cones in self.walls.values():
+            if len(cones) == 2:
+                for (a, t), (b, u) in (cones, cones[::-1]):
+                    links[a].append((b, t, self.max_cones[b][u], u))
+        solved = [None] * len(self.max_cones)
+        for root, cone in enumerate(self.max_cones):
+            if solved[root] is None:
+                solved[root] = fraction_free_solve([self.rays[k] for k in cone], self.rays)
+                reached = [root]
+                for a in reached:
+                    for b, t, y, u in links[a]:
+                        if solved[a][0] and solved[b] is None:
+                            solved[b] = exchange(solved[a], t, y, u)
+                            reached.append(b)
+        return tuple(solved)
 
     @cached_property
     def wall_classes(self):

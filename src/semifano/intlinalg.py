@@ -1,4 +1,4 @@
-"""Exact integer linear algebra: one fraction-free elimination step, two drivers.
+"""Exact integer linear algebra: one fraction-free elimination step, three drivers.
 
 Everything here works over Z; no fractions and no floating point.
 Matrices are lists of lists (row-major), small enough that cubic algorithms
@@ -11,7 +11,11 @@ take its pivots from a prefix of the columns only: it then visits just the
 subsets of that prefix, while every other column is still eliminated
 alongside, so each leaf solves every vector over the subset as before.
 A caller that has ruled the other columns out of every answer orders them
-last and passes the prefix's length.
+last and passes the prefix's length.  `exchange` takes a solved basis to
+the basis with one vector swapped for another, in one step (Edmonds, J.
+Res. NBS 71B, 1967): the entries of a solved state are Cramer numerators,
+and the step's exact division is the three-term Grassmann–Plücker
+relation among them.
 """
 
 from __future__ import annotations
@@ -70,6 +74,32 @@ def fraction_free_solve(B, Y):
             return 0, None
     det, adj = _leaf(state)
     return det, adj[n:] if n else [[] for _ in Y]
+
+
+def exchange(solution, t, k, u):
+    """The solution over B' of a system solved over B: B' is B with its
+    t-th vector dropped and V[k] put in at place u.
+
+    `solution` is (det B, det B · X) for X·B = V, det B nonzero, and the
+    result is (det B', det B' · X') for X'·B' = V, or (0, None) when B' is
+    singular.  Transposed, det B · X is a fully pivoted state with det B as
+    its last pivot.  Row t is moved last, so one `_eliminate` step on that
+    row alone pivots column k, and the row is then moved to place u; each
+    move of a row past r others multiplies the determinant by (-1)^r.  An
+    entry of the state at row i and column j is the determinant of B with
+    its i-th vector replaced by V[j], so by the three-term Grassmann–Plücker
+    relation every division of the step is exact.
+    """
+    det, adj = solution
+    M = list(zip(*adj))
+    n = len(M)
+    M.append(M.pop(t))
+    state = _eliminate((M, (-1) ** (n - 1 - t), det), n - 1, k)
+    if state is None:
+        return 0, None
+    M, sign, p = state
+    M.insert(u, M.pop())
+    return _leaf((M, sign * (-1) ** (n - 1 - u), p))
 
 
 def subset_solves(V, r, k=None):

@@ -122,14 +122,16 @@ def test_cones_that_are_no_fan_are_refused(tmp_path, capsys, rays, cones, messag
     (("invariants", "--box", "3,3,3"), 0),
 ], ids=["check", "validate", "invariants"])
 def test_wall_classes_are_solved_once_per_job(capsys, monkeypatch, argv, gram):
-    """Each of f2-blowup's 5 maximal cones is eliminated once, against every
-    ray, and the wall classes and term classes read those solutions.  The
-    nef search and the hull test walk their subsets without a solve of
-    their own, so a job adds one basis solve per lattice that is asked for
-    coordinates (however many `coordinates` calls it serves) and, in
-    `check`, one for the Gram test of `structural_report`."""
-    solve = fans.fraction_free_solve
-    calls, coordinates = [], []
+    """f2-blowup's first maximal cone is eliminated against every ray, and
+    each of its other 4 cones is reached from a neighbour by one exchange,
+    which gives exactly that cone's own solve; the wall classes and term
+    classes read those solutions.  The nef search and the hull test walk
+    their subsets without a solve of their own, so a job adds one basis
+    solve per lattice that is asked for coordinates (however many
+    `coordinates` calls it serves) and, in `check`, one for the Gram test
+    of `structural_report`."""
+    solve, swap = fans.fraction_free_solve, fans.exchange
+    calls, swapped, coordinates = [], [], []
 
     def counted(B, Y):
         calls.append(tuple(B))
@@ -137,16 +139,18 @@ def test_wall_classes_are_solved_once_per_job(capsys, monkeypatch, argv, gram):
 
     for module in (fans, superpotential):
         monkeypatch.setattr(module, "fraction_free_solve", counted)
+    monkeypatch.setattr(fans, "exchange", lambda *a: swapped.append(swap(*a)) or swapped[-1])
     lattice_coordinates = fans.CurveLattice.coordinates
     monkeypatch.setattr(fans.CurveLattice, "coordinates",
                         lambda *a: coordinates.append(a) or lattice_coordinates(*a))
     code, _, _ = run_cli(capsys, argv[0], fx("f2-blowup"), *argv[1:])
     fan = parse_input(load_fixture("f2-blowup"))[0]
-    cones = sorted(tuple(fan.rays[k] for k in cone) for cone in fan.max_cones)
+    cones = [tuple(fan.rays[k] for k in cone) for cone in fan.max_cones]
     assert code == 0
-    assert sorted(B for B in calls if B in cones) == cones
+    assert [B for B in calls if B in cones] == cones[:1]
+    assert sorted(swapped) == sorted(solve(B, fan.rays) for B in cones[1:])
     lattices = {id(a[0]) for a in coordinates}
-    assert len(calls) == len(cones) + len(lattices) + gram
+    assert len(calls) == 1 + len(lattices) + gram
 
 
 P1 = {"rays": [[1], [-1]], "max_cones": [[1], [2]]}

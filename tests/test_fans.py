@@ -205,13 +205,23 @@ def test_subset_walks_take_pinned_elimination_steps(eliminations):
     included."""
     threefold = fixture_fan("threefold-example")[0]
     assert eliminations(fan_polytope_vertices, threefold)[1] == 55
-    for name, steps in (("threefold-example", 41), ("kp2-bundle", 20),
-                        ("f2-blowup", 13), ("p1cubed", 27)):
+    for name, steps in (("threefold-example", 23), ("kp2-bundle", 10),
+                        ("f2-blowup", 9), ("p1cubed", 13)):
         assert eliminations(curve_lattice, fixture_fan(name)[0])[1] == steps, name
     fans_ = universe_fans()
     assert len(fans_) == 96
     assert sum(eliminations(fan_polytope_vertices, f)[1] for f in fans_) == 2314
-    assert sum(eliminations(curve_lattice, f)[1] for f in fans_) == 1367
+    assert sum(eliminations(curve_lattice, f)[1] for f in fans_) == 838
+
+
+def test_cone_walk_takes_pinned_elimination_steps(eliminations):
+    """`validate_fan` on a fresh fan solves its first cone in n steps and
+    reaches every other cone across a wall in one: 3 + 9 on the threefold's
+    10 cones, against 30 for a solve per cone, and 721 over the universe's
+    625 cones, against 1250."""
+    threefold = fixture_fan("threefold-example")[0]
+    assert eliminations(validate_fan, threefold) == ([], 12)
+    assert sum(eliminations(validate_fan, f)[1] for f in universe_fans()) == 721
 
 
 def test_fan_verdicts_are_invariant_under_gl_and_reindexing():
@@ -333,6 +343,40 @@ def test_flat_cone_is_a_fan_error_from_the_cached_solutions():
         cone_coordinates(FLAT, 0, 2)
     with pytest.raises(FanError, match=message):
         FLAT.wall_classes
+
+
+def per_cone_solutions(fan):
+    """Each maximal cone's rays solved on their own against every ray."""
+    return tuple(fraction_free_solve([fan.rays[k] for k in cone], fan.rays)
+                 for cone in fan.max_cones)
+
+
+def test_cone_walk_matches_per_cone_solves():
+    """Reaching cones across walls by exchange gives each cone exactly its
+    own solve, on the fixtures, the universe, seeded threefolds, the
+    12-ray threefold and the flat fan."""
+    fans_ = ([fixture_fan(name)[0] for name in FIXTURES] + universe_fans()
+             + threefolds.p3_blowups(11, 200, 10) + [threefolds.TWELVE_RAYS, FLAT])
+    assert len(fans_) == 306
+    for fan in fans_:
+        assert fan.cone_solutions == per_cone_solutions(fan), fan
+
+
+def test_cone_walk_matches_per_cone_solves_on_random_fans():
+    """Seeded random fans of dimension 1-4, mostly invalid ones: singular
+    and non-smooth cones, zero and repeated rays, cones that repeat an
+    index, repeated cones and walls on more than two cones, which link
+    none of their cones.  The walk gives each cone its own solve on all
+    of them."""
+    rng = random.Random(37)
+    for _ in range(400):
+        n, m = rng.randint(1, 4), rng.randint(1, 7)
+        rays = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        cones = [[rng.randrange(m) for _ in range(n)] for _ in range(rng.randint(1, 8))]
+        if rng.random() < 0.3:
+            cones.append(cones[0])
+        fan = Fan(n, rays, cones)
+        assert fan.cone_solutions == per_cone_solutions(fan), fan
 
 
 def test_alpha_class_f2():

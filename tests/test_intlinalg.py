@@ -2,11 +2,11 @@ import sys
 from fractions import Fraction
 from itertools import combinations, permutations
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from semifano import intlinalg
-from semifano.intlinalg import _eliminate, fraction_free_solve, subset_solves
+from semifano.intlinalg import _eliminate, exchange, fraction_free_solve, subset_solves
 from oracles import lattice_membership, left_kernel_basis, rational_rank, solve_rational
 
 
@@ -148,6 +148,65 @@ def test_solve_pivots_each_column_once_and_stops_at_a_dead_one(monkeypatch):
     assert fraction_free_solve([[0, 1, 0], [1, 0, 0], [0, 0, 2]], identity(3)) == (
         -2, [[0, -2, 0], [-2, 0, 0], [0, 0, -1]])
     assert steps == [(0, 0), (1, 1), (2, 2)]
+
+
+@st.composite
+def exchanges(draw):
+    """(B, V, t, k, u): a nonsingular B of size 1-4, up to 5 vectors V with
+    entries -3..3, and the exchange of B's t-th vector for V[k] at place u.
+
+    Some draws make V[k] another vector of B (n > 1) or zero, so that the
+    new basis is singular, and some make it twice B's t-th vector plus
+    another one of B, so that the new determinant is twice the old.
+    """
+    n = draw(st.integers(1, 4))
+    entry = st.integers(-3, 3)
+    B = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    assume(fraction_free_solve(B, [])[0] != 0)
+    V = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=1, max_size=5))
+    t, u = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    k = draw(st.integers(0, len(V) - 1))
+    s = draw(st.sampled_from([j for j in range(n) if j != t] or [t]))
+    shape = draw(st.sampled_from(("plain", "singular", "double")))
+    if shape == "singular":
+        V[k] = list(B[s]) if s != t else [0] * n
+    elif shape == "double":
+        V[k] = [2 * a + (b if s != t else 0) for a, b in zip(B[t], B[s])]
+    return B, V, t, k, u
+
+
+@settings(max_examples=300, deadline=None)
+@given(exchanges())
+def test_exchange_matches_a_direct_solve(case):
+    """One exchange step from B's solution gives exactly the direct solve
+    over B with its t-th vector dropped and V[k] put in at place u, a
+    singular one included, and leaves the solution it started from as it
+    was."""
+    B, V, t, k, u = case
+    solution = fraction_free_solve(B, V)
+    kept = (solution[0], [list(x) for x in solution[1]])
+    swapped = B[:t] + B[t + 1:]
+    swapped.insert(u, V[k])
+    assert exchange(solution, t, k, u) == fraction_free_solve(swapped, V)
+    assert solution == kept
+
+
+def test_exchange_takes_one_step(monkeypatch):
+    """From the identity: (2, 1) in at either place gives determinant +-2,
+    and (1, 0) in for the second vector a singular basis, each in one
+    `_eliminate` step that pivots the incoming vector's column on the last
+    row."""
+    steps = []
+    step = intlinalg._eliminate
+    monkeypatch.setattr(intlinalg, "_eliminate",
+                        lambda state, t, c: steps.append((t, c)) or step(state, t, c))
+    V = [[2, 1], [1, 0], [0, 1]]
+    solution = fraction_free_solve([[1, 0], [0, 1]], V)
+    steps.clear()
+    assert exchange(solution, 0, 0, 0) == (2, [[2, 0], [1, -1], [0, 2]])
+    assert exchange(solution, 0, 0, 1) == (-2, [[0, -2], [1, -1], [-2, 0]])
+    assert exchange(solution, 1, 1, 0) == (0, None)
+    assert steps == [(1, 0), (1, 0), (1, 1)]
 
 
 @st.composite
