@@ -182,11 +182,12 @@ class CurveLattice(namedtuple("CurveLattice", "fan basis nef_verified",
 def validate_fan(fan: Fan):
     """Check primitivity, smoothness and completeness; returns list of violations.
 
-    Complete: every wall lies in exactly two cones, on opposite sides of it,
-    and no closed cone but the first holds the sum of the first's rays, an
-    interior point; so the cones cover each generic point once.  Both tests
-    read `Fan.cone_solutions`, the first through `Fan.walls`.  Last, every
-    ray must lie in some maximal cone.
+    No maximal cone may be listed twice.  Complete: every wall lies in
+    exactly two cones, on opposite sides of it, and no closed cone but the
+    first holds the sum of the first's rays, an interior point; so the cones
+    cover each generic point once.  Both tests read `Fan.cone_solutions`,
+    the first through `Fan.walls`.  Last, every ray must lie in some maximal
+    cone.
     """
     violations = []
     n = fan.dimension
@@ -203,9 +204,13 @@ def validate_fan(fan: Fan):
         violations.append("rays are not pairwise distinct")
     if violations:
         return violations
+    seen = {}
     for cone in fan.max_cones:
         if len(cone) != n or any(k < 0 or k >= fan.num_rays for k in cone):
             violations.append(f"cone {tuple(k + 1 for k in cone)} is not a valid index set")
+        elif seen.get(cone) == 1:
+            violations.append(f"cone {tuple(k + 1 for k in cone)} is listed twice")
+        seen[cone] = seen.get(cone, 0) + 1
     if violations:
         return violations
     first = fan.max_cones[0]

@@ -11,11 +11,12 @@ one pass over total degree.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import factorial, lcm, prod
+from itertools import accumulate
+from math import lcm, prod
 from operator import mul
 
 from .fans import CurveLattice, FanError, non_vertices
-from .series import MultiSeries, TruncationBox, _key, _lowest, combine, pull_back
+from .series import MultiSeries, TruncationBox, _lowest, combine, pull_back
 
 
 def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
@@ -28,8 +29,9 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
     fields for its exponents, each ray's pairing and c1, the last two offset
     by 2^(w-1) > every |value| (and cap), so no field borrows, a point is
     one add from its neighbour and a field is negative just when its top
-    bit is clear.  Only hits are decoded.  Returns (i, class tuple,
-    exponents) triples in graded order.
+    bit is clear.  Each hit is decoded once, to a (degree, exponents, i,
+    class) tuple; their plain sort is the graded order of the returned
+    (i, class tuple, exponents) triples.
 
     The scan sees only nonnegative exponents.  It relies on the nef basis to
     give every correction class nonnegative coordinates, so a basis that is
@@ -53,15 +55,15 @@ def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
         step = (1 << w * a) + sum(row[a] << w * k for k, row in enumerate(rows, l))
         steps = [k * step for k in range(cap + 1)]
         points = [p + s for p in points for s in steps]
-    out = []
+    fields, rays, out = range(0, w * l, w), range(w * l, top, w), []
     for p in points:
         neg = tops & ~p
         if neg and not neg & (neg - 1) and p >> top == off:
-            exps = tuple(p >> w * a & mask for a in range(l))
-            cls = tuple((p >> w * k & mask) - off for k in range(l, l + m))
-            out.append(((neg.bit_length() - 1) // w - l, cls, exps))
-    out.sort(key=lambda t: (sum(t[2]), t[2]))
-    return out
+            exps = tuple([p >> k & mask for k in fields])
+            out.append((sum(exps), exps, (neg.bit_length() - 1) // w - l,
+                        tuple([(p >> k & mask) - off for k in rays])))
+    out.sort()
+    return [(i, cls, exps) for _, exps, i, cls in out]
 
 
 def compute_g0_family(lattice: CurveLattice, box: TruncationBox):
@@ -73,18 +75,21 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox):
     without that test; any other basis is refused by `enumerate_g0_classes`
     unless every ray is a hull vertex, so the hull walk stops at its first
     witness (`non_vertices`).  Each series is packed from integer numerators
-    over the lcm of the terms' denominators; `_lowest` gives it the
-    canonical form of `_pack`.
+    over the lcm of the terms' denominators, with factorials from one table
+    up to the largest -d_i (a class sums to zero) and keys summed from unit
+    keys; `_lowest` gives it the canonical form of `_pack`.
     """
     fan, hits = lattice.fan, []
     if lattice.nef_verified or next(non_vertices(fan), None) is not None:
         hits = enumerate_g0_classes(lattice, box)
-    dens = [prod(factorial(dj) for j, dj in enumerate(cls) if j != i)
-            for i, cls, _ in hits]
+    top = max([-cls[i] for i, cls, _ in hits], default=0)
+    fact = list(accumulate(range(1, top + 1), mul, initial=1))
+    dens = [prod([fact[dj] for dj in cls if dj > 0]) for _, cls, _ in hits]
+    units = [(1 << k) + (1 << box.layout[5]) for k in box.layout[1]]
     den, nums = lcm(*dens), [{} for _ in range(fan.num_rays)]
     for (i, cls, exps), d in zip(hits, dens):
         b = -cls[i]
-        nums[i][_key(exps, box.layout)] = (-1) ** b * factorial(b - 1) * (den // d)
+        nums[i][sum(map(mul, exps, units))] = (-1) ** b * fact[b - 1] * (den // d)
     return tuple(MultiSeries(box, _lowest(den, n)) for n in nums)
 
 

@@ -248,11 +248,11 @@ class MultiSeries(namedtuple("MultiSeries", "box packed")):
 
     def coefficients(self):
         """Each term as (exponent, numerator, denominator), in lowest terms,
-        in graded-lex order: the one read view of a series."""
-        d, (_, shifts, _, _, mask, _) = self.packed[0], self.box.layout
-        return sorted([(tuple(p >> k & mask for k in shifts), n // g, d // g)
-                       for p, n in self.packed[1].items() for g in [gcd(n, d)]],
-                      key=lambda t: (sum(t[0]), t[0]))
+        in graded-lex order, each key decoded once: the one read view."""
+        d, (_, shifts, _, _, mask, dk) = self.packed[0], self.box.layout
+        terms = sorted([(p >> dk, tuple([p >> k & mask for k in shifts]), n)
+                        for p, n in self.packed[1].items()])
+        return [(e, n // g, d // g) for _, e, n in terms for g in [gcd(n, d)]]
 
     @property
     def constant_term(self):
@@ -393,7 +393,7 @@ def pull_back(gs, rows):
 
 def _monomial(names, exponents):
     """`name^e` factors joined by `*`, without `^1`; "" for the unit monomial."""
-    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e)
+    return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e])
 
 
 def render(s: MultiSeries) -> str:

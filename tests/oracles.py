@@ -2,9 +2,9 @@
 
 The engine decides every lattice question with one fraction-free integer
 solve, `semifano.intlinalg.fraction_free_solve`.  Here are independent
-algorithms, a Gauss-Jordan solve and a Gaussian rank over Q and a
-Hermite-style kernel sweep over Z, kept only so that tests can compare the
-engine against code it does not use.  The same goes for the series side:
+algorithms, a Gauss-Jordan solve and a Gaussian rank over Q, a
+Hermite-style kernel sweep over Z and a Bareiss determinant, kept only so
+that tests can compare the engine against code it does not use.  The same goes for the series side:
 the engine's one pass, `semifano.series.pull_back`, builds the inverse
 coordinate change and the pulled-back correction series together, degree
 by degree.  Here substitution is a separate step (`substitute`, over power
@@ -431,6 +431,24 @@ def rational_rank(A):
                 M[i] = [v - f * w for v, w in zip(M[i], M[r])]
         r += 1
     return r
+
+
+def integer_det(M):
+    """Determinant of a square integer matrix by Bareiss elimination: each
+    step's entries are minors of M, so every division is exact."""
+    M = [list(row) for row in M]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n):
+        piv = next((i for i in range(k, n) if M[i][k]), None)
+        if piv is None:
+            return 0
+        if piv != k:
+            M[k], M[piv], sign = M[piv], M[k], -sign
+        for i in range(k + 1, n):
+            M[i] = [(M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev if j > k else 0
+                    for j in range(n)]
+        prev = M[k][k]
+    return sign * prev
 
 
 def lattice_membership(basis, vec):

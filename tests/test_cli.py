@@ -414,8 +414,16 @@ def test_bad_indices_exit_2(capsys, argv):
     (json.dumps({**P2, "rays": [[1, 0], [0, 0], [-1, -1]]}), "ray 2 is zero", True),
     (json.dumps({**P2, "max_cones": [[1], [2, 3], [3, 1]]}),
      "cone (1,) is not a valid index set", True),
+    # a cone listed twice is named before the wall checks, which would name
+    # the origin, the line's one wall, as shared by 3 cones, or a repeated
+    # first cone as overlapping itself
+    (json.dumps({**P1, "dimension": 1, "max_cones": [[1], [2], [2]]}),
+     "cone (2,) is listed twice", True),
+    (json.dumps({**P1, "dimension": 1, "max_cones": [[1], [1], [2]]}),
+     "cone (1,) is listed twice", True),
 ], ids=["top-level-list", "empty-rays", "empty-cones", "basis-not-list",
-        "invalid-json", "zero-ray", "one-ray-cone"])
+        "invalid-json", "zero-ray", "one-ray-cone", "later-cone-twice",
+        "first-cone-twice"])
 def test_bad_documents_are_reported(tmp_path, capsys, text, error, invalid_fan):
     # an uncaught exception would fail the test with its traceback
     p = tmp_path / "bad.json"

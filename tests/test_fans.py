@@ -22,7 +22,8 @@ from semifano import (
 from semifano import fans, intlinalg
 from semifano.cli import parse_input
 from semifano.intlinalg import fraction_free_solve
-from oracles import GL2, lattice_membership, left_kernel_basis, solve_rational, variants
+from oracles import (GL2, integer_det, lattice_membership, left_kernel_basis, solve_rational,
+                     variants)
 from conftest import fixture_analysis, fixture_fan, fixture_lattice, load_fixture
 import threefolds
 
@@ -251,12 +252,13 @@ def test_fan_verdicts_are_invariant_under_gl_and_reindexing():
 
 
 def test_nef_basis_of_p3_blowups_matches_rational_scan():
-    """Seeded point and curve blow-ups of P3 with at most 8 rays: the basis
-    and verdict of the nef search equal the rational subset scan's.  With
-    no nef wall basis the kernel fallback's rows may come in another order
-    than the oracle's Hermite kernel, so there the lattices are compared."""
-    verdicts = set()
-    for fan in threefolds.p3_blowups(1, 16):
+    """Forty seeded point and curve blow-ups of P3 with at most 9 rays (9
+    of them with 9): the basis and verdict of the nef search equal the
+    subset scan's.  With no nef wall basis the kernel fallback's rows may
+    come in another order than the oracle's Hermite kernel, so there the
+    lattices are compared."""
+    verdicts, sizes = set(), set()
+    for fan in threefolds.p3_blowups(1, 40, 9):
         lattice = curve_lattice(fan)
         basis, nef = oracle_nef_basis(fan)
         assert lattice.nef_verified is nef, fan
@@ -266,7 +268,8 @@ def test_nef_basis_of_p3_blowups_matches_rational_scan():
             got = list(lattice.basis)
             assert oracle_spans(got, basis) and oracle_spans(basis, got), fan
         verdicts.add(nef)
-    assert verdicts == {True, False}
+        sizes.add(fan.num_rays)
+    assert verdicts == {True, False} and sizes == {5, 6, 7, 8, 9}
 
 
 def test_twelve_ray_threefold_has_no_nef_wall_basis(eliminations):
@@ -452,9 +455,11 @@ def test_pairing_rows():
     assert lattice.pairing(3, 0) == -2
 
 
-# Test-local oracles: the rational subset scan and Caratheodory scan that
-# `curve_lattice` and `fan_polytope_vertices` used before their integer
-# determinant tests.
+# Test-local oracles: the subset scan and Caratheodory scan that
+# `curve_lattice` and `fan_polytope_vertices` used before their certificates
+# and integer determinant tests.  The subset scan solves each wall class
+# over Q once and tests each subset with `oracles.integer_det`, not with
+# `intlinalg`.
 
 
 def oracle_spans(basis, kernel):
@@ -485,15 +490,26 @@ def oracle_nef(fan, basis):
 
 def oracle_nef_basis(fan):
     """(basis, nef): the first l wall classes that form a nef Z-basis of the
-    kernel, in `combinations` order, else the kernel basis and its verdict."""
+    kernel, in `combinations` order, else the kernel basis and its verdict.
+
+    Each wall class is solved over the kernel basis once; l of them span
+    the kernel lattice just when their coordinate rows have determinant
+    +-1, one integer determinant a subset.  Over such rows, by Cramer's
+    rule, a wall's coordinate a is that determinant times the determinant
+    of the rows with row a replaced by the wall's."""
     kernel = left_kernel_basis([list(v) for v in fan.rays])
     walls = [list(c) for c in fan.wall_classes]
     for w in walls:
         assert all(sum(d * v[j] for d, v in zip(w, fan.rays)) == 0
                    for j in range(fan.dimension))
-    for sub in combinations(walls, len(kernel)):
-        if oracle_spans(sub, kernel) and oracle_nef(fan, sub):
-            return [tuple(b) for b in sub], True
+    coords = [lattice_membership(kernel, w) for w in walls]
+    assert None not in coords
+    for sub in combinations(range(len(walls)), len(kernel)):
+        rows = [coords[k] for k in sub]
+        det = integer_det(rows)
+        if abs(det) == 1 and all(det * integer_det(rows[:a] + [x] + rows[a + 1:]) >= 0
+                                 for x in coords for a in range(len(rows))):
+            return [tuple(walls[k]) for k in sub], True
     return [tuple(b) for b in kernel], oracle_nef(fan, kernel)
 
 
@@ -617,7 +633,7 @@ def times_p1(fan):
 def test_surface_times_p1_matches_the_oracles(oracle_cases):
     """Threefolds X x P1 over every fifth distinct surface of the universe
     (20 of 96, with and without a nef wall basis): the nef
-    verdict, the basis and the hull vertices agree with the rational scans.
+    verdict, the basis and the hull vertices agree with the oracle scans.
     Without a nef basis the kernel fallback's rows come in another order
     than the oracle's Hermite kernel, so there the lattices are compared."""
     surface_fans = [fan for label, fan, _ in oracle_cases if label.startswith("surface")]

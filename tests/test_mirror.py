@@ -3,7 +3,7 @@ import json
 import sys
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import factorial, prod
 from pathlib import Path
 
 import pytest
@@ -663,10 +663,13 @@ def test_face_scan_visits_only_the_face(threefold_lattice):
         (a, b, 0, d) for a, b, d in product(range(8), repeat=3)}
 
 
-@pytest.mark.parametrize("name, caps", [
+WIDE_CAPS = [
     ("threefold-example", (10, 10, 0, 0)), ("threefold-example", (0, 0, 0, 40)),
     ("f2", (60, 60)), ("kp2-bundle", (30, 30)), ("f3", (20, 20)),
-])
+]
+
+
+@pytest.mark.parametrize("name, caps", WIDE_CAPS)
 def test_packed_scan_matches_full_box_scan_at_wide_caps(name, caps):
     # wide caps widen the packed fields; f3's c1 = (2, -1) scans the whole
     # box, where the c1 field must be tested as well
@@ -674,6 +677,28 @@ def test_packed_scan_matches_full_box_scan_at_wide_caps(name, caps):
     box = TruncationBox(caps)
     found = enumerate_g0_classes(lattice, box)
     assert found and found == full_box_scan(lattice, box)
+
+
+def test_g0_family_is_the_factorial_formula():
+    # term by term over Fraction from the whole-box scan, so a scale factor
+    # common to every term, which the GKZ recurrence cannot see, shows here
+    cases = face_scan_cases() + [
+        (f"{name} {caps}", fixture_lattice(name)[1], TruncationBox(caps))
+        for name, caps in WIDE_CAPS]
+    checked = 0
+    for label, lattice, box in cases:
+        expected = [{} for _ in range(lattice.fan.num_rays)]
+        for i, cls, exps in full_box_scan(lattice, box):
+            b = -cls[i]
+            expected[i][exps] = Fraction(
+                (-1) ** b * factorial(b - 1),
+                prod(factorial(dj) for j, dj in enumerate(cls) if j != i))
+        got = [{e: Fraction(n, d) for e, n, d in s.coefficients()}
+               for s in compute_g0_family(lattice, box)]
+        assert got == expected, label
+        checked += sum(map(len, got))
+    # every case's terms, each nonzero
+    assert checked == 379
 
 
 def test_packed_scan_of_a_rank_zero_box():

@@ -596,6 +596,21 @@ def test_degree_field_is_the_total_degree(pair):
             sum(x << k for x, k in zip(e, shifts)) + (sum(e) << dk)}
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_coefficients_are_the_graded_lex_sort_of_the_terms(data):
+    # arity 0..4 and caps 0..9 cross the packed field width change between
+    # caps 7 and 8; the reference sorts the drawn terms with a key function
+    # and reduces each with Fraction
+    caps = tuple(data.draw(st.lists(st.integers(0, 9), max_size=4)))
+    exps = st.tuples(*[st.integers(0, c) for c in caps])
+    drawn = data.draw(st.dictionaries(exps, frac, max_size=12))
+    s = MultiSeries.from_dict(TruncationBox(caps), drawn)
+    assert s.coefficients() == sorted(
+        [(e, c.numerator, c.denominator) for e, c in drawn.items() if c],
+        key=lambda t: (sum(t[0]), t[0]))
+
+
 def test_packed_form_is_canonical():
     F = Fraction
     box = TruncationBox((3, 3))
