@@ -17,11 +17,11 @@ degree slices that _slice builds from lower ones only through its reach,
 the sum of its variables' caps, past which it has no in-box term.  A box
 exponentiates each distinct series once and keeps packed forms only.
 pull_back solves for the inverse of a coordinate change x_a -> x_a *
-exp(u_a) together with series evaluated along it; both are plain tuples of
-series.  A series is read through one view, MultiSeries.coefficients: its
-reduced integer (exponent, numerator, denominator) triples in graded-lex
-order.  Fractions appear only where values enter (MultiSeries.from_dict) or
-in constant_term.
+exp(u_a) together with series evaluated along it, one product a prefix
+group of their terms; both are plain tuples of series.  A series is read
+through one view, MultiSeries.coefficients: its reduced integer (exponent,
+numerator, denominator) triples in graded-lex order.  Fractions appear only
+where values enter (MultiSeries.from_dict) or in constant_term.
 """
 
 from __future__ import annotations
@@ -301,35 +301,34 @@ def pull_back(gs, rows):
 
     The inverse is the fixed point w_a = sum_i rows[i][a]*G_i, where G_i =
     g_i(x*exp(w)) is the pulled-back series, so the pass solves for the
-    nonzero G_i and reads w off them with one combine.  Every series the
-    substitution builds is kept as its list of degree slices: y_a =
-    x_a*exp(w_a), by (n-1) y_n = sum_(i,k) rows[i][a]*k G_(i,k) y_(n-k) from
-    y_1 = x_a; the image of each monomial of the g_i; and the G_i.  The
-    monomials are taken in packed-key order, which is graded.  The image of
-    x_a is y_a, and any other monomial q is its parent's image times one
-    y_a: a is the first variable of q whose q / x_a already has an image,
-    else the last, and then that parent is built first by the same rule.
-    Every term of a g_i has total degree at least 1, so the degree-n slice
-    of an image, and so G_i's, needs the G_j only through degree n - 1.
-    Degree by degree, each slice is one _slice of lower ones: built once,
-    and exact, and only through the series' reach, fixed before the pass;
-    past it, slices are _ZERO.  Returns (the G_i, the inverse).
+    nonzero G_i and reads w off them.  A g_i is sum_p x^p h_p(x_l) over the
+    prefixes p = q / x_l^e of its terms q, l the variable that leaves the
+    fewest (the lowest on a tie), so G_i = sum_p image(p) h_p(y_l) takes one
+    product a prefix (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).
+    Each series is kept as its list of degree slices: y_a = x_a*exp(w_a), by
+    (n-1) y_n = sum_(i,k) rows[i][a]*k G_(i,k) y_(n-k) from y_1 = x_a; the
+    images, shared by all the g_i, of the prefixes and powers x_l^e, taken
+    in packed-key order, which is graded, each its parent's image times one
+    y_a (a is the first variable of q whose q / x_a has an image, else the
+    last); the h_p(y_l) of two or more powers; and the G_i, where a term of
+    p = 0 or e = 0 enters as its own image.  Slice n of each needs the G_j
+    only through degree n - 1, and is one _slice of lower ones: built once,
+    exact, and only through its reach, fixed before the pass; past it,
+    slices are _ZERO.  Returns (the G_i, the inverse).
     """
     box = gs[0].box
     _require_same_box(box, gs)
-    if any(g.constant_term for g in gs):
+    if any(0 in g.packed[1] for g in gs):
         raise SeriesError("pulled-back series need zero constant term")
     if len(rows) != len(gs) or any(len(row) != box.arity for row in rows):
         raise SeriesError("need one row of pairings per series and variable")
-    lay = box.layout
-    _, shifts, _, _, mask, dk = lay
-    live = [i for i, g in enumerate(gs) if not g.is_zero()]
+    _, shifts, _, _, mask, dk = lay = box.layout
+    live = [i for i, g in enumerate(gs) if g.packed[1]]
     slices = {i: [_ZERO] for i in live}
     held = {i: reduce(or_, gs[i].packed[1]) for i in live}
-    # the packed key x[a] of each x_a that some g_i contains, and y_a, whose
-    # slice 1 is x_a
-    x = {a: 1 << k | 1 << dk for a, k in enumerate(shifts)
-         if reduce(or_, held.values(), 0) >> k & mask}
+    # the packed key x[a] of each x_a some g_i has, and y_a, of slice 1 x_a
+    x = {a: 1 << k | 1 << dk for h in [reduce(or_, held.values(), 0)]
+         for a, k in enumerate(shifts) if h >> k & mask}
     ys = {a: [_ZERO, (1, {p: 1})] for a, p in x.items()}
     # the series that feed w_a, with their pairings
     feeds = {a: [(rows[i][a], slices[i]) for i in live if rows[i][a]] for a in ys}
@@ -342,18 +341,31 @@ def pull_back(gs, rows):
     def spread(m):
         return reduce(or_, [s for a, s in sup.items() if m >> shifts[a] & mask], 0)
 
-    for _ in sup:
-        for a in sup:
-            sup[a] |= spread(reduce(or_, [held[i] for i in live if rows[i][a]], 0))
+    fed = {a: reduce(or_, [held[i] for i in live if rows[i][a]], 0) for a in sup}
+    for a in [*sup] * len(sup):
+        sup[a] |= spread(fed[a])
     # (slices, reach) of every series built
     built = [(y, _reach(sup[a], box)) for a, y in ys.items()]
-    # the image of each monomial; those past the y_a are (its slices, its
-    # parent's, the parent's degree, the y_a it multiplies in) in steps
-    images, steps = {p: ys[a] for a, p in x.items()}, []
-    for q in sorted(set().union(*[gs[i].packed[1] for i in live])):
+    # each g_i as (x[l], {p: [(e, numerator)]}), its terms read in key order
+    groups = {}
+    for i in live:
+        terms = sorted(gs[i].packed[1].items())
+        ls = [a for a in x if held[i] >> shifts[a] & mask]
+        if ls[1:]:
+            ls.sort(key=lambda a: len({q - (q >> shifts[a] & mask) * x[a] for q, _ in terms}))
+        xl, group = x[ls[0]], {}
+        groups[i] = xl, group
+        for q, c in terms:
+            group.setdefault(q - (e := q >> shifts[ls[0]] & mask) * xl, []).append((e, c))
+    # every series past the y_a as (slices, den, pairs, prods): its slice n
+    # is (1/den)(sum k s_n over pairs (k, s) + sum k a_j b_(n-j) over prods
+    # (k, a, d, b, e) and d <= j <= n - e); an image's one prod is its
+    # parent's image times one y_a
+    images, sums = {p: ys[a] for a, p in x.items()}, []
+    for q in sorted({m for xl, group in groups.values() for p, ts in group.items()
+                     for m in [p] + [e * xl for e, _ in ts] if m}):
         # (monomial, a) from q down to the first parent with an image, built
-        # back up; a loop, as a recursive closure would hold every slice in a
-        # reference cycle after the pass returns
+        # back up: a recursive closure would hold the slices in a cycle
         chain = []
         while q not in images:
             factors = [a for a, k in enumerate(shifts) if q >> k & mask]
@@ -361,13 +373,21 @@ def pull_back(gs, rows):
             chain.append((q, a))
             q -= x[a]
         for q, a in reversed(chain):
-            deg = q >> dk
-            images[q] = [_ZERO] * deg
-            steps.append((images[q], images[q - x[a]], deg - 1, ys[a]))
+            images[q] = [_ZERO] * (q >> dk)
+            sums.append((images[q], 1, [], [(1, images[q - x[a]], (q >> dk) - 1, ys[a], 1)]))
             built.append((images[q], _reach(spread(q), box)))
-    comps = [(slices[i], gs[i].packed[0],
-              [(c, images[p]) for p, c in gs[i].packed[1].items()]) for i in live]
-    built += [(slices[i], _reach(spread(held[i]), box)) for i in live]
+    for i, (xl, group) in groups.items():
+        pairs, prods = [], []
+        for p, ts in group.items():
+            pairs += [(c, images[p or e * xl]) for e, c in ts if not (p and e)]
+            ts = [(c, images[e * xl], e) for e, c in ts if p and e]
+            if ts[1:]:
+                sums.append(([_ZERO] * ts[0][2], 1, [t[:2] for t in ts], []))
+                built.append((sums[-1][0], _reach(spread(xl), box)))
+                ts = [(1, sums[-1][0], ts[0][2])]
+            prods += [(c, images[p], p >> dk, b, e) for c, b, e in ts]
+        sums.append((slices[i], gs[i].packed[0], pairs, prods))
+        built.append((slices[i], _reach(spread(held[i]), box)))
     for n in range(1, max([r for _, r in built], default=0) + 1):
         # past its reach a series' slice is _ZERO, so the builds skip it
         for out, r in built:
@@ -377,18 +397,16 @@ def pull_back(gs, rows):
             if len(y) == n:
                 _slice(y, [(r * k, g[k], y[n - k]) for k in range(1, n)
                            for r, g in feeds[a]], lay, n - 1)
-        for img, parent, d, y in steps:
-            if len(img) == n:
-                _slice(img, [(1, parent[j], y[n - j]) for j in range(d, n)], lay)
-        for g, den, terms in comps:
-            if len(g) == n:
-                _slice(g, [(c, _ONE, img[n]) for c, img in terms], lay, den)
-    pulled = list(gs)
-    for i, g in slices.items():
-        pulled[i] = MultiSeries(box, _join(g))
-    inverse = tuple(combine(box, [(row[a], g) for row, g in zip(rows, pulled)])
-                    for a in range(box.arity))
-    return tuple(pulled), inverse
+        for out, den, pairs, prods in sums:
+            if len(out) == n:
+                _slice(out, [(c, _ONE, s[n]) for c, s in pairs]
+                       + [(k, a[j], b[n - j]) for k, a, d, b, e in prods
+                          for j in range(d, n - e + 1)], lay, den)
+    pulled = tuple(MultiSeries(box, _join(slices[i])) if i in slices else g
+                   for i, g in enumerate(gs))
+    inverse = tuple(MultiSeries(box, _sum([(rows[i][a], pulled[i].packed, _ONE)
+                                           for i in live], lay)) for a in range(box.arity))
+    return pulled, inverse
 
 
 def _monomial(names, exponents):

@@ -163,7 +163,9 @@ def normalize_W_LF(expr: SuperpotentialExpr, fan: Fan, deltas) -> Superpotential
     terms = []
     for t in expr.terms:
         corr = combine(t.unit.box, [(-e, lg) for e, lg in zip(t.z_exponent, logs)])
-        unit = t.unit if corr.is_zero() else mul(t.unit, exp_series(corr))
+        unit = t.unit if corr.is_zero() else exp_series(corr)
+        if unit is not t.unit and t.unit != MultiSeries.one(unit.box):  # G_k = 0: unit 1
+            unit = mul(t.unit, unit)
         terms.append(SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent, unit))
     return SuperpotentialExpr(expr.cone_index, tuple(terms))
 

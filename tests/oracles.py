@@ -151,19 +151,22 @@ def pass_slices(call, monkeypatch):
 
 
 def pass_products(call, monkeypatch):
-    """The number of term products that `series._sum` forms during call():
-    len(s) * len(t) for each (k, s, t) it sums with k nonzero, whether the
-    box keeps the product or drops it."""
-    kernel, formed = series._sum, [0]
+    """(formed, kept): the number of term products that `series._sum` forms
+    during call(), len(s) * len(t) for each (k, s, t) it sums with k
+    nonzero, and how many of them the box keeps, their exponents in it."""
+    kernel, counts = series._sum, [0, 0]
 
-    def counted(pairs, *args):
-        pairs = list(pairs)
-        formed[0] += sum(len(s[1]) * len(t[1]) for k, s, t in pairs if k)
-        return kernel(pairs, *args)
+    def counted(pairs, lay, *args):
+        pairs, (_, _, bias, guard, _, _) = list(pairs), lay
+        for k, s, t in pairs:
+            if k:
+                counts[0] += len(s[1]) * len(t[1])
+                counts[1] += sum(not p + q + bias & guard for p in s[1] for q in t[1])
+        return kernel(pairs, lay, *args)
 
     monkeypatch.setattr(series, "_sum", counted)
     call()
-    return formed[0]
+    return tuple(counts)
 
 
 def g0_series(lattice: CurveLattice, i: int, box: TruncationBox) -> MultiSeries:

@@ -293,12 +293,13 @@ def test_threefold_inverse_at_7777(threefold_lattice):
 
 def test_threefold_inversion_builds_each_slice_once(threefold_lattice, monkeypatch):
     # one pass over total degree 1..14 at 7^4: every slice of y_a =
-    # x_a exp(w_a) (x1, x2 and x4: no g0_i has x3), of the monomial images,
-    # each an earlier image times one y_a, and of the 3 nonzero pulled-back
-    # g0_i is built once, in order of degree, and only through the series'
-    # reach: the series split into one block in x1, x2 (no in-box term past
-    # degree 7 + 7) and one in x4 (none past 7); the whole-box loop of the
-    # oracle takes 15 rounds at degree 28
+    # x_a exp(w_a) (x1, x2 and x4: no g0_i has x3), of the images of the
+    # prefixes and powers, each an earlier image times one y_a, of the sums
+    # of power images, and of the 3 nonzero pulled-back g0_i is built once,
+    # in order of degree, and only through the series' reach: the series
+    # split into one block in x1, x2 (no in-box term past degree 7 + 7) and
+    # one in x4 (none past 7); the whole-box loop of the oracle takes 15
+    # rounds at degree 28
     _, lattice = threefold_lattice
     box = TruncationBox((7,) * 4)
     fam = compute_g0_family(lattice, box)
@@ -306,7 +307,7 @@ def test_threefold_inversion_builds_each_slice_once(threefold_lattice, monkeypat
     built = pass_slices(lambda: assemble_mirror_map(lattice, fam), monkeypatch)
     degrees = [d for _, d, _ in built]
     assert degrees == sorted(degrees) and set(degrees) == set(range(1, 15))
-    assert len({(i, d) for i, d, _ in built}) == len(built) == 370
+    assert len({(i, d) for i, d, _ in built}) == len(built) == 268
     held, top = {}, {}
     for i, d, h in built:
         held[i], top[i] = held.get(i, 0) | h, max(top.get(i, 0), d)
@@ -335,7 +336,7 @@ def threefold_pass(lattice, box):
     return compute_g0_family(lattice, box), rows
 
 
-@pytest.mark.parametrize("cap, count", [(9, 678), (12, 1399)])
+@pytest.mark.parametrize("cap, count", [(9, 424), (12, 731)])
 def test_threefold_pass_slice_counts(threefold_lattice, monkeypatch, cap, count):
     _, lattice = threefold_lattice
     gs, rows = threefold_pass(lattice, TruncationBox((cap,) * 4))
@@ -344,11 +345,20 @@ def test_threefold_pass_slice_counts(threefold_lattice, monkeypatch, cap, count)
 
 
 def test_threefold_pass_product_count(threefold_lattice, monkeypatch):
-    # each image is an earlier image times one y_a, its parent the first
-    # q / x_a that already has an image: the choice of parent sets the count
+    # (formed, kept): one product a prefix group rather than a monomial, the
+    # images built by the parent rule, so the grouping and the choice of
+    # parent set the counts; a product past the box is formed and dropped
     _, lattice = threefold_lattice
     gs, rows = threefold_pass(lattice, TruncationBox((7,) * 4))
-    assert pass_products(lambda: pull_back(gs, rows), monkeypatch) == 18675
+    assert pass_products(lambda: pull_back(gs, rows), monkeypatch) == (15981, 8312)
+
+
+def test_threefold_pass_product_count_at_12(threefold_lattice, monkeypatch):
+    # 268,931 formed with one image a monomial: the groups' saving grows
+    # with the box
+    _, lattice = threefold_lattice
+    gs, rows = threefold_pass(lattice, TruncationBox((12,) * 4))
+    assert pass_products(lambda: pull_back(gs, rows), monkeypatch) == (184390, 88904)
 
 
 def test_pass_ignores_term_order(threefold_lattice, monkeypatch):
@@ -440,6 +450,91 @@ def test_pass_reach_holds_variables_that_enter_late():
         late.append(to_dict(inverse[0]))
     # the late terms are there: x1 x2^7, and x1 x2^4 x3^2, in w_1
     assert (1, 7) in late[0] and (1, 4, 2, 0) in late[1]
+
+
+@st.composite
+def grouped_passes(draw):
+    """(gs, rows): 2-4 series in a box of 2 or 3 variables, caps 1-4, with
+    terms drawn mostly from one small pool of monomials, so that series
+    share powers and prefixes, and pairings in -2..2, zero and negative
+    ones among them."""
+    caps = tuple(draw(st.lists(st.integers(1, 4), min_size=2, max_size=3)))
+    box = TruncationBox(caps)
+    exps = st.tuples(*[st.integers(0, c) for c in caps]).filter(any)
+    pool = draw(st.lists(exps, min_size=2, max_size=6, unique=True))
+    coeffs = st.fractions(-3, 3, max_denominator=4).filter(bool)
+    gs = [MultiSeries.from_dict(box, draw(st.dictionaries(
+              st.one_of(st.sampled_from(pool), exps), coeffs, max_size=6)))
+          for _ in range(draw(st.integers(2, 4)))]
+    rows = [tuple(draw(st.integers(-2, 2)) for _ in caps) for _ in gs]
+    return gs, rows
+
+
+def prefix_groups(g):
+    """(l, {prefix: [e]}): the terms of g grouped by their prefix, the
+    exponent with e, its l-th entry, set to 0, for the variable l of g that
+    leaves the fewest prefixes, the lowest on a tie."""
+    exps = sorted(to_dict(g))
+    held = [a for a in range(g.box.arity) if any(e[a] for e in exps)]
+
+    def prefix(e, a):
+        return e[:a] + (0,) + e[a + 1:]
+
+    l = min(held, key=lambda a: len({prefix(e, a) for e in exps}))
+    groups = {}
+    for e in exps:
+        groups.setdefault(prefix(e, l), []).append(e[l])
+    return l, groups
+
+
+def group_shapes(gs, rows):
+    """The shapes of prefix group, and the signs of pairing, that the pass
+    meets in gs."""
+    shapes, powers = set(), {}
+    for g, row in zip(gs, rows):
+        if g.is_zero():
+            continue
+        shapes.update({0: "zero pairing", -1: "negative pairing"}.get(
+            (r > 0) - (r < 0)) for r in row)
+        l, groups = prefix_groups(g)
+        for p, es in groups.items():
+            if not any(p):
+                shapes.add("p = 0")
+            elif len(es) == 1:
+                shapes.add("single term")
+            elif 0 in es:
+                shapes.add("constant in l beside other terms")
+            if sum(map(bool, p)) == 1 and max(p) > 1:
+                shapes.add("prefix a power of another variable")
+            for e in filter(None, es):
+                if powers.setdefault((l, e), g) is not g:
+                    shapes.add("l-power shared across series")
+    return shapes - {None}
+
+
+def test_pass_by_prefix_groups_is_substitution():
+    # the pass against the whole-box inverse and a separate substitution on
+    # drawn series; the draws reach every kind of prefix group the pass
+    # treats apart, and powers of one variable that several series share
+    reached = set()
+
+    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @given(grouped_passes())
+    def check(drawn):
+        gs, rows = drawn
+        box = gs[0].box
+        forward = tuple(combine(box, [(-row[a], g) for row, g in zip(rows, gs)])
+                        for a in range(box.arity))
+        pulled, inverse = pull_back(gs, rows)
+        assert inverse == oracle_invert_full_box(forward)
+        assert pulled == tuple(substitute(g, inverse) for g in gs)
+        reached.update(group_shapes(gs, rows))
+
+    check()
+    assert reached == {
+        "p = 0", "single term", "constant in l beside other terms",
+        "prefix a power of another variable", "l-power shared across series",
+        "zero pairing", "negative pairing"}
 
 
 def test_pass_is_substitution_on_fixtures_and_surfaces():
