@@ -15,7 +15,9 @@ packed series: combine and mul call it once, and exp and pull_back solve
 their recurrences one total degree at a time, each series kept as a list of
 degree slices that _slice builds from lower ones only through its reach,
 the sum of its variables' caps, past which it has no in-box term.  A box
-exponentiates each distinct series once and keeps packed forms only.
+exponentiates each distinct block once and keeps packed forms only: a
+series whose terms fall into blocks of disjoint variables, one of whose
+exps the box holds, is exponentiated as the product of its blocks' exps.
 pull_back solves for the inverse of a coordinate change x_a -> x_a *
 exp(u_a) together with series evaluated along it, one product a prefix
 group of their terms; both are plain tuples of series.  A series is read
@@ -284,14 +286,47 @@ def mul(s: MultiSeries, t: MultiSeries) -> MultiSeries:
     return MultiSeries(s.box, _sum([(1, s.packed, t.packed)], s.box.layout))
 
 
+def _blocks(s, lay):
+    """The parts of packed s, in lowest terms, over the connected blocks of
+    variables its terms share.  fill holds 2^(w-1) - 1 in each variable
+    field, so adding it to a key's fields sets a field's guard bit exactly
+    when the field is nonzero, with no carry into the degree field: one add
+    and one mask a term."""
+    _, shifts, _, guard, _, _ = lay
+    fill, parts, blocks = guard - sum(1 << k for k in shifts), {}, {}
+    for p, c in s[1].items():
+        parts.setdefault((p + fill) & guard, {})[p] = c
+    for m, terms in parts.items():
+        for b in [b for b in blocks if b & m]:
+            m |= b
+            terms.update(blocks.pop(b))
+        blocks[m] = terms
+    return [_lowest(s[0], terms) for terms in blocks.values()]
+
+
 def exp_series(s: MultiSeries) -> MultiSeries:
-    """exp(s), s with no constant term; run once per distinct s in s.box."""
+    """exp(s), s with no constant term, each argument run once in s.box.
+    When s falls into two or more blocks of disjoint variables, and the box
+    holds the exp of one of them but not of s, exp(s) is the product of
+    its blocks' exps, the missing ones run and kept: the blocks share no
+    variable, so no product leaves the box.  Else s runs whole, one entry."""
     if 0 in s.packed[1]:
         raise SeriesError("exp_series needs zero constant term")
-    exps, key = s.box.exps, (s.packed[0], frozenset(s.packed[1].items()))
-    if key not in exps:
-        exps[key] = _exp(s.packed, s.box)
-    return MultiSeries(s.box, exps[key])
+    box, parts = s.box, [s.packed]
+    exps, split = box.exps, _blocks(s.packed, box.layout)
+
+    def key(p):
+        return p[0], frozenset(p[1].items())
+
+    if split[1:] and key(s.packed) not in exps and any(key(p) in exps for p in split):
+        parts = split
+    out = []
+    for p in parts:
+        k = key(p)
+        if k not in exps:
+            exps[k] = _exp(p, box)
+        out.append(exps[k])
+    return MultiSeries(box, reduce(lambda e, f: _sum([(1, e, f)], box.layout), out))
 
 
 def pull_back(gs, rows):
@@ -314,7 +349,8 @@ def pull_back(gs, rows):
     p = 0 or e = 0 enters as its own image.  Slice n of each needs the G_j
     only through degree n - 1, and is one _slice of lower ones: built once,
     exact, and only through its reach, fixed before the pass; past it,
-    slices are _ZERO.  Returns (the G_i, the inverse).
+    slices are _ZERO.  Returns (the G_i, the inverse); with no nonzero g_i,
+    at once (gs, zeros), with no pass.
     """
     box = gs[0].box
     _require_same_box(box, gs)
@@ -322,8 +358,10 @@ def pull_back(gs, rows):
         raise SeriesError("pulled-back series need zero constant term")
     if len(rows) != len(gs) or any(len(row) != box.arity for row in rows):
         raise SeriesError("need one row of pairings per series and variable")
-    _, shifts, _, _, mask, dk = lay = box.layout
     live = [i for i, g in enumerate(gs) if g.packed[1]]
+    if not live:
+        return tuple(gs), (MultiSeries.zero(box),) * box.arity
+    _, shifts, _, _, mask, dk = lay = box.layout
     slices = {i: [_ZERO] for i in live}
     held = {i: reduce(or_, gs[i].packed[1]) for i in live}
     # the packed key x[a] of each x_a some g_i has, and y_a, of slice 1 x_a

@@ -25,9 +25,11 @@ from semifano import (
     combine,
     invariant_table,
     pull_back,
+    series,
     structural_report,
 )
 from semifano.mirror import MirrorMapPair
+from semifano.series import _lowest
 from conftest import fixture_analysis, fixture_path
 
 BOXES = {"f2-blowup": (3, 3, 3), "kp2-bundle": (3, 3), "threefold-example": (3, 3, 3, 3)}
@@ -166,6 +168,35 @@ def test_fault_matrix(name, fault):
     assert ok == (not failed)
     assert [line for line in lines if line.endswith("FAIL")] == [
         f"{report}: FAIL" for report in results if report in failed]
+
+
+# fixture -> the reports that FAIL when every exp drops its top-degree slice
+KERNEL_MATRIX = {
+    "f2-blowup": {"structure", "surface-oracle"},
+    "kp2-bundle": {"structure", "PF=LF"},
+    "threefold-example": {"structure", "PF=LF"},
+}
+
+
+@pytest.mark.parametrize("name", KERNEL_MATRIX)
+def test_exp_kernel_fault(name, monkeypatch):
+    """A fault in the exp kernel itself, series._exp, that W_PF and W_LF
+    both read: each exp's top-degree terms dropped, so exp(0) = 1 loses its
+    one and structure sees a constant disk count that is not 1.  Where a
+    W_PF unit and its W_LF unit are the same memo entries, PF=LF compares a
+    faulty exp with itself; what still sees the fault there is each
+    cone-ray term, exp(-G_k) (1 + delta_k) = 1."""
+    real = series._exp
+
+    def top_dropped(s, box):
+        den, e = real(s, box)
+        top = max(p >> box.layout[5] for p in e)
+        return _lowest(den, {p: c for p, c in e.items() if p >> box.layout[5] < top})
+
+    monkeypatch.setattr(series, "_exp", top_dropped)
+    lines, results, ok = run_check(name, fixture_analysis(name, BOXES[name]))
+    assert {report for report, passed in results.items() if not passed} == KERNEL_MATRIX[name]
+    assert not ok
 
 
 @pytest.mark.parametrize("name, rays", [

@@ -565,6 +565,19 @@ def test_pass_refuses_bad_series():
         pull_back([x, x], [(1, 0, 0), (0, 1, 0)])
 
 
+def test_zero_family_runs_no_pass(call_counts):
+    # with no nonzero g_i there is nothing to pull back: the family is its
+    # own pull-back and the inverse is zero, with no _sum at all
+    calls, count = call_counts
+    count(series, "_sum")
+    box = TruncationBox((3, 2, 4))
+    gs = [MultiSeries.zero(box)] * 2
+    pulled, inverse = pull_back(gs, [(1, -2, 0), (0, 3, 1)])
+    assert calls == {}
+    assert pulled == tuple(gs)
+    assert inverse == (MultiSeries.zero(box),) * 3
+
+
 def test_mirror_map_fano_identity():
     for name, caps in (("p2", (4,)), ("p1xp1", (3, 3)), ("p1cubed", (2, 2, 2))):
         _, lattice = fixture_lattice(name)

@@ -398,6 +398,69 @@ def test_exp_memo_hit_is_a_fresh_exp(pair):
 
 
 @st.composite
+def disjoint_pair(draw):
+    """Nonzero a and b with zero constant term over disjoint variables of
+    one box, a's the first k and b's the rest; a has a term in each of its
+    variables, so it is one block, and b may be several."""
+    arity = draw(st.integers(2, 4))
+    caps = tuple(draw(st.integers(1, 4)) for _ in range(arity))
+    k = draw(st.integers(1, arity - 1))
+
+    def over(held):
+        exps = st.tuples(*[st.integers(0, c) if a in held else st.just(0)
+                           for a, c in enumerate(caps)]).filter(any)
+        return draw(st.dictionaries(exps, frac.filter(bool), min_size=1, max_size=5))
+
+    a, b = over(range(k)), over(range(k, arity))
+    a[(1,) * k + (0,) * (arity - k)] = draw(frac.filter(bool))
+    box = TruncationBox(caps)
+    return MultiSeries.from_dict(box, a), MultiSeries.from_dict(box, b)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(disjoint_pair())
+def test_exp_of_disjoint_blocks_is_the_product_of_their_exps(pair):
+    """exp(a + b) over disjoint variables runs whole in a fresh box, as one
+    memo entry; once the box holds exp(a), it is the product of its blocks'
+    exps, each kept, equal to the whole exp, to exp(a) exp(b) and to the sum
+    of powers, and the sum itself is never run."""
+    a, b = pair
+    s = add(a, b)
+    whole = series._exp(s.packed, s.box)
+    assert exp_series(s).packed == whole and list(s.box.exps.values()) == [whole]
+    box = TruncationBox(s.box.caps)
+    a, b, s = [MultiSeries(box, x.packed) for x in (a, b, s)]
+    product = mul(exp_series(a), exp_series(b))
+    assert exp_series(s).packed == whole == product.packed == oracle_exp(s).packed
+    blocks = series._blocks(s.packed, box.layout)
+    assert len(blocks) >= 2
+    assert all(box.exps[d, frozenset(t.items())] == series._exp((d, t), box)
+               for d, t in blocks)
+    assert (s.packed[0], frozenset(s.packed[1].items())) not in box.exps
+
+
+def test_blocks_merge_terms_that_share_a_variable():
+    # a term joining two blocks met earlier merges them, caps past the field
+    # width's change at 8 set no stray guard bit, and three blocks make two
+    # products
+    F = Fraction
+    s = S((9, 8, 1, 9), {(9, 0, 0, 0): 1, (0, 0, 1, 0): F(1, 2), (0, 8, 0, 0): 3,
+                         (0, 0, 0, 9): F(-2, 3), (1, 1, 0, 0): 5})
+    blocks = sorted(sorted(to_dict(MultiSeries(s.box, p)))
+                    for p in series._blocks(s.packed, s.box.layout))
+    assert blocks == [[(0, 0, 0, 9)], [(0, 0, 1, 0)],
+                      [(0, 8, 0, 0), (1, 1, 0, 0), (9, 0, 0, 0)]]
+    bridged = add(s, S(s.box.caps, {(0, 0, 1, 1): 1}))
+    assert len(series._blocks(bridged.packed, s.box.layout)) == 2
+    # x1 meets the merged block only through the variables of its first part
+    chain = S((2, 2, 2), {(1, 1, 0): 1, (0, 1, 1): 2, (1, 0, 0): 3})
+    assert len(series._blocks(chain.packed, chain.box.layout)) == 1
+    exp_series(MultiSeries(s.box, S(s.box.caps, {(0, 0, 1, 0): F(1, 2)}).packed))
+    assert exp_series(s) == oracle_exp(s)
+    assert len(s.box.exps) == 3
+
+
+@st.composite
 def unit_maps(draw, caps=None):
     if caps is None:
         arity = draw(st.integers(1, 2))

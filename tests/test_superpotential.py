@@ -351,9 +351,12 @@ def test_pf_lf_check_reports_discrepancy(f2_analysis):
 
 def test_each_distinct_series_is_exponentiated_once(monkeypatch):
     """The threefold job at 7^4 (analyze, the 7 ray tables, W_PF and the
-    normalised W_LF) asks for 13 nonzero exps and runs the 9 distinct ones:
-    W_PF's argument for rays 3, 6 and 7 is W_LF's correction for the same
-    ray, and for ray 7 it is G_1 too, whose exp is 1 + delta_1."""
+    normalised W_LF) asks for 13 nonzero exps and runs 8: W_PF's argument
+    for rays 3, 6 and 7 is W_LF's correction for the same ray, and for ray
+    7 it is G_1 too, whose exp is 1 + delta_1.  W_PF's argument for ray 4
+    splits into two blocks of disjoint variables: G_4, whose exp 1 + delta_4
+    the tables built, and ray 4's W_LF correction, run here once and hit
+    by W_LF."""
     runs = []
     real = series._exp
     monkeypatch.setattr(series, "_exp", lambda s, box: runs.append(s) or real(s, box))
@@ -361,7 +364,7 @@ def test_each_distinct_series_is_exponentiated_once(monkeypatch):
     tables = [invariant_table(inv) for inv in an.deltas]
     *_, report = compare_superpotentials(an, 0)
     assert report.passed and len(tables) == 7
-    assert len([s for s in runs if s[1]]) == 9
+    assert len([s for s in runs if s[1]]) == 8
 
 
 def test_superpotentials_leave_no_reference_cycle():
