@@ -14,10 +14,9 @@ works on that form through one kernel, _sum, a guarded sum of products of
 packed series: combine and mul call it once, and exp and pull_back solve
 their recurrences one total degree at a time, each series kept as a list of
 degree slices that _slice builds from lower ones only through its reach,
-the sum of its variables' caps, past which it has no in-box term.  A box
-exponentiates each distinct block once and keeps packed forms only: a
-series whose terms fall into blocks of disjoint variables, one of whose
-exps the box holds, is exponentiated as the product of its blocks' exps.
+the sum of its variables' caps, past which it has no in-box term.  exp
+of a series is the product of the exps of its blocks of disjoint
+variables, and a box runs each distinct block once, keeping packed forms.
 pull_back solves for the inverse of a coordinate change x_a -> x_a *
 exp(u_a) together with series evaluated along it, one product a prefix
 group of their terms; both are plain tuples of series.  A series is read
@@ -106,8 +105,9 @@ class TruncationBox(namedtuple("TruncationBox", "caps")):
 
     @cached_property
     def exps(self):
-        """Packed exps keyed by their packed arguments (D, frozenset of terms);
-        a MultiSeries value would hold the box in a reference cycle."""
+        """The packed exp of each block exp_series has met, keyed by the
+        block (D, frozenset of terms); a MultiSeries value would hold the box
+        in a reference cycle."""
         return {}
 
     def table_line(self, exp):
@@ -288,10 +288,10 @@ def mul(s: MultiSeries, t: MultiSeries) -> MultiSeries:
 
 def _blocks(s, lay):
     """The parts of packed s, in lowest terms, over the connected blocks of
-    variables its terms share.  fill holds 2^(w-1) - 1 in each variable
-    field, so adding it to a key's fields sets a field's guard bit exactly
-    when the field is nonzero, with no carry into the degree field: one add
-    and one mask a term."""
+    variables its terms share; the zero series is its own one block.  fill
+    holds 2^(w-1) - 1 in each variable field, so adding it to a key's fields
+    sets a field's guard bit exactly when the field is nonzero, with no
+    carry into the degree field: one add and one mask a term."""
     _, shifts, _, guard, _, _ = lay
     fill, parts, blocks = guard - sum(1 << k for k in shifts), {}, {}
     for p, c in s[1].items():
@@ -301,31 +301,21 @@ def _blocks(s, lay):
             m |= b
             terms.update(blocks.pop(b))
         blocks[m] = terms
-    return [_lowest(s[0], terms) for terms in blocks.values()]
+    return [_lowest(s[0], terms) for terms in blocks.values()] or [s]
 
 
 def exp_series(s: MultiSeries) -> MultiSeries:
-    """exp(s), s with no constant term, each argument run once in s.box.
-    When s falls into two or more blocks of disjoint variables, and the box
-    holds the exp of one of them but not of s, exp(s) is the product of
-    its blocks' exps, the missing ones run and kept: the blocks share no
-    variable, so no product leaves the box.  Else s runs whole, one entry."""
+    """exp(s), s with no constant term: the product of the exps of its
+    blocks of disjoint variables, each run once in s.box and kept.  The
+    blocks share no variable, so no product leaves the box."""
     if 0 in s.packed[1]:
         raise SeriesError("exp_series needs zero constant term")
-    box, parts = s.box, [s.packed]
-    exps, split = box.exps, _blocks(s.packed, box.layout)
-
-    def key(p):
-        return p[0], frozenset(p[1].items())
-
-    if split[1:] and key(s.packed) not in exps and any(key(p) in exps for p in split):
-        parts = split
-    out = []
-    for p in parts:
-        k = key(p)
-        if k not in exps:
-            exps[k] = _exp(p, box)
-        out.append(exps[k])
+    box, out = s.box, []
+    for d, t in _blocks(s.packed, box.layout):
+        k = d, frozenset(t.items())
+        if k not in box.exps:
+            box.exps[k] = _exp((d, t), box)
+        out.append(box.exps[k])
     return MultiSeries(box, reduce(lambda e, f: _sum([(1, e, f)], box.layout), out))
 
 

@@ -2,9 +2,15 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import settings
 
 from semifano import TruncationBox, analyze, curve_lattice
 from semifano.cli import parse_input
+
+# every property test sees the same examples on every run, and none are
+# replayed from a database of earlier failures
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def fixture_path(name):

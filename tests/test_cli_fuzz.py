@@ -7,8 +7,9 @@ cones that repeat an index or each other, fans that are not complete.  Half
 are fixtures with one or two mutations: a ray entry moved by one, a cone
 dropped, a ray added, a random (or no) `curve_class_basis`, two rays
 swapped, or one cone index changed.  Every document runs through every
-command at caps 0-3, in both formats.  The test is derandomized, with a
-bounded example count, so it runs the same documents every time.
+command at caps 0-3, in both formats.  The test is derandomized, like every
+property test here (`conftest.py`), with a bounded example count, so it runs
+the same documents every time.
 """
 
 import io
@@ -66,7 +67,7 @@ def mutated_fixtures(draw):
     return doc
 
 
-@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(st.one_of(random_fans(), mutated_fixtures()))
 def test_every_command_exits_cleanly(tmp_path_factory, document):
     """Every run exits 0, 1 or 2.  Exit 2 prints nothing but one JSON error

@@ -3,7 +3,8 @@
 `oracles.gkz_violations` reads only the pairings, the basis and the
 coefficients of `mirror.forward`; it shares no code with the factorial
 formula or the face scan that build the correction series.  It holds on
-the fixtures and on every nef surface of the benchmark's universe, and it
+the fixtures, on every nef surface of the benchmark's universe and on the
+seeded blow-ups of P3 with a nef wall basis (`tests/threefolds.py`), and it
 sees every single-coefficient fault in a correction series: on the
 threefold that includes the kinds, a coefficient x3 and a dropped class,
 that no `check` report sees (`tests/test_faults.py`).
@@ -15,10 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from semifano import MultiSeries, TruncationBox, analyze, curve_lattice
+from semifano import MultiSeries, TruncationBox, analyze, curve_lattice, structural_report
 from semifano.cli import parse_input
 from conftest import fixture_analysis
 from oracles import gkz_violations
+from threefolds import p3_blowups
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import surfaces  # noqa: E402
@@ -46,6 +48,20 @@ def test_forward_map_satisfies_the_recurrence_on_the_universe():
             assert gkz_violations(an) == [], (rays, cap)
             pairs += 1
     assert pairs == 62
+
+
+def test_forward_map_satisfies_the_recurrence_on_p3_blowups():
+    fans = flat = live = 0
+    for fan in p3_blowups(11, 200, 10):
+        lattice = curve_lattice(fan)
+        if lattice.nef_verified:
+            an = analyze(fan, lattice, TruncationBox((3,) * lattice.rank))
+            assert gkz_violations(an) == [] and structural_report(an).passed, fan
+            fans += 1
+            flat += any(sum(b) == 0 for b in lattice.basis)
+            live += any(not g.is_zero() for g in an.g0)
+    # the recurrence has a c1 = 0 class to check on 87, and a nonzero g0 on 50
+    assert (fans, flat, live) == (114, 87, 50)
 
 
 def single_coefficient_faults(an):

@@ -518,7 +518,7 @@ def test_pass_by_prefix_groups_is_substitution():
     # treats apart, and powers of one variable that several series share
     reached = set()
 
-    @settings(max_examples=60, derandomize=True, database=None, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(grouped_passes())
     def check(drawn):
         gs, rows = drawn

@@ -3,7 +3,7 @@ from itertools import product
 from math import comb, factorial, prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from semifano import (
@@ -377,16 +377,27 @@ def test_exp_log_round_trip(s):
     assert exp_series(oracle_log(s)) == s
 
 
+def block_keys(s):
+    """The memo key of each block of s, with its fresh _exp."""
+    return {(d, frozenset(t.items())): series._exp((d, t), s.box)
+            for d, t in series._blocks(s.packed, s.box.layout)}
+
+
+# a series of two blocks, which zero_constant_pair draws only rarely
+TWO_BLOCKS = MultiSeries.from_dict(
+    TruncationBox((3, 2)), {(1, 0): 2, (3, 0): Fraction(-1, 3), (0, 2): Fraction(5, 2)})
+
+
 @settings(max_examples=100, deadline=None)
+@example((TWO_BLOCKS, TWO_BLOCKS))
 @given(zero_constant_pair())
 def test_exp_memo_hit_is_a_fresh_exp(pair):
     """An exp of a series equal to one already exponentiated in the same
     box object is a memo hit: it equals a fresh _exp, and still does after
     the first result has been fed to mul and combine.  The box keeps the
-    packed form only."""
-    s, t = pair
-    box = s.box
-    t = MultiSeries(box, t.packed)
+    packed exps of the series' blocks, and nothing else."""
+    box = TruncationBox(pair[0].box.caps)
+    s, t = [MultiSeries(box, x.packed) for x in pair]
     fresh = series._exp(s.packed, box)
     first = exp_series(s)
     assert first.packed == fresh
@@ -394,7 +405,7 @@ def test_exp_memo_hit_is_a_fresh_exp(pair):
     hit = exp_series(MultiSeries.from_dict(box, to_dict(s)))
     assert hit.packed == fresh == series._exp(s.packed, box)
     assert used == [mul(hit, t), mul(hit, hit), combine(box, [(2, hit), (-3, t)])]
-    assert hit.box is box and list(box.exps.values()) == [fresh]
+    assert hit.box is box and box.exps == block_keys(s)
 
 
 @st.composite
@@ -417,26 +428,24 @@ def disjoint_pair(draw):
     return MultiSeries.from_dict(box, a), MultiSeries.from_dict(box, b)
 
 
-@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(disjoint_pair())
 def test_exp_of_disjoint_blocks_is_the_product_of_their_exps(pair):
-    """exp(a + b) over disjoint variables runs whole in a fresh box, as one
-    memo entry; once the box holds exp(a), it is the product of its blocks'
-    exps, each kept, equal to the whole exp, to exp(a) exp(b) and to the sum
-    of powers, and the sum itself is never run."""
+    """exp(a + b) over disjoint variables is the product of its blocks'
+    exps, in a fresh box as once the box holds exp(a) and exp(b): each block
+    runs once and is kept, the product equals the whole exp, exp(a) exp(b)
+    and the sum of powers, and the sum itself is never keyed."""
     a, b = pair
     s = add(a, b)
-    whole = series._exp(s.packed, s.box)
-    assert exp_series(s).packed == whole and list(s.box.exps.values()) == [whole]
+    whole, blocks = series._exp(s.packed, s.box), block_keys(s)
+    assert len(blocks) >= 2 and (s.packed[0], frozenset(s.packed[1].items())) not in blocks
+    assert exp_series(s).packed == whole and s.box.exps == blocks
     box = TruncationBox(s.box.caps)
     a, b, s = [MultiSeries(box, x.packed) for x in (a, b, s)]
     product = mul(exp_series(a), exp_series(b))
+    assert box.exps == blocks
     assert exp_series(s).packed == whole == product.packed == oracle_exp(s).packed
-    blocks = series._blocks(s.packed, box.layout)
-    assert len(blocks) >= 2
-    assert all(box.exps[d, frozenset(t.items())] == series._exp((d, t), box)
-               for d, t in blocks)
-    assert (s.packed[0], frozenset(s.packed[1].items())) not in box.exps
+    assert box.exps == blocks
 
 
 def test_blocks_merge_terms_that_share_a_variable():

@@ -349,21 +349,22 @@ def test_pf_lf_check_reports_discrepancy(f2_analysis):
     assert any("ray 4" in d for d in report.details)
 
 
-def test_each_distinct_series_is_exponentiated_once(monkeypatch):
-    """The threefold job at 7^4 (analyze, the 7 ray tables, W_PF and the
-    normalised W_LF) asks for 13 nonzero exps and runs 8: W_PF's argument
-    for rays 3, 6 and 7 is W_LF's correction for the same ray, and for ray
-    7 it is G_1 too, whose exp is 1 + delta_1.  W_PF's argument for ray 4
-    splits into two blocks of disjoint variables: G_4, whose exp 1 + delta_4
-    the tables built, and ray 4's W_LF correction, run here once and hit
-    by W_LF."""
+@pytest.mark.parametrize("tables_first", [True, False], ids=["tables-first", "compare-only"])
+def test_each_distinct_series_is_exponentiated_once(monkeypatch, tables_first):
+    """The threefold job at 7^4 (analyze, W_PF and the normalised W_LF,
+    with or without the 7 ray tables first) asks for 13 nonzero exps and
+    runs 8, in either order: W_PF's argument for rays 3, 6 and 7 is W_LF's
+    correction for the same ray, and for ray 7 it is G_1 too, whose exp is
+    1 + delta_1.  W_PF's argument for ray 4 splits into two blocks of
+    disjoint variables: G_4, whose exp is 1 + delta_4, and ray 4's W_LF
+    correction, each run once whichever asks first."""
     runs = []
     real = series._exp
     monkeypatch.setattr(series, "_exp", lambda s, box: runs.append(s) or real(s, box))
     an = fixture_analysis("threefold-example", (7,) * 4)
-    tables = [invariant_table(inv) for inv in an.deltas]
+    tables = [invariant_table(inv) for inv in an.deltas] if tables_first else []
     *_, report = compare_superpotentials(an, 0)
-    assert report.passed and len(tables) == 7
+    assert report.passed and len(tables) == 7 * tables_first
     assert len([s for s in runs if s[1]]) == 8
 
 
