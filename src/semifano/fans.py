@@ -174,9 +174,7 @@ class CurveLattice(namedtuple("CurveLattice", "fan basis nef_verified",
         return exps if self.class_from_coordinates(exps) == cls else None
 
     def class_from_coordinates(self, exps):
-        m = self.fan.num_rays
-        coeffs = [sum(e * b[i] for e, b in zip(exps, self.basis)) for i in range(m)]
-        return tuple(coeffs)
+        return tuple(sum(map(mul, exps, col)) for col in zip(*self.basis))
 
 
 def validate_fan(fan: Fan):
@@ -253,13 +251,13 @@ def cone_coordinates(fan: Fan, sigma, k):
 
 
 def alpha_class(fan: Fan, sigma, k):
-    """Curve class of the k-th superpotential term relative to cone sigma.
+    """Curve class of the k-th superpotential term relative to cone sigma:
+    e_k minus sum_j coords_j e_(cone_j), coords the cone coordinates of v_k.
 
     The cone is unimodular, so v_k = sum_j coords_j v_(cone_j) exactly and
-    the class sum_i d_i v_i = 0 by construction."""
+    the class sum_i d_i v_i = 0 by construction; a ray of the cone is its
+    own coordinate vector, so its class is zero."""
     cone = fan.max_cones[sigma]
-    if k in cone:
-        raise FanError(f"ray {k + 1} belongs to the chosen cone")
     coords = cone_coordinates(fan, sigma, k)
     d = [0] * fan.num_rays
     d[k] = 1

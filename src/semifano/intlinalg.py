@@ -1,21 +1,21 @@
-"""Exact integer linear algebra: one fraction-free elimination step, three drivers.
+"""Exact integer linear algebra: one fraction-free elimination step, two drivers.
 
 Everything here works over Z; no fractions and no floating point.
 Matrices are lists of lists (row-major), small enough that cubic algorithms
 with exact arithmetic are fine.  `_eliminate` (Bareiss, Math. Comp. 22,
-1968) is the one elimination step.  `fraction_free_solve` pivots B's
-columns in turn and stops at the first with no pivot; `subset_solves`
-walks every r-subset as one explicit path of states that share every row
-a step leaves unchanged, as no row is ever mutated in place.  The walk can
-take its pivots from a prefix of the columns only: it then visits just the
-subsets of that prefix, while every other column is still eliminated
-alongside, so each leaf solves every vector over the subset as before.
-A caller that has ruled the other columns out of every answer orders them
-last and passes the prefix's length.  `exchange` takes a solved basis to
-the basis with one vector swapped for another, in one step (Edmonds, J.
-Res. NBS 71B, 1967): the entries of a solved state are Cramer numerators,
-and the step's exact division is the three-term Grassmann–Plücker
-relation among them.
+1968) is the one elimination step.  `subset_solves` walks every r-subset
+as one explicit path of states that share every row a step leaves
+unchanged, as no row is ever mutated in place.  The walk can take its
+pivots from a prefix of the columns only: it then visits just the subsets
+of that prefix, while every other column is still eliminated alongside,
+so each leaf solves every vector over the subset as before.  A caller
+that has ruled the other columns out of every answer orders them last and
+passes the prefix's length; `fraction_free_solve` is the walk whose prefix
+is B's n columns, so its one subset is B itself.  `exchange` takes a
+solved basis to the basis with one vector swapped for another, in one
+step (Edmonds, J. Res. NBS 71B, 1967): the entries of a solved state are
+Cramer numerators, and the step's exact division is the three-term
+Grassmann–Plücker relation among them.
 """
 
 from __future__ import annotations
@@ -62,18 +62,14 @@ def fraction_free_solve(B, Y):
 
     B is a square integer matrix and each row of Y an integer vector of the
     same length, so row k of X holds the coordinates of Y[k] over the rows
-    of B.  On one matrix with [B | Y] as its columns, `_eliminate` pivots
-    columns 0..n-1 in turn; the first column with no pivot means B is
-    singular, and gives (0, None).
+    of B.  It is the one leaf of `subset_solves` over [B | Y] that pivots
+    on B's n columns only, in turn; the first column with no pivot ends the
+    walk with no leaf, so a singular B gives (0, None).
     """
-    n, V = len(B), [*B, *Y]
-    state = [[v[j] for v in V] for j in range(n)], 1, 1
-    for c in range(n):
-        state = _eliminate(state, c, c)
-        if state is None:
-            return 0, None
-    det, adj = _leaf(state)
-    return det, adj[n:] if n else [[] for _ in Y]
+    n = len(B)
+    for _, det, adj in subset_solves([*B, *Y], n, n):
+        return det, adj[n:]
+    return 0, None
 
 
 def exchange(solution, t, k, u):

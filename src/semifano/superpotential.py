@@ -20,6 +20,7 @@ from .fans import (
     Fan,
     FanError,
     alpha_class,
+    cone_coordinates,
     is_semi_fano,
     non_vertices,
 )
@@ -102,26 +103,20 @@ def assemble_W_HV(fan: Fan, lattice: CurveLattice, sigma: int,
                   box: TruncationBox) -> SuperpotentialExpr:
     """Plain superpotential relative to a chosen maximal cone.
 
-    Rays in the cone contribute the coordinate monomials; every other ray k
-    contributes q^c z^(cone coordinates of v_k), c its class: -c at the cone rays.
+    Every ray k contributes q^c z^(cone coordinates of v_k), c the
+    coordinates of its `alpha_class`; a ray of the cone has the zero class,
+    so its term is its coordinate monomial.
     """
-    cone = fan.max_cones[sigma]
     one = MultiSeries.one(box)
     terms = []
     for k in range(fan.num_rays):
-        if k in cone:
-            z = tuple(1 if c == k else 0 for c in cone)
-            qe = (0,) * lattice.rank
-        else:
-            cls = alpha_class(fan, sigma, k)
-            z = tuple(-cls[c] for c in cone)
-            coords = lattice.coordinates(cls)
-            if coords is None:
-                raise FanError(
-                    f"term class for ray {k + 1} lies outside the basis lattice"
-                )
-            qe = tuple(coords)
-        terms.append(SuperpotentialTerm(k, z, qe, one))
+        coords = lattice.coordinates(alpha_class(fan, sigma, k))
+        if coords is None:
+            raise FanError(
+                f"term class for ray {k + 1} lies outside the basis lattice"
+            )
+        terms.append(SuperpotentialTerm(k, cone_coordinates(fan, sigma, k),
+                                        tuple(coords), one))
     return SuperpotentialExpr(sigma, tuple(terms))
 
 

@@ -9,7 +9,10 @@ both boxes: closed Gromov-Witten invariants of a blow-up keep those of X
 for classes with E . beta = 0 in the cases J. Hu proves (Math. Z. 233,
 2000); for the open invariants here the agreement is checked on data, not
 assumed.  On the threefold a tripled correction coefficient, which no
-`check` report sees (`tests/test_faults.py`), shows up on both pairs.
+`check` report sees (`tests/test_faults.py`), shows up on both pairs, and
+every other stage fault there but the flipped pairing sign shows up too.
+The same comparison runs at caps 3 over every blow-up of the small nef
+fans of the seeded P3 corpus (`threefolds.p3_blowups`).
 """
 
 import pytest
@@ -24,18 +27,17 @@ from semifano import (
 )
 from conftest import fixture_lattice
 from oracles import class_keyed
-from test_faults import edit_top
-from threefolds import faces, star_subdivision
+from test_faults import FAULTS, edit_top
+from threefolds import faces, p3_blowups, star_subdivision
 
 
-def blowup_pairs(name):
-    """(face, parent lattice, child lattice) for each 2-cone and maximal
-    cone of the fixture whose star subdivision validates, is semi-Fano and
+def blowup_pairs(lattice):
+    """(face, lattice, child lattice) for each 2-cone and maximal cone of
+    the lattice's fan whose star subdivision validates, is semi-Fano and
     gets a nef basis."""
-    fan, lattice = fixture_lattice(name)
     out = []
-    for face in faces(fan):
-        child = star_subdivision(fan, face)
+    for face in faces(lattice.fan):
+        child = star_subdivision(lattice.fan, face)
         if validate_fan(child) == [] and is_semi_fano(child)[0]:
             child_lattice = curve_lattice(child)
             if child_lattice.nef_verified:
@@ -43,10 +45,12 @@ def blowup_pairs(name):
     return out
 
 
-def side(lattice, cap):
-    """(lattice, box, class-keyed view) of the fan's analysis at cap."""
+def side(lattice, cap, fault=None):
+    """(lattice, box, class-keyed view) of the fan's analysis at cap, with
+    a `test_faults.FAULTS` fault put in first when one is given."""
     box = TruncationBox((cap,) * lattice.rank)
-    return lattice, box, class_keyed(analyze(lattice.fan, lattice, box))
+    an = analyze(lattice.fan, lattice, box)
+    return lattice, box, class_keyed(an if fault is None else fault(an))
 
 
 def differences(this, other, old):
@@ -65,9 +69,10 @@ def differences(this, other, old):
     return compared, differing
 
 
-def compare(lattice, child, cap):
-    """differences() of the parent against the child and back."""
-    old, sides = lattice.fan.num_rays, [side(lat, cap) for lat in (lattice, child)]
+def compare(lattice, child, cap, fault=None):
+    """differences() of the parent against the child and back, the fault,
+    if any, in both analyses."""
+    old, sides = lattice.fan.num_rays, [side(lat, cap, fault) for lat in (lattice, child)]
     return differences(*sides, old), differences(*sides[::-1], old)
 
 
@@ -78,19 +83,87 @@ def compare(lattice, child, cap):
 def test_disk_counts_agree_across_blowups(name, cap, faces_, entries):
     # faces are ray indices from 0; on the threefold the point blow-up of
     # cone (4, 5, 6) is semi-Fano but gets no nef basis, so it is left out
-    pairs = blowup_pairs(name)
+    pairs = blowup_pairs(fixture_lattice(name)[1])
     assert [face for face, _, _ in pairs] == faces_
     for _, lattice, child in pairs:
         assert compare(lattice, child, cap) == ((entries, 0), (entries, 0))
 
 
-def test_blowups_see_a_tripled_g0_coefficient(monkeypatch):
-    # the fault goes into both analyses, as a fault in the code would
+def triple_every_top(monkeypatch):
+    """The top term of every nonzero g0_i times 3, in every analysis: the
+    fault goes into both sides, as a fault in the code would."""
     real = superpotential.compute_g0_family
     monkeypatch.setattr(superpotential, "compute_g0_family", lambda lattice, box: tuple(
         g if g.is_zero() else edit_top(g, lambda c: 3 * c) for g in real(lattice, box)))
-    pairs = blowup_pairs("threefold-example")
+
+
+def test_blowups_see_a_tripled_g0_coefficient(monkeypatch):
+    triple_every_top(monkeypatch)
+    pairs = blowup_pairs(fixture_lattice("threefold-example")[1])
     assert len(pairs) == 2
     for _, lattice, child in pairs:
         (_, there), (_, back) = compare(lattice, child, 5)
         assert there == back == 13
+
+
+CAPS = {"threefold-example": 5, "kp2-bundle": 6}
+G0_FAULTS = ("class dropped", "g0 coefficient x3", "g0 coefficient +1/7")
+# (fixture, fault) -> the (there, back) differing counts of each pair of
+# `blowup_pairs`; kp2-bundle's three curve blow-ups come first and catch
+# nothing, and no pair catches the flipped sign, which PF=LF already sees
+CAUGHT = {
+    **{("threefold-example", f): [(4, 4)] * 2 for f in G0_FAULTS},
+    ("threefold-example", "G_i top coefficient +1"): [(1, 1)] * 2,
+    ("threefold-example", "pairing sign flipped"): [(0, 0)] * 2,
+    ("threefold-example", "exp slice dropped"): [(0, 1)] * 2,
+    **{("kp2-bundle", f): [(0, 0)] * 3 + [(1, 1)] * 3
+       for f in (*G0_FAULTS, "G_i top coefficient +1")},
+    ("kp2-bundle", "pairing sign flipped"): [(0, 0)] * 6,
+    ("kp2-bundle", "exp slice dropped"): [(0, 0)] * 3 + [(0, 1)] * 3,
+}
+
+
+@pytest.mark.parametrize("name, fault", CAUGHT, ids=lambda x: x.replace(" ", "-"))
+def test_blowups_see_the_stage_faults(name, fault):
+    # each fault of `test_faults.FAULTS` goes into both analyses; every side
+    # has a nonzero series for it to hit
+    pairs = blowup_pairs(fixture_lattice(name)[1])
+    caught = []
+    for _, lattice, child in pairs:
+        (_, there), (_, back) = compare(lattice, child, CAPS[name], FAULTS[fault])
+        caught.append((there, back))
+    assert caught == CAUGHT[name, fault]
+
+
+def corpus_comparisons():
+    """(parents, rows): the fans of `p3_blowups(11, 200, 10)` with at most 7
+    rays and a nef wall basis, as lattices, and a row (parent has a nonzero
+    non-constant count, there, back) of `differences` at caps 3 for each of
+    their `blowup_pairs`, each parent's side built once."""
+    lattices = (curve_lattice(fan) for fan in p3_blowups(11, 200, 10) if fan.num_rays <= 7)
+    parents = [lattice for lattice in lattices if lattice.nef_verified]
+    rows = []
+    for lattice in parents:
+        this, old = side(lattice, 3), lattice.fan.num_rays
+        live = any(any(cls) for _, cls in this[2])
+        for _, _, child in blowup_pairs(lattice):
+            other = side(child, 3)
+            rows.append((live, differences(this, other, old), differences(other, this, old)))
+    return parents, rows
+
+
+def test_disk_counts_agree_across_blowups_of_the_p3_corpus():
+    parents, rows = corpus_comparisons()
+    assert (len(parents), len(rows)) == (75, 620)
+    assert sum(there[0] + back[0] for _, there, back in rows) == 7870
+    assert not any(there[1] or back[1] for _, there, back in rows)
+    # 115 pairs have a disk count to lose: a nonzero one at a nonzero class
+    assert sum(live for live, _, _ in rows) == 115
+
+
+def test_corpus_blowups_see_a_tripled_g0_coefficient(monkeypatch):
+    triple_every_top(monkeypatch)
+    _, rows = corpus_comparisons()
+    caught = [(there[1], back[1]) for _, there, back in rows if there[1] or back[1]]
+    # one entry differs on each of 20 pairs, seen from the parent's side only
+    assert caught == [(1, 0)] * 20

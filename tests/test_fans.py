@@ -387,8 +387,7 @@ def test_alpha_class_f2():
     sigma = fan.max_cones.index((0, 1))
     assert alpha_class(fan, sigma, 2) == (1, 2, 1, 0)
     assert alpha_class(fan, sigma, 3) == (0, 1, 0, 1)
-    with pytest.raises(FanError):
-        alpha_class(fan, sigma, 0)
+    assert alpha_class(fan, sigma, 0) == alpha_class(fan, sigma, 1) == (0, 0, 0, 0)
 
 
 def test_curve_lattice_supplied_basis():
@@ -593,15 +592,17 @@ def test_coordinates_match_rational_membership(oracle_cases):
 
 def test_alpha_classes_lie_in_the_kernel(oracle_cases):
     """The class of every ray k off every cone is a relation among the rays,
-    +1 at k and 0 off the cone and k; `coordinates` gives None both for a
-    class outside the kernel and for one off the basis lattice, so the
-    relation is summed here from the rays."""
+    +1 at k and 0 off the cone and k, and a ray of the cone has the zero
+    class; `coordinates` gives None both for a class outside the kernel and
+    for one off the basis lattice, so the relation is summed here from the
+    rays."""
     for label, fan, _ in oracle_cases:
         for sigma, cone in enumerate(fan.max_cones):
             for k in range(fan.num_rays):
-                if k in cone:
-                    continue
                 d = alpha_class(fan, sigma, k)
+                if k in cone:
+                    assert d == (0,) * fan.num_rays, (label, sigma, k)
+                    continue
                 assert [sum(x * v[j] for x, v in zip(d, fan.rays))
                         for j in range(fan.dimension)] == [0] * fan.dimension, (
                     label, sigma, k)

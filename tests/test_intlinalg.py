@@ -233,16 +233,18 @@ def vector_lists(draw):
 @given(vector_lists())
 def test_subset_walk_matches_per_subset_solves(case):
     """The walk yields exactly the nonsingular r-subsets, in `combinations`
-    order, each with the determinant and adjugate columns that a solve of
-    that subset against every vector gives.  With pivots from the first k
-    vectors only, it yields just the subsets of those, each leaf still
-    solving every vector."""
+    order, each with its Leibniz determinant and, as adjugate columns, that
+    determinant times the rational solve of every vector over the subset.
+    With pivots from the first k vectors only, it yields just the subsets
+    of those, each leaf still solving every vector."""
     V, r = case
     expected = []
     for S in combinations(range(len(V)), r):
-        det, adj = fraction_free_solve([V[s] for s in S], V)
+        B = [V[s] for s in S]
+        det = leibniz_det(B)
         if det != 0:
-            expected.append((S, det, adj))
+            Bt = [list(col) for col in zip(*B)]
+            expected.append((S, det, [[det * x for x in solve_rational(Bt, v)] for v in V]))
     assert list(subset_solves(V, r)) == expected
     for k in range(len(V) + 1):
         assert list(subset_solves(V, r, k)) == [e for e in expected

@@ -7,12 +7,14 @@ v_a + v_b on a 2-cone and splits both maximal cones on it in two.  The new
 ray is appended, so every earlier ray keeps its index.  A star subdivision
 of a smooth complete fan is smooth and complete; the generator still keeps
 only the fans that `validate_fan` and `is_semi_fano` accept, and grows each
-fan from the last one they accepted.
+fan from the last one they accepted.  Each corpus is built once per
+process and shared, cached fan properties included.
 """
 
 from __future__ import annotations
 
 import random
+from functools import cache
 from itertools import combinations
 
 from semifano import Fan, is_semi_fano, validate_fan
@@ -50,6 +52,7 @@ def faces(fan):
     return walls + list(fan.max_cones)
 
 
+@cache
 def p3_blowups(seed, count, max_rays=8):
     """`count` distinct semi-Fano blow-ups of P3 with at most `max_rays`
     rays: each starts from P3 and takes random star subdivisions until it
