@@ -54,6 +54,14 @@ def _is_int(x):
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _check_int_vectors(field, vectors, length):
+    """Refuse the first entry of a listed field that is no integer vector of
+    the given length."""
+    for idx, v in enumerate(vectors):
+        if not isinstance(v, list) or len(v) != length or not all(map(_is_int, v)):
+            raise InputError(f"field '{field}'[{idx}] must be an integer {length}-vector")
+
+
 def parse_input(document):
     """Validate a fan description document; returns (Fan, basis or None, meta)."""
     if not isinstance(document, dict):
@@ -67,10 +75,7 @@ def parse_input(document):
     rays = document["rays"]
     if not isinstance(rays, list) or not rays:
         raise InputError("field 'rays' must be a nonempty list")
-    for idx, v in enumerate(rays):
-        if (not isinstance(v, list) or len(v) != n
-                or not all(_is_int(x) for x in v)):
-            raise InputError(f"field 'rays'[{idx}] must be an integer {n}-vector")
+    _check_int_vectors("rays", rays, n)
     cones = document["max_cones"]
     if not isinstance(cones, list) or not cones:
         raise InputError("field 'max_cones' must be a nonempty list")
@@ -86,13 +91,7 @@ def parse_input(document):
     if basis is not None:
         if not isinstance(basis, list):
             raise InputError("field 'curve_class_basis' must be a list")
-        for idx, b in enumerate(basis):
-            if (not isinstance(b, list) or len(b) != len(rays)
-                    or not all(_is_int(x) for x in b)):
-                raise InputError(
-                    f"field 'curve_class_basis'[{idx}] must be an integer "
-                    f"{len(rays)}-vector"
-                )
+        _check_int_vectors("curve_class_basis", basis, len(rays))
     meta = {
         "names": document.get("names"),
         "display_monomials": document.get("display_monomials"),

@@ -142,35 +142,34 @@ class CurveLattice(namedtuple("CurveLattice", "fan basis nef_verified",
     def rank(self):
         return len(self.basis)
 
-    def pairing(self, ray_index, basis_index):
-        return self.basis[basis_index][ray_index]
-
     def pairing_row(self, ray_index):
         """All pairings of ray_index's divisor with the basis classes."""
         return tuple(b[ray_index] for b in self.basis)
 
     @cached_property
     def basis_solution(self):
-        """(det B, det B · B^-1), B the basis in `_free_coordinates`: one
-        `fraction_free_solve` against the l×l identity per lattice."""
+        """(det B, det B · B^-T), B the basis in `_free_coordinates`: one
+        `fraction_free_solve` of B's transpose against the l×l identity per
+        lattice, so row a of the adjugate is column a of det B · B^-1."""
         l = self.rank
-        return fraction_free_solve(_free_coordinates(self.fan, self.basis),
+        return fraction_free_solve(list(zip(*_free_coordinates(self.fan, self.basis))),
                                    [[int(i == j) for j in range(l)] for i in range(l)])
 
     def coordinates(self, cls):
         """Integer coordinates of a kernel class, an integer tuple, in the
         chosen basis, or None.
 
-        The class's `_free_coordinates` times the lattice's `basis_solution`.
-        The quotients by the determinant stand only if they rebuild `cls`,
-        which also holds just when every division is exact; a class outside
-        the kernel or off the basis lattice gets None.
+        The class's `_free_coordinates` y solve x·B = y, so coordinate a is y
+        dotted with row a of `basis_solution`'s adjugate, over the
+        determinant.  The quotients stand only if they rebuild `cls`, which
+        also holds just when every division is exact; a class outside the
+        kernel or off the basis lattice gets None.
         """
         det, adj = self.basis_solution
         if det == 0:
             return None
         y = _free_coordinates(self.fan, [cls])[0]
-        exps = [sum(map(mul, y, col)) // det for col in zip(*adj)]
+        exps = [sum(map(mul, y, row)) // det for row in adj]
         return exps if self.class_from_coordinates(exps) == cls else None
 
     def class_from_coordinates(self, exps):
@@ -180,12 +179,12 @@ class CurveLattice(namedtuple("CurveLattice", "fan basis nef_verified",
 def validate_fan(fan: Fan):
     """Check primitivity, smoothness and completeness; returns list of violations.
 
-    No maximal cone may be listed twice.  Complete: every wall lies in
-    exactly two cones, on opposite sides of it, and no closed cone but the
-    first holds the sum of the first's rays, an interior point; so the cones
-    cover each generic point once.  Both tests read `Fan.cone_solutions`,
-    the first through `Fan.walls`.  Last, every ray must lie in some maximal
-    cone.
+    Some maximal cone must be listed, and none twice.  Complete: every wall
+    lies in exactly two cones, on opposite sides of it, and no closed cone
+    but the first holds the sum of the first's rays, an interior point; so
+    the cones cover each generic point once.  Both tests read
+    `Fan.cone_solutions`, the first through `Fan.walls`.  Last, every ray
+    must lie in some maximal cone.
     """
     violations = []
     n = fan.dimension
@@ -202,6 +201,8 @@ def validate_fan(fan: Fan):
         violations.append("rays are not pairwise distinct")
     if violations:
         return violations
+    if not fan.max_cones:
+        return ["no maximal cone is listed"]
     seen = {}
     for cone in fan.max_cones:
         if len(cone) != n or any(k < 0 or k >= fan.num_rays for k in cone):

@@ -20,7 +20,6 @@ from .fans import (
     Fan,
     FanError,
     alpha_class,
-    cone_coordinates,
     is_semi_fano,
     non_vertices,
 )
@@ -103,19 +102,22 @@ def assemble_W_HV(fan: Fan, lattice: CurveLattice, sigma: int,
                   box: TruncationBox) -> SuperpotentialExpr:
     """Plain superpotential relative to a chosen maximal cone.
 
-    Every ray k contributes q^c z^(cone coordinates of v_k), c the
-    coordinates of its `alpha_class`; a ray of the cone has the zero class,
-    so its term is its coordinate monomial.
+    Ray k's term is q^c z^z of unit 1, c the lattice coordinates of its
+    `alpha_class` e_k - sum_j z_j e_(cone_j), z the cone coordinates of v_k,
+    so z_j = [cone_j = k] - class[cone_j]; a cone ray has the zero class.
+    W_PF and W_LF keep these terms and swap only the unit.
     """
     one = MultiSeries.one(box)
+    cone = fan.max_cones[sigma]
     terms = []
     for k in range(fan.num_rays):
-        coords = lattice.coordinates(alpha_class(fan, sigma, k))
+        alpha = alpha_class(fan, sigma, k)
+        coords = lattice.coordinates(alpha)
         if coords is None:
             raise FanError(
                 f"term class for ray {k + 1} lies outside the basis lattice"
             )
-        terms.append(SuperpotentialTerm(k, cone_coordinates(fan, sigma, k),
+        terms.append(SuperpotentialTerm(k, tuple((c == k) - alpha[c] for c in cone),
                                         tuple(coords), one))
     return SuperpotentialExpr(sigma, tuple(terms))
 
@@ -126,24 +128,17 @@ def assemble_W_PF(whv: SuperpotentialExpr, mm: MirrorMapPair,
 
     Each coefficient monomial q^e picks up exp(sum_a e_a w_a), where w is the
     inverse-direction exponent family; negative e_a are fine.  A plain term's
-    unit is 1, so that exp is the term's unit.
+    unit is 1, so that exp is the term's unit, and W_HV's monomials stay.
     """
-    terms = tuple(
-        SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent,
-                           exp_series(combine(box, zip(t.q_exponent, mm.inverse))))
-        for t in whv.terms
-    )
-    return SuperpotentialExpr(whv.cone_index, terms)
+    return whv._replace(terms=tuple(
+        t._replace(unit=exp_series(combine(box, zip(t.q_exponent, mm.inverse))))
+        for t in whv.terms))
 
 
 def assemble_W_LF(whv: SuperpotentialExpr, deltas) -> SuperpotentialExpr:
     """Each plain term, of unit 1, with unit 1 + delta of its ray (raw form)."""
-    terms = tuple(
-        SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent,
-                           deltas[t.ray_index].one_plus)
-        for t in whv.terms
-    )
-    return SuperpotentialExpr(whv.cone_index, terms)
+    return whv._replace(terms=tuple(
+        t._replace(unit=deltas[t.ray_index].one_plus) for t in whv.terms))
 
 
 def normalize_W_LF(expr: SuperpotentialExpr, fan: Fan, deltas) -> SuperpotentialExpr:
@@ -151,7 +146,7 @@ def normalize_W_LF(expr: SuperpotentialExpr, fan: Fan, deltas) -> Superpotential
 
     Sending z_j to z_j/(1 + delta of cone ray j) divides term k by the
     product of (1 + delta) over the cone rays weighted by k's z-exponent,
-    that is multiplies it by exp(-sum_j z_j G_j), G_j = log(1 + delta_j).
+    that is multiplies its unit by exp(-sum_j z_j G_j), G_j = log(1 + delta_j).
     """
     cone = fan.max_cones[expr.cone_index]
     logs = [deltas[c].pulled for c in cone]
@@ -161,8 +156,8 @@ def normalize_W_LF(expr: SuperpotentialExpr, fan: Fan, deltas) -> Superpotential
         unit = t.unit if corr.is_zero() else exp_series(corr)
         if unit is not t.unit and t.unit != MultiSeries.one(unit.box):  # G_k = 0: unit 1
             unit = mul(t.unit, unit)
-        terms.append(SuperpotentialTerm(t.ray_index, t.z_exponent, t.q_exponent, unit))
-    return SuperpotentialExpr(expr.cone_index, tuple(terms))
+        terms.append(t._replace(unit=unit))
+    return expr._replace(terms=tuple(terms))
 
 
 class CheckReport(namedtuple("CheckReport", "name passed details", defaults=((),))):
@@ -173,6 +168,8 @@ def check_PF_equals_LF(wpf: SuperpotentialExpr, wlf: SuperpotentialExpr) -> Chec
     details = []
     if wpf.cone_index != wlf.cone_index:
         return CheckReport("PF=LF", False, ("different chosen cones",))
+    if len(wpf.terms) != len(wlf.terms):
+        details.append(f"{len(wpf.terms)} PF terms against {len(wlf.terms)} LF terms")
     for tp, tl in zip(wpf.terms, wlf.terms):
         if tp.z_exponent != tl.z_exponent or tp.q_exponent != tl.q_exponent:
             details.append(f"term for ray {tp.ray_index + 1}: monomial mismatch")
@@ -196,9 +193,9 @@ def check_multiplicative_consistency(deltas, mm: MirrorMapPair,
     another way can fail it.
     """
     details = []
+    rows = [lattice.pairing_row(d.ray_index) for d in deltas]
     for a, w in enumerate(mm.inverse):
-        acc = combine(w.box, [(lattice.pairing(d.ray_index, a), d.pulled)
-                              for d in deltas])
+        acc = combine(w.box, [(row[a], d.pulled) for row, d in zip(rows, deltas)])
         if acc != w:
             details.append(f"basis class {a + 1}: product identity fails")
     return CheckReport("multiplicative-consistency", not details, tuple(details))

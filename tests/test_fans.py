@@ -63,6 +63,11 @@ def test_validate_rejects_incomplete_fan():
                                  "ray 4 lies in no maximal cone"]
 
 
+def test_validate_names_a_fan_with_no_maximal_cone():
+    # the cone checks all read a first cone, so none is reached
+    assert validate_fan(Fan(1, [(1,), (-1,)], [])) == ["no maximal cone is listed"]
+
+
 def test_validate_rejects_duplicate_rays():
     fan = Fan(2, ((1, 0), (1, 0), (-1, -1)), ((0, 1), (1, 2), (2, 0)))
     assert any("distinct" in v for v in validate_fan(fan))
@@ -451,7 +456,7 @@ def test_kernel_fallback_nef_verdict(monkeypatch):
 def test_pairing_rows():
     _, lattice = fixture_lattice("f2")
     assert lattice.pairing_row(3) == (-2, 1)
-    assert lattice.pairing(3, 0) == -2
+    assert [b[3] for b in lattice.basis] == [-2, 1]
 
 
 # Test-local oracles: the subset scan and Caratheodory scan that

@@ -73,7 +73,7 @@ def pass_fault(an):
     i = first_nonzero(pulled)
     pulled[i] = edit_top(pulled[i], lambda c: c + 1)
     inverse = tuple(
-        combine(an.box, [(an.lattice.pairing(k, a), g) for k, g in enumerate(pulled)])
+        combine(an.box, [(an.lattice.pairing_row(k)[a], g) for k, g in enumerate(pulled)])
         for a in range(an.lattice.rank))
     faulty = analyze(an.fan, an.lattice, an.box)
     faulty.__dict__["mirror"] = MirrorMapPair(mm.forward, inverse, tuple(pulled))

@@ -232,7 +232,7 @@ def test_lagrange_good_oracle_threefold():
     for i, s in enumerate(analysis.g0):
         want = g0[i] if i < 2 else {}
         assert to_dict(s) == {k + (0, 0): c for k, c in want.items()}
-    u = [{k: sum(-lattice.pairing(i, a) * g0[i].get(k, 0) for i in (0, 1))
+    u = [{k: sum(-lattice.pairing_row(i)[a] * g0[i].get(k, 0) for i in (0, 1))
           for k in cells} for a in (0, 1)]
     # jac[a][b] = d_ab + x_b du_a/dx_b
     jac = [[{k: k[b] * c for k, c in u[a].items()} for b in (0, 1)]

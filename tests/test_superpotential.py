@@ -25,11 +25,14 @@ from semifano import series
 from semifano.series import render
 from semifano.mirror import MirrorMapPair
 from semifano.superpotential import InvariantSeries
-from conftest import fixture_analysis
+from conftest import fixture_analysis, fixture_lattice
 from oracles import add, oracle_log, to_dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import run as bench_run  # noqa: E402
+
+FIXTURES = ("p2", "p1xp1", "p1cubed", "f2", "f3", "f2-blowup",
+            "threefold-example", "kp2-bundle")
 
 
 def invariant(i, box, delta):
@@ -219,6 +222,34 @@ def test_w_hv_p2():
     assert by_ray[2].z_exponent == (-1, -1) and by_ray[2].q_exponent == (1,)
 
 
+@pytest.mark.parametrize("name", FIXTURES)
+def test_w_hv_terms_rebuild_their_rays_and_classes(name, call_counts):
+    """Each W_HV term, on every cone, read back without the engine's solves:
+    its z-exponent writes v_k over the cone's rays, which fixes it as the
+    cone is a basis, and its q-exponent writes e_k - sum_j z_j e_(cone_j)
+    over the lattice basis.  Each ray's cone coordinates are read once,
+    counted in every module that binds `cone_coordinates`."""
+    calls, count = call_counts
+    for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "semifano"]:
+        if hasattr(module, "cone_coordinates"):
+            count(module, "cone_coordinates")
+    fan, lattice = fixture_lattice(name)
+    box = TruncationBox((1,) * lattice.rank)
+    for sigma, cone in enumerate(fan.max_cones):
+        calls.clear()
+        whv = assemble_W_HV(fan, lattice, sigma, box)
+        assert calls == {"cone_coordinates": fan.num_rays}, sigma
+        assert [t.ray_index for t in whv.terms] == list(range(fan.num_rays))
+        for k, t in enumerate(whv.terms):
+            assert tuple(sum(z * fan.rays[c][i] for z, c in zip(t.z_exponent, cone))
+                         for i in range(fan.dimension)) == fan.rays[k]
+            cls = [int(i == k) for i in range(fan.num_rays)]
+            for z, c in zip(t.z_exponent, cone):
+                cls[c] -= z
+            assert [sum(q * b[i] for q, b in zip(t.q_exponent, lattice.basis))
+                    for i in range(fan.num_rays)] == cls, (sigma, k)
+
+
 def test_w_pf_equals_w_lf_f2_all_cones(f2_analysis):
     an = f2_analysis
     for sigma in range(len(an.fan.max_cones)):
@@ -347,6 +378,16 @@ def test_pf_lf_check_reports_discrepancy(f2_analysis):
     report = check_PF_equals_LF(wpf, whv)
     assert not report.passed
     assert any("ray 4" in d for d in report.details)
+
+
+def test_pf_lf_check_reports_a_term_count_mismatch(f2_analysis):
+    _, wpf, wlf, report = compare_superpotentials(f2_analysis, 0)
+    assert report.passed
+    cut = wlf._replace(terms=wlf.terms[:2])
+    assert check_PF_equals_LF(wpf, cut) == (
+        "PF=LF", False, ("4 PF terms against 2 LF terms",))
+    assert check_PF_equals_LF(cut, wpf) == (
+        "PF=LF", False, ("2 PF terms against 4 LF terms",))
 
 
 @pytest.mark.parametrize("tables_first", [True, False], ids=["tables-first", "compare-only"])
