@@ -25,7 +25,7 @@ from .fans import (
     is_semi_fano,
     validate_fan,
 )
-from .series import TruncationBox, _monomial, render
+from .series import TruncationBox, monomial, render
 from .superpotential import (
     analyze,
     check_multiplicative_consistency,
@@ -128,9 +128,9 @@ def _parse_box(text, rank):
 
 
 def _render_term(term, zray_names):
-    zmono = _monomial(zray_names, term.z_exponent) or "1"
+    zmono = monomial(zray_names, term.z_exponent) or "1"
     qnames = [f"q{a + 1}" for a in range(len(term.q_exponent))]
-    coeff = _monomial(qnames, term.q_exponent)
+    coeff = monomial(qnames, term.q_exponent)
     unit = render(term.unit)
     if unit != "1":
         coeff = f"{coeff}*({unit})" if coeff else f"({unit})"

@@ -5,7 +5,8 @@ anticanonical pairing zero that are negative exactly at coordinate i, the
 factorial ratio (-1)^{d_i} (-d_i - 1)! / prod_{j != i} d_j!.  The coordinate
 change multiplies each variable by the exponential of a combination of these
 series; its formal inverse, and each series pulled back along it, come from
-one pass over total degree.
+one pass over total degree.  The series enter as integer numerators keyed by
+exponent tuples, which `series` packs.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from math import lcm, prod
 from operator import mul
 
 from .fans import CurveLattice, FanError, non_vertices
-from .series import MultiSeries, TruncationBox, _lowest, combine, pull_back
+from .series import MultiSeries, TruncationBox, combine, pull_back
 
 
 def enumerate_g0_classes(lattice: CurveLattice, box: TruncationBox):
@@ -74,10 +75,10 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox):
     rays are all hull vertices has none.  A nef-verified basis is scanned
     without that test; any other basis is refused by `enumerate_g0_classes`
     unless every ray is a hull vertex, so the hull walk stops at its first
-    witness (`non_vertices`).  Each series is packed from integer numerators
+    witness (`non_vertices`).  Each series is built from integer numerators
     over the lcm of the terms' denominators, with factorials from one table
-    up to the largest -d_i (a class sums to zero) and keys summed from unit
-    keys; `_lowest` gives it the canonical form of `_pack`.
+    up to the largest -d_i (a class sums to zero), keyed by the scan's
+    exponent tuples (`MultiSeries.from_numerators`).
     """
     fan, hits = lattice.fan, []
     if lattice.nef_verified or next(non_vertices(fan), None) is not None:
@@ -85,12 +86,11 @@ def compute_g0_family(lattice: CurveLattice, box: TruncationBox):
     top = max([-cls[i] for i, cls, _ in hits], default=0)
     fact = list(accumulate(range(1, top + 1), mul, initial=1))
     dens = [prod([fact[dj] for dj in cls if dj > 0]) for _, cls, _ in hits]
-    units = [(1 << k) + (1 << box.layout[5]) for k in box.layout[1]]
     den, nums = lcm(*dens), [{} for _ in range(fan.num_rays)]
     for (i, cls, exps), d in zip(hits, dens):
         b = -cls[i]
-        nums[i][sum(map(mul, exps, units))] = (-1) ** b * fact[b - 1] * (den // d)
-    return tuple(MultiSeries(box, _lowest(den, n)) for n in nums)
+        nums[i][exps] = (-1) ** b * fact[b - 1] * (den // d)
+    return tuple(MultiSeries.from_numerators(box, den, n) for n in nums)
 
 
 class MirrorMapPair(namedtuple("MirrorMapPair", "forward inverse pulled")):

@@ -7,22 +7,25 @@ on.  Every operation here only ever adds nonnegative vectors to exponents, so
 coefficients at in-box exponents agree with the untruncated computation.
 
 A series is stored in one form, the packed series (D, {packed exponent:
-integer numerator over D}): each exponent vector packs into one int by the
-box's layout, a field a variable and a top field for the total degree,
-and the pair is kept in lowest terms, so it is canonical.  Every operation
-works on that form through one kernel, _sum, a guarded sum of products of
-packed series: combine and mul call it once, and exp and pull_back solve
-their recurrences one total degree at a time, each series kept as a list of
-degree slices that _slice builds from lower ones only through its reach,
-the sum of its variables' caps, past which it has no in-box term.  exp
-of a series is the product of the exps of its blocks of disjoint
-variables, and a box runs each distinct block once, keeping packed forms.
-pull_back solves for the inverse of a coordinate change x_a -> x_a *
+integer numerator over D}): each exponent vector packs into one int, the sum
+of its variables' unit keys in the box's layout, a field a variable and a
+top field for the total degree, and the pair is kept in lowest terms, so it
+is canonical.  No other module reads or writes a packed key: values enter as
+integer numerators over one denominator, keyed by exponent tuples
+(MultiSeries.from_numerators; from_dict reduces Fractions to it).  Every
+operation works on that form through one kernel, _sum, a guarded sum of
+products of packed series: combine and mul call it once, and exp and
+pull_back solve their recurrences one total degree at a time, each series
+kept as a list of degree slices that _slice builds from lower ones only
+through its reach, the sum of its variables' caps, past which it has no
+in-box term.  exp of a series is the product of the exps of its blocks of
+disjoint variables, and a box runs each distinct block once, keeping packed
+forms.  pull_back solves for the inverse of a coordinate change x_a -> x_a *
 exp(u_a) together with series evaluated along it, one product a prefix
 group of their terms; both are plain tuples of series.  A series is read
 through one view, MultiSeries.coefficients: its reduced integer (exponent,
 numerator, denominator) triples in graded-lex order.  Fractions appear only
-where values enter (MultiSeries.from_dict) or in constant_term.
+in from_dict and constant_term.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
-from operator import or_
+from operator import mul as _times, or_
 
 
 class SeriesError(ValueError):
@@ -72,20 +75,21 @@ class TruncationBox(namedtuple("TruncationBox", "caps")):
 
     @cached_property
     def layout(self):
-        """(w, shifts, bias, guard, mask, dk): an exponent vector e packs into
-        one int, w bits a variable at shifts and its total degree sum(e) in
-        the top field at dk; mask selects one variable field.  A variable
-        field of cap c holds 2^(w-1) - 1 - c in bias, so adding bias to the
-        sum of two in-box keys sets a field's top (guard) bit exactly when the
-        sum passes its cap: one add and one mask a pair.  The variable fields
-        bound the degree by sum(caps), so the top field needs neither.  Built
-        once per box object."""
+        """(units, shifts, bias, guard, mask, dk): e packs into one int,
+        sum(e_a * units[a]), w bits a variable at shifts and the degree
+        sum(e) in the top field at dk, so a unit key is a 1 in its variable's
+        field plus a 1 in the degree field; mask selects one variable field.
+        A variable field of cap c holds 2^(w-1) - 1 - c in bias, so adding
+        bias to the sum of two in-box keys sets a field's top (guard) bit
+        exactly when the sum passes its cap: one add and one mask a pair.
+        The variable fields bound the degree by sum(caps), so the top field
+        needs neither.  Built once per box object."""
         caps = self.caps
         w = (2 * max(caps, default=0) + 1).bit_length() + 1
-        shifts = range(0, w * len(caps), w)
+        shifts, dk = range(0, w * len(caps), w), w * len(caps)
         bias = sum(((1 << (w - 1)) - 1 - c) << k for c, k in zip(caps, shifts))
         guard = sum(1 << (k + w - 1) for k in shifts)
-        return w, shifts, bias, guard, (1 << w) - 1, w * len(caps)
+        return tuple([1 << k | 1 << dk for k in shifts]), shifts, bias, guard, (1 << w) - 1, dk
 
     @cached_property
     def table_rows(self):
@@ -125,20 +129,6 @@ class TruncationBox(namedtuple("TruncationBox", "caps")):
 
 # ---------------------------------------------------------------------------
 # packed kernels
-
-
-def _key(e, lay):
-    """The packed exponent of exponent vector e: its fields and its degree."""
-    return sum(x << k for x, k in zip(e, lay[1])) + (sum(e) << lay[5])
-
-
-def _pack(d, lay):
-    """The packed series (D, {packed exponent: integer numerator over D}) of
-    an exponent -> reduced Fraction dict.  Packed series are kept in lowest
-    terms (no zero numerator, gcd(D, numerators) = 1), so they are canonical."""
-    den = lcm(*(c.denominator for c in d.values()))
-    return den, {_key(e, lay): c.numerator * (den // c.denominator)
-                 for e, c in d.items()}
 
 
 def _lowest(den, r, offset=0):
@@ -204,14 +194,12 @@ def _exp(s, box):
     k, read off the top field (Knuth, TAOCP 2, 4.7): E_0 = 1 and
     n E_n = sum_k k s_k E_(n-k).
     """
-    if not s[1]:
-        return _ONE
     lay, parts = box.layout, {}
     for p, c in s[1].items():
         parts.setdefault(p >> lay[5], {})[p] = c
     parts = [(k, _lowest(s[0], part)) for k, part in sorted(parts.items())]
     out = [_ONE]
-    for n in range(1, _reach(reduce(or_, s[1]), box) + 1):
+    for n in range(1, _reach(reduce(or_, s[1], 0), box) + 1):
         _slice(out, [(k, part, out[n - k]) for k, part in parts if k <= n], lay, n)
     return _join(out)
 
@@ -228,7 +216,16 @@ class MultiSeries(namedtuple("MultiSeries", "box packed")):
     __slots__ = ()
 
     @staticmethod
+    def from_numerators(box, den, nums):
+        """sum nums[e] x^e / den, nums mapping in-box exponent tuples to
+        integer numerators, in lowest terms, keys in the order of nums."""
+        units = box.layout[0]
+        return MultiSeries(box, _lowest(den, {sum(map(_times, e, units)): n
+                                              for e, n in nums.items()}))
+
+    @staticmethod
     def from_dict(box, coeffs):
+        """The series of an exponent -> rational dict, checked against the box."""
         d = {}
         for exp, c in coeffs.items():
             exp = tuple(int(e) for e in exp)
@@ -238,7 +235,9 @@ class MultiSeries(namedtuple("MultiSeries", "box packed")):
             if not box.contains(exp):
                 raise SeriesError(f"exponent {exp} outside box {box.caps}")
             d[exp] = c
-        return MultiSeries(box, _pack(d, box.layout))
+        den = lcm(*[c.denominator for c in d.values()])
+        return MultiSeries.from_numerators(
+            box, den, {e: c.numerator * (den // c.denominator) for e, c in d.items()})
 
     @staticmethod
     def zero(box):
@@ -329,18 +328,18 @@ def pull_back(gs, rows):
     nonzero G_i and reads w off them.  A g_i is sum_p x^p h_p(x_l) over the
     prefixes p = q / x_l^e of its terms q, l the variable that leaves the
     fewest (the lowest on a tie), so G_i = sum_p image(p) h_p(y_l) takes one
-    product a prefix (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).
-    Each series is kept as its list of degree slices: y_a = x_a*exp(w_a), by
-    (n-1) y_n = sum_(i,k) rows[i][a]*k G_(i,k) y_(n-k) from y_1 = x_a; the
-    images, shared by all the g_i, of the prefixes and powers x_l^e, taken
-    in packed-key order, which is graded, each its parent's image times one
-    y_a (a is the first variable of q whose q / x_a has an image, else the
-    last); the h_p(y_l) of two or more powers; and the G_i, where a term of
-    p = 0 or e = 0 enters as its own image.  Slice n of each needs the G_j
-    only through degree n - 1, and is one _slice of lower ones: built once,
-    exact, and only through its reach, fixed before the pass; past it,
-    slices are _ZERO.  Returns (the G_i, the inverse); with no nonzero g_i,
-    at once (gs, zeros), with no pass.
+    product a prefix (Paterson and Stockmeyer, SIAM J. Comput. 2, 1973).  Each
+    series is kept as its list of degree slices: y_a = x_a*exp(w_a), by (n-1)
+    y_n = sum_(i,k) rows[i][a]*k G_(i,k) y_(n-k) from y_1 = x_a, its unit key
+    in the layout; the images, shared by all the g_i, of the prefixes and
+    powers x_l^e, taken in key order, which is graded, each its parent's image
+    times one y_a (a is the first variable of q whose q / x_a has an image,
+    else the last); the h_p(y_l) of two or more powers; and the G_i, where a
+    term of p = 0 or e = 0 enters as its own image.  Slice n of each needs the
+    G_j only through degree n - 1, and is one _slice of lower ones: built
+    once, exact, and only through its reach, fixed before the pass; past it,
+    slices are _ZERO.  Returns (the G_i, the inverse); with no nonzero g_i, at
+    once (gs, zeros), with no pass.
     """
     box = gs[0].box
     _require_same_box(box, gs)
@@ -351,11 +350,11 @@ def pull_back(gs, rows):
     live = [i for i, g in enumerate(gs) if g.packed[1]]
     if not live:
         return tuple(gs), (MultiSeries.zero(box),) * box.arity
-    _, shifts, _, _, mask, dk = lay = box.layout
+    units, shifts, _, _, mask, dk = lay = box.layout
     slices = {i: [_ZERO] for i in live}
     held = {i: reduce(or_, gs[i].packed[1]) for i in live}
-    # the packed key x[a] of each x_a some g_i has, and y_a, of slice 1 x_a
-    x = {a: 1 << k | 1 << dk for h in [reduce(or_, held.values(), 0)]
+    # the unit key x[a] of each x_a some g_i has, and y_a, of slice 1 x_a
+    x = {a: units[a] for h in [reduce(or_, held.values(), 0)]
          for a, k in enumerate(shifts) if h >> k & mask}
     ys = {a: [_ZERO, (1, {p: 1})] for a, p in x.items()}
     # the series that feed w_a, with their pairings
@@ -437,7 +436,7 @@ def pull_back(gs, rows):
     return pulled, inverse
 
 
-def _monomial(names, exponents):
+def monomial(names, exponents):
     """`name^e` factors joined by `*`, without `^1`; "" for the unit monomial."""
     return "*".join([n if e == 1 else f"{n}^{e}" for n, e in zip(names, exponents) if e])
 
@@ -449,7 +448,7 @@ def render(s: MultiSeries) -> str:
     names = [f"q{a + 1}" for a in range(s.box.arity)]
     pieces = []
     for e, n, d in s.coefficients():
-        mono = _monomial(names, e)
+        mono = monomial(names, e)
         mag = str(abs(n)) if d == 1 else f"{abs(n)}/{d}"
         if not mono:
             body = mag

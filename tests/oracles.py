@@ -94,7 +94,8 @@ def _subst_dict(series, tables, box):
     image of its prefix (e_1, .., e_(a-1), 0, .., 0), and then serves every
     series and term that contains e.
     """
-    w, shifts, bias, guard, mask, _ = box.layout
+    _, shifts, bias, guard, mask, _ = box.layout
+    w = mask.bit_length()
     images = {0: (1, {0: 1})}
     out = []
     for den, s in series:

@@ -12,7 +12,9 @@ assumed.  On the threefold a tripled correction coefficient, which no
 `check` report sees (`tests/test_faults.py`), shows up on both pairs, and
 every other stage fault there but the flipped pairing sign shows up too.
 The same comparison runs at caps 3 over every blow-up of the small nef
-fans of the seeded P3 corpus (`threefolds.p3_blowups`).
+fans of the seeded P3 corpus (`threefolds.blowups`), and, as a control of
+the comparison itself, over the corner blow-ups of the nef surfaces of the
+benchmark's universe, where the surface oracle checks every child.
 """
 
 import pytest
@@ -23,12 +25,14 @@ from semifano import (
     curve_lattice,
     is_semi_fano,
     superpotential,
+    surface_admissible_deltas,
     validate_fan,
 )
 from conftest import fixture_lattice
 from oracles import class_keyed
 from test_faults import FAULTS, edit_top
-from threefolds import faces, p3_blowups, star_subdivision
+from test_invariance import nef_universe
+from threefolds import P3, blowups, faces, star_subdivision
 
 
 def blowup_pairs(lattice):
@@ -136,11 +140,11 @@ def test_blowups_see_the_stage_faults(name, fault):
 
 
 def corpus_comparisons():
-    """(parents, rows): the fans of `p3_blowups(11, 200, 10)` with at most 7
+    """(parents, rows): the fans of `blowups(P3, 11, 200, 10)` with at most 7
     rays and a nef wall basis, as lattices, and a row (parent has a nonzero
     non-constant count, there, back) of `differences` at caps 3 for each of
     their `blowup_pairs`, each parent's side built once."""
-    lattices = (curve_lattice(fan) for fan in p3_blowups(11, 200, 10) if fan.num_rays <= 7)
+    lattices = (curve_lattice(fan) for fan in blowups(P3, 11, 200, 10) if fan.num_rays <= 7)
     parents = [lattice for lattice in lattices if lattice.nef_verified]
     rows = []
     for lattice in parents:
@@ -167,3 +171,19 @@ def test_corpus_blowups_see_a_tripled_g0_coefficient(monkeypatch):
     caught = [(there[1], back[1]) for _, there, back in rows if there[1] or back[1]]
     # one entry differs on each of 20 pairs, seen from the parent's side only
     assert caught == [(1, 0)] * 20
+
+
+def test_disk_counts_agree_across_corner_blowups_of_the_nef_surfaces():
+    # a control for the comparison: on a surface `faces` lists the maximal
+    # cones only, and the surface oracle gives every child's deltas
+    pairs = entries = 0
+    for fan, _ in nef_universe():
+        for _, lattice, child in blowup_pairs(curve_lattice(fan)):
+            box = TruncationBox((3,) * child.rank)
+            deltas = [d.delta for d in analyze(child.fan, child, box).deltas]
+            assert deltas == list(surface_admissible_deltas(child.fan, child, box))
+            (there, differing), (back, differing_back) = compare(lattice, child, 3)
+            assert differing == differing_back == 0, child.fan.rays
+            pairs += 1
+            entries += there + back
+    assert (pairs, entries) == (43, 410)

@@ -263,7 +263,7 @@ def test_nef_basis_of_p3_blowups_matches_rational_scan():
     come in another order than the oracle's Hermite kernel, so there the
     lattices are compared."""
     verdicts, sizes = set(), set()
-    for fan in threefolds.p3_blowups(1, 40, 9):
+    for fan in threefolds.blowups(threefolds.P3, 1, 40, 9):
         lattice = curve_lattice(fan)
         basis, nef = oracle_nef_basis(fan)
         assert lattice.nef_verified is nef, fan
@@ -364,7 +364,7 @@ def test_cone_walk_matches_per_cone_solves():
     own solve, on the fixtures, the universe, seeded threefolds, the
     12-ray threefold and the flat fan."""
     fans_ = ([fixture_fan(name)[0] for name in FIXTURES] + universe_fans()
-             + threefolds.p3_blowups(11, 200, 10) + [threefolds.TWELVE_RAYS, FLAT])
+             + threefolds.blowups(threefolds.P3, 11, 200, 10) + [threefolds.TWELVE_RAYS, FLAT])
     assert len(fans_) == 306
     for fan in fans_:
         assert fan.cone_solutions == per_cone_solutions(fan), fan

@@ -4,10 +4,10 @@
 coefficients of `mirror.forward`; it shares no code with the factorial
 formula or the face scan that build the correction series.  It holds on
 the fixtures, on every nef surface of the benchmark's universe and on the
-seeded blow-ups of P3 with a nef wall basis (`tests/threefolds.py`), and it
-sees every single-coefficient fault in a correction series: on the
-threefold that includes the kinds, a coefficient x3 and a dropped class,
-that no `check` report sees (`tests/test_faults.py`).
+seeded blow-ups of P3, P2 x P1 and P1 x P1 x P1 with a nef wall basis
+(`tests/threefolds.py`), and it sees every single-coefficient fault in a
+correction series: on the threefold that includes the kinds, a coefficient
+x3 and a dropped class, that no `check` report sees (`tests/test_faults.py`).
 """
 
 import sys
@@ -20,7 +20,7 @@ from semifano import MultiSeries, TruncationBox, analyze, curve_lattice, structu
 from semifano.cli import parse_input
 from conftest import fixture_analysis
 from oracles import gkz_violations
-from threefolds import p3_blowups
+from threefolds import P1_P1_P1, P2_P1, P3, blowups
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import surfaces  # noqa: E402
@@ -50,18 +50,31 @@ def test_forward_map_satisfies_the_recurrence_on_the_universe():
     assert pairs == 62
 
 
-def test_forward_map_satisfies_the_recurrence_on_p3_blowups():
-    fans = flat = live = 0
-    for fan in p3_blowups(11, 200, 10):
+def recurrence_counts(fans):
+    """(fans checked, with a c1 = 0 basis class, with a nonzero g0) over the
+    fans with a nef wall basis, each with no GKZ violation and a passing
+    `structural_report` at caps 3."""
+    checked = flat = live = 0
+    for fan in fans:
         lattice = curve_lattice(fan)
         if lattice.nef_verified:
             an = analyze(fan, lattice, TruncationBox((3,) * lattice.rank))
             assert gkz_violations(an) == [] and structural_report(an).passed, fan
-            fans += 1
+            checked += 1
             flat += any(sum(b) == 0 for b in lattice.basis)
             live += any(not g.is_zero() for g in an.g0)
+    return checked, flat, live
+
+
+def test_forward_map_satisfies_the_recurrence_on_p3_blowups():
     # the recurrence has a c1 = 0 class to check on 87, and a nonzero g0 on 50
-    assert (fans, flat, live) == (114, 87, 50)
+    assert recurrence_counts(blowups(P3, 11, 200, 10)) == (114, 87, 50)
+
+
+@pytest.mark.parametrize("start, counts", [(P2_P1, (33, 26, 5)), (P1_P1_P1, (33, 28, 4))],
+                         ids=["P2xP1", "P1xP1xP1"])
+def test_forward_map_satisfies_the_recurrence_on_product_blowups(start, counts):
+    assert recurrence_counts(blowups(start, 11, 60, 9)) == counts
 
 
 def single_coefficient_faults(an):

@@ -7,6 +7,10 @@ in the module, and a module-level function or class must occur as a name or
 an attribute in some file under `src/semifano` or `bench/`.  `tests/` is not
 searched: a helper only tests call belongs there.  `__init__.py` imports
 only to re-export and is skipped.
+
+No module imports another's `_`-prefixed name, and the packed form of a
+series is `series.py`'s alone: no other module reads `.packed` or
+`.layout`, or builds a `MultiSeries` from a packed form.
 """
 
 import ast
@@ -73,3 +77,33 @@ def test_test_only_definition_is_found():
     named = referenced_names([module, engine])
     assert [d for d in definitions(module) if d not in named] == [
         "_Order", "cyclic_ray_order"]
+
+
+def private_reach(source, packs=False):
+    """The `_` names source imports, and, unless it packs series itself,
+    each `.packed` or `.layout` it reads and each `MultiSeries(...)` it
+    builds from a packed form."""
+    nodes = list(ast.walk(ast.parse(source)))
+    found = [a.name for n in nodes if isinstance(n, ast.ImportFrom)
+             for a in n.names if a.name.startswith("_")]
+    if not packs:
+        found += ["." + n.attr for n in nodes if isinstance(n, ast.Attribute)
+                  and n.attr in ("packed", "layout")]
+        found += [n.func.id for n in nodes if isinstance(n, ast.Call)
+                  and getattr(n.func, "id", None) == "MultiSeries"]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_series_packs_and_no_private_imports(path):
+    assert private_reach(path.read_text(), path.name == "series.py") == []
+
+
+def test_private_reach_is_found():
+    source = ("from operator import mul as _times\n"
+              "from .series import MultiSeries, _lowest\n"
+              "def g0(box, n):\n"
+              "    units = box.layout[0]\n"
+              "    return MultiSeries(box, _lowest(1, n)), MultiSeries.zero(box).packed\n")
+    assert private_reach(source) == ["_lowest", ".layout", ".packed", "MultiSeries"]
+    assert private_reach(source, packs=True) == ["_lowest"]

@@ -16,11 +16,7 @@ from semifano import (
     render,
 )
 from semifano import series
-from semifano.series import (
-    _lowest,
-    _pack,
-    _sum,
-)
+from semifano.series import _lowest, _sum
 from oracles import (
     _subst_dict,
     add,
@@ -199,7 +195,7 @@ def test_combine_edges():
     # denominators 12 and 6 meet over their lcm; q1 cancels and the rest
     # reduces once, to denominator 2
     r = combine(box, [(2, s), (-4, t)])
-    assert r.packed == _pack({(0, 2): F(-3, 2), (1, 1): F(-10)}, box.layout)
+    assert r.packed == S((2, 2), {(0, 2): F(-3, 2), (1, 1): F(-10)}).packed
     assert r.packed[0] == 2
     # a zero k drops its series; full cancellation is the packed zero
     assert combine(box, [(0, s), (1, t)]) == t
@@ -687,33 +683,45 @@ def test_packed_form_is_canonical():
     F = Fraction
     box = TruncationBox((3, 3))
     lay = box.layout
-    w, _, _, _, _, dk = lay
-    # each key carries its total degree in the top field
+    units, _, _, _, mask, dk = lay
+    # each key carries its total degree in the top field, and a variable's
+    # unit key is a 1 in its field plus a 1 in the degree field
+    w = mask.bit_length()
     x, y = 1 | 1 << dk, 1 << w | 1 << dk
+    assert units == (x, y)
     xy = x + y
+
+    def pack(d):
+        return MultiSeries.from_dict(box, d).packed
+
     # x*y/3 through denominators 2*3, 3*2 and 3, and by reducing 4/12
     routes = [
-        _sum([(1, _pack({(1, 0): F(1, 2)}, lay), _pack({(0, 1): F(2, 3)}, lay))], lay),
-        _sum([(1, _pack({(1, 0): F(2, 3)}, lay), _pack({(0, 1): F(1, 2)}, lay))], lay),
-        _sum([(1, _pack({(1, 0): F(1, 3)}, lay), _pack({(0, 1): F(1)}, lay))], lay),
+        _sum([(1, pack({(1, 0): F(1, 2)}), pack({(0, 1): F(2, 3)}))], lay),
+        _sum([(1, pack({(1, 0): F(2, 3)}), pack({(0, 1): F(1, 2)}))], lay),
+        _sum([(1, pack({(1, 0): F(1, 3)}), pack({(0, 1): F(1)}))], lay),
         _lowest(12, {xy: 4}),
-        _pack({(1, 1): F(1, 3)}, lay),
+        MultiSeries.from_numerators(box, 12, {(1, 1): 4}).packed,
+        pack({(1, 1): F(1, 3)}),
     ]
     assert all(r == (3, {xy: 1}) for r in routes)
     # zero numerators are dropped: (x/2 - y/3)(x/2 + y/3) has no x*y term
-    s = _pack({(1, 0): F(1, 2), (0, 1): F(-1, 3)}, lay)
-    t = _pack({(1, 0): F(1, 2), (0, 1): F(1, 3)}, lay)
+    s = pack({(1, 0): F(1, 2), (0, 1): F(-1, 3)})
+    t = pack({(1, 0): F(1, 2), (0, 1): F(1, 3)})
     assert _sum([(1, s, t)], lay) == (36, {2 * x: 9, 2 * y: -4})
     assert _lowest(12, {x: 4, y: 0}) == (3, {x: 1})
+    # from integer numerators: lowest terms, zeros dropped, keys in order
+    r = MultiSeries.from_numerators(box, 12, {(0, 1): 4, (1, 1): 0, (1, 0): -8}).packed
+    assert r == (3, {y: 1, x: -2}) and list(r[1]) == [y, x]
     # every zero is (1, {}), the inversion's starting point
-    assert _lowest(12, {x: 0}) == (1, {}) == _pack({}, lay)
-    assert _sum([(1, _pack({(3, 3): F(5, 7)}, lay), s)], lay) == (1, {})
+    assert _lowest(12, {x: 0}) == (1, {}) == pack({})
+    assert MultiSeries.from_numerators(box, 12, {}).packed == (1, {})
+    assert _sum([(1, pack({(3, 3): F(5, 7)}), s)], lay) == (1, {})
     # at x := x * exp(x/2), x - x^2/2 becomes x - 3/8 x^3: the contributions
     # to x^2 cancel, and the result is stored without them
-    tables = [[(1, {0: 1}), _pack({(k, 0): F(1, 2 ** (k - 1) * factorial(k - 1))
-                                   for k in range(1, 4)}, lay),
-               _pack({(2, 0): F(1), (3, 0): F(1)}, lay)], [(1, {0: 1})]]
-    r = _subst_dict([_pack({(1, 0): F(1), (2, 0): F(-1, 2)}, lay)], tables, box)
+    tables = [[(1, {0: 1}), pack({(k, 0): F(1, 2 ** (k - 1) * factorial(k - 1))
+                                  for k in range(1, 4)}),
+               pack({(2, 0): F(1), (3, 0): F(1)})], [(1, {0: 1})]]
+    r = _subst_dict([pack({(1, 0): F(1), (2, 0): F(-1, 2)})], tables, box)
     assert r == [(8, {x: 8, 3 * x: -3})]
     # the public type stores the same canonical form
     zero = MultiSeries.zero(box)

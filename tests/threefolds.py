@@ -1,4 +1,5 @@
-"""Seeded toric blow-ups of P3 for the threefold tests.
+"""Seeded toric blow-ups of P3, P2 x P1 and P1 x P1 x P1 for the threefold
+tests.
 
 Each step is a star subdivision, a torus-equivariant blow-up (Oda, *Convex
 Bodies and Algebraic Geometry*, 1988): a point blow-up adds v_a + v_b + v_c
@@ -21,6 +22,10 @@ from semifano import Fan, is_semi_fano, validate_fan
 
 P3 = Fan(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)),
          ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)))
+P2_P1 = Fan(3, ((1, 0, 0), (0, 1, 0), (-1, -1, 0), (0, 0, 1), (0, 0, -1)),
+            [(a, b, c) for a, b in ((0, 1), (1, 2), (0, 2)) for c in (3, 4)])
+P1_P1_P1 = Fan(3, ((1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)),
+               [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)])
 TWELVE_RAYS = Fan(
     3,
     ((1, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1), (1, 1, 1), (1, 0, 1),
@@ -33,7 +38,7 @@ TWELVE_RAYS = Fan(
 
 
 def star_subdivision(fan, face):
-    """The fan with the ray sum of `face` (a 2-cone or a maximal cone, ray
+    """The fan with the ray sum of `face` (a cone of two or more rays, ray
     indices) added and every maximal cone containing `face` split."""
     v = tuple(map(sum, zip(*(fan.rays[k] for k in face))))
     new = fan.num_rays
@@ -43,24 +48,26 @@ def star_subdivision(fan, face):
             cones += [tuple(new if k == f else k for k in cone) for f in face]
         else:
             cones.append(cone)
-    return Fan(3, fan.rays + (v,), cones)
+    return Fan(fan.dimension, fan.rays + (v,), cones)
 
 
 def faces(fan):
-    """Every 2-cone, then every maximal cone, of a threefold fan."""
-    walls = sorted({w for cone in fan.max_cones for w in combinations(cone, 2)})
-    return walls + list(fan.max_cones)
+    """Every 2-cone that is not maximal, then every maximal cone: a
+    threefold's walls and cones, a surface's cones only."""
+    walls = {w for cone in fan.max_cones for w in combinations(cone, 2)}
+    return sorted(walls - set(fan.max_cones)) + list(fan.max_cones)
 
 
 @cache
-def p3_blowups(seed, count, max_rays=8):
-    """`count` distinct semi-Fano blow-ups of P3 with at most `max_rays`
-    rays: each starts from P3 and takes random star subdivisions until it
-    reaches a size drawn from 5..max_rays, or no subdivision is accepted."""
+def blowups(start, seed, count, max_rays=8):
+    """`count` distinct semi-Fano blow-ups of the threefold `start` with at
+    most `max_rays` rays: each starts from `start` and takes random star
+    subdivisions until it reaches a size drawn from one ray more than
+    `start` to max_rays, or no subdivision is accepted."""
     rng = random.Random(seed)
     out, seen = [], set()
     while len(out) < count:
-        fan, size = P3, rng.randint(5, max_rays)
+        fan, size = start, rng.randint(start.num_rays + 1, max_rays)
         while fan.num_rays < size:
             options = faces(fan)
             rng.shuffle(options)
